@@ -114,7 +114,7 @@ func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 // calling goroutine. Parallel and sequential evaluation produce identical
 // relations — set-identical under Relation.Equal, with the same
 // lookup-observable index contents: rule outputs are sets, shards partition
-// tuples by hash bucket, and per-worker partial results are merged in a
+// tuples by hash, and per-worker partial results are merged in a
 // fixed order after a level barrier. SetParallelism must not be called
 // concurrently with Eval.
 func (e *Evaluator) SetParallelism(p int) {

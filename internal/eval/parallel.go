@@ -1,15 +1,15 @@
 // Parallel evaluation: the IDB dependency DAG is leveled topologically and
 // the predicates of one level are evaluated concurrently; within a rule, the
-// outermost full scan fans out across hash shards of its relation (reusing
-// the relation's bucket layout — no data movement). Workers run over a
+// outermost full scan fans out across hash shards of its relation (chosen
+// by the tuple hashes the relation already stores — no data movement). Workers run over a
 // read-only prepared context (relations and indexes resolved serially up
 // front) and emit into private partial relations, merged in a fixed order
 // after the level barrier. Relations are sets, shards partition tuples by
 // hash, and the merge order is deterministic, so parallel evaluation
 // produces relations set-identical (Relation.Equal, same lookup-observable
 // index contents) to sequential evaluation — the property the differential
-// and determinism tests in parallel_test.go pin down. Internal bucket and
-// slice ordering, which no evaluator API exposes as meaningful, may differ.
+// and determinism tests in parallel_test.go pin down. Internal storage
+// order, which no evaluator API exposes as meaningful, may differ.
 package eval
 
 import (

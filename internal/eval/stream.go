@@ -74,10 +74,12 @@ func (e *Evaluator) ExecModeOf() ExecMode { return e.mode }
 // joinTable is a compact chained hash table over one relation's projection
 // onto key positions, built for one evaluation and discarded. Layout: all
 // tuples in one flat slice, a parallel int32 chain linking tuples that share
-// a key hash, and a map from key hash to chain head. Compared to the
-// maintained hashIndex it has no per-key group structs and no per-key tuple
-// slices — a fraction of the heap per tuple — at the cost of re-checking
-// the key projection while walking a chain (hash collisions are rare).
+// a key hash, and a map from key hash to chain head — value.Relation's own
+// storage layout, chained on key projections instead of whole tuples.
+// Compared to the maintained hashIndex it has no per-key group structs and
+// no per-key tuple slices — a fraction of the heap per tuple — at the cost
+// of re-checking the key projection while walking a chain (hash collisions
+// are rare).
 type joinTable struct {
 	positions []int
 	heads     map[uint64]int32
@@ -247,7 +249,7 @@ func (ec *evalCtx) existTab(rel *value.Relation, positions []int) *existTable {
 // maxJoinTableLen is the largest relation an ephemeral joinTable will hold
 // (int32 chain links); beyond it prepareStream falls back to a maintained
 // index. Unreachable for in-memory relations in practice.
-const maxJoinTableLen = 1 << 31 - 1
+const maxJoinTableLen = 1<<31 - 1
 
 // streamCost scores a plan for streaming execution: the total number of
 // tuples its keyed steps would have to hash into ephemeral tables. A keyed

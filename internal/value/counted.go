@@ -12,25 +12,20 @@ import (
 // a tuple is logically present while its count is positive, appears when the
 // count crosses 0 → positive, and disappears when it returns to 0.
 //
-// The layout mirrors Relation: tuples bucket by the 64-bit Tuple.Hash and
-// collisions resolve with Tuple.Equal, so the probe of Adjust on a warm
-// tuple allocates nothing (the alloc guard in alloc_test.go pins this).
-// Like Relation, tuples are stored by reference and must be treated as
-// immutable once handed to Adjust.
+// The storage is Relation's (tupleSet) plus a parallel slice of counts, so
+// the probe of Adjust on a warm tuple allocates nothing (the alloc guard in
+// alloc_test.go pins this). Like Relation, tuples are stored by reference
+// and must be treated as immutable once handed to Adjust.
 type CountedRelation struct {
-	arity   int
-	size    int // tuples with positive count
-	buckets map[uint64][]countedTuple
-}
-
-type countedTuple struct {
-	t Tuple
-	n int
+	arity int
+	size  int // tuples with positive count
+	tupleSet
+	counts []int // parallel to tuples
 }
 
 // NewCounted returns an empty counted relation of the given arity.
 func NewCounted(arity int) *CountedRelation {
-	return &CountedRelation{arity: arity, buckets: make(map[uint64][]countedTuple)}
+	return &CountedRelation{arity: arity}
 }
 
 // Arity reports the arity of the relation.
@@ -41,11 +36,8 @@ func (c *CountedRelation) Len() int { return c.size }
 
 // Count returns the support count of t (0 if absent).
 func (c *CountedRelation) Count(t Tuple) int {
-	h := t.Hash()
-	for _, ct := range c.buckets[h] {
-		if ct.t.Equal(t) {
-			return ct.n
-		}
+	if i := c.find(t.Hash(), t); i >= 0 {
+		return c.counts[i]
 	}
 	return 0
 }
@@ -64,48 +56,37 @@ func (c *CountedRelation) Adjust(t Tuple, d int) (appeared, vanished bool) {
 		return false, false
 	}
 	h := t.Hash()
-	bucket := c.buckets[h]
-	for i := range bucket {
-		ct := &bucket[i]
-		if !ct.t.Equal(t) {
-			continue
+	old := 0
+	if i := c.find(h, t); i >= 0 {
+		old = c.counts[i]
+		c.counts[i] += d
+		if c.counts[i] == 0 {
+			last := len(c.counts) - 1
+			c.counts[i] = c.counts[last]
+			c.counts = c.counts[:last]
+			c.removeAt(i)
 		}
-		old := ct.n
-		ct.n += d
-		if ct.n == 0 {
-			if len(bucket) == 1 {
-				delete(c.buckets, h)
-			} else {
-				bucket[i] = bucket[len(bucket)-1]
-				c.buckets[h] = bucket[:len(bucket)-1]
-			}
-		}
-		appeared = old <= 0 && old+d > 0
-		vanished = old > 0 && old+d <= 0
-		if appeared {
-			c.size++
-		}
-		if vanished {
-			c.size--
-		}
-		return appeared, vanished
+	} else {
+		c.push(h, t)
+		c.counts = append(c.counts, d)
 	}
-	c.buckets[h] = append(bucket, countedTuple{t: t, n: d})
-	if d > 0 {
+	appeared = old <= 0 && old+d > 0
+	vanished = old > 0 && old+d <= 0
+	if appeared {
 		c.size++
-		return true, false
 	}
-	return false, false
+	if vanished {
+		c.size--
+	}
+	return appeared, vanished
 }
 
 // Each calls fn for every tuple with positive support, with its count; fn
 // must not mutate the relation.
 func (c *CountedRelation) Each(fn func(Tuple, int)) {
-	for _, bucket := range c.buckets {
-		for _, ct := range bucket {
-			if ct.n > 0 {
-				fn(ct.t, ct.n)
-			}
+	for i, t := range c.tuples {
+		if n := c.counts[i]; n > 0 {
+			fn(t, n)
 		}
 	}
 }

@@ -3,16 +3,16 @@ package value
 import "math"
 
 // Tuple identity is hash-native: every set and index structure in the
-// system (Relation, the evaluator's hash indexes) buckets tuples by a
-// 64-bit hash and resolves collisions with Equal. The hash must therefore
-// agree with Equal exactly: Equal values hash identically, and unequal
-// values may collide but are separated by the bucket scan.
+// system (Relation, the evaluator's hash indexes) keys tuples by a 64-bit
+// hash and resolves collisions with Equal. The hash must therefore agree
+// with Equal exactly: Equal values hash identically, and unequal values may
+// collide but are separated by Equal.
 //
 // Numeric widening is the subtle case. Equal treats Int(1) and Float(1) as
 // the same value, so both kinds hash through their widened float64 bit
 // pattern. Negative zero is normalized to positive zero first (0.0 == -0.0
 // as float64, so they must share a hash). Integers beyond 2^53 lose
-// precision when widened and may share a bucket with a neighbour; Equal
+// precision when widened and may share a hash with a neighbour; Equal
 // still separates them, so this costs a collision, never correctness.
 
 // HashSeed is the initial accumulator for incremental tuple hashing with

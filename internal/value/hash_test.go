@@ -1,6 +1,7 @@
 package value
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -178,6 +179,53 @@ func BenchmarkRelationAdd(b *testing.B) {
 		for _, tu := range tuples {
 			r.Add(tu)
 		}
+	}
+}
+
+// BenchmarkRelationSmall has the shape of the validation oracle's tiny
+// databases: a fresh two-tuple relation, one scan, two membership probes.
+func BenchmarkRelationSmall(b *testing.B) {
+	x, y := Tuple{Int(1), Str("a")}, Tuple{Int(2), Str("b")}
+	miss := Tuple{Int(3), Str("c")}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := NewRelation(2)
+		r.Add(x)
+		r.Add(y)
+		n := 0
+		for range r.All() {
+			n++
+		}
+		if n != 2 || !r.Contains(y) || r.Contains(miss) {
+			b.Fatal("wrong relation")
+		}
+		benchSink = r // escape to the heap, as the oracle's relations do
+	}
+}
+
+var benchSink *Relation
+
+// BenchmarkRelationScan walks every tuple of a relation, the driver scan
+// of a streamed rule.
+func BenchmarkRelationScan(b *testing.B) {
+	for _, n := range []int{10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			r := NewRelation(2)
+			for i := 0; i < n; i++ {
+				r.Add(Tuple{Int(int64(i)), Int(int64(i % 100))})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var sum int64
+				for t := range r.All() {
+					sum += t[1].AsInt()
+				}
+				if sum == 0 {
+					b.Fatal("empty scan")
+				}
+			}
+		})
 	}
 }
 

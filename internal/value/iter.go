@@ -2,12 +2,12 @@ package value
 
 import "iter"
 
-// Lazy tuple iteration over a relation's hash-bucket layout. The streaming
+// Lazy tuple iteration over a relation's flat storage. The streaming
 // evaluator composes rule pipelines from these: a pipeline's root walks the
-// buckets of one relation (or one hash shard of them) without copying a
-// tuple or materializing an intermediate slice, and downstream operators
-// (probes, filters, projections) consume tuples one at a time. Both forms
-// are exposed:
+// dense tuple slice of one relation (or one hash shard of it) without
+// copying a tuple or materializing an intermediate slice, and downstream
+// operators (probes, filters, projections) consume tuples one at a time.
+// Both forms are exposed:
 //
 //   - All/ShardSeq are push-style iter.Seq sequences (zero allocation,
 //     compose with range-over-func) — the form the hot evaluation loops use;
@@ -15,7 +15,7 @@ import "iter"
 //     consumers that must interleave several streams or hold their place
 //     across calls (e.g. merging two relations without a callback tower).
 //
-// Every iterator observes the bucket storage at the time it is created.
+// Every iterator observes the storage at the time it is created.
 // Like Each, iteration must not run concurrently with mutation of the
 // relation; concurrent iteration by many readers is safe. On a relation
 // whose storage is shared with snapshots (copy-on-write), an in-progress
@@ -24,36 +24,29 @@ import "iter"
 
 // All returns a push-style sequence over every tuple, in unspecified order.
 func (r *Relation) All() iter.Seq[Tuple] {
-	buckets := r.buckets
+	tuples := r.tuples
 	return func(yield func(Tuple) bool) {
-		for _, bucket := range buckets {
-			for _, t := range bucket {
-				if !yield(t) {
-					return
-				}
+		for _, t := range tuples {
+			if !yield(t) {
+				return
 			}
 		}
 	}
 }
 
 // ShardSeq returns a push-style sequence over the tuples of shard s out of
-// n, partitioned by hash bucket exactly as EachShard partitions them: the n
+// n, partitioned by tuple hash exactly as EachShard partitions them: the n
 // shards are disjoint, their union is the relation, and tuples that Equal
 // each other land in the same shard.
 func (r *Relation) ShardSeq(n, s int) iter.Seq[Tuple] {
 	if n <= 1 {
 		return r.All()
 	}
-	buckets := r.buckets
+	tuples, hashes := r.tuples, r.hashes
 	return func(yield func(Tuple) bool) {
-		for h, bucket := range buckets {
-			if h%uint64(n) != uint64(s) {
-				continue
-			}
-			for _, t := range bucket {
-				if !yield(t) {
-					return
-				}
+		for i, h := range hashes {
+			if h%uint64(n) == uint64(s) && !yield(tuples[i]) {
+				return
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package value
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -9,9 +11,11 @@ import (
 // Relation is a finite set of tuples of a fixed arity, with set semantics.
 // It is the runtime representation of both EDB and IDB relations.
 //
-// Membership is hash-native: tuples bucket by Tuple.Hash and collisions
-// resolve with Tuple.Equal, so Int/Float duplicates collapse the same way
-// Equal treats them, without materializing a string key per tuple.
+// Membership is hash-native: every tuple is stored with its Tuple.Hash and
+// collisions resolve with Tuple.Equal, so Int/Float duplicates collapse the
+// same way Equal treats them, without materializing a string key per tuple.
+// The storage is flat (see tupleSet): scans walk one dense slice, and a
+// relation of a few tuples allocates no map at all.
 //
 // Tuples are stored by reference, not defensively copied: a tuple handed to
 // Add (directly or via RelationOf/UnionWith) is owned by the relation from
@@ -20,21 +24,143 @@ import (
 // every producer in this codebase allocates a fresh tuple per derived row
 // (see compiledRule.exec, applyAssignments).
 type Relation struct {
-	arity   int
-	size    int
-	buckets map[uint64][]Tuple
-	// shared marks the bucket storage as referenced by at least one
-	// Snapshot: the next mutation copies the buckets first (copy-on-write),
-	// so snapshot holders can keep reading the old storage. It is atomic
-	// because concurrent readers may take snapshots of one relation at the
-	// same time (the engine serves Get under a read lock); mutators run
-	// exclusively (write lock) and see the flag via lock ordering.
+	arity int
+	tupleSet
+	// shared marks the storage as referenced by at least one Snapshot: the
+	// next mutation copies it first (copy-on-write), so snapshot holders
+	// can keep reading the old storage. It is atomic because concurrent
+	// readers may take snapshots of one relation at the same time (the
+	// engine serves Get under a read lock); mutators run exclusively (write
+	// lock) and see the flag via lock ordering.
 	shared atomic.Bool
+}
+
+// indexMinLen is the largest tuple set that answers membership by a linear
+// scan of its hashes. One tuple past it, the set builds its hash → position
+// index; below it, a set costs no map allocation — the common case for the
+// many tiny relations the validation oracle and delta propagation create.
+const indexMinLen = 8
+
+// tupleSet is the storage shared by Relation and CountedRelation: tuples in
+// one dense slice, their hashes in a parallel slice, and — once the set
+// outgrows indexMinLen — a chained hash index over positions: heads maps a
+// hash to the position of its newest tuple, and next links each position
+// to the previous one with the same hash (-1 ends a chain). Tuples that
+// Equal each other share a hash, so a chain holds every candidate for a
+// membership probe. Removal swaps the last tuple into the hole, so the
+// slices stay dense; positions are int32, bounding a set to 2³¹-1 tuples.
+type tupleSet struct {
+	tuples []Tuple
+	hashes []uint64
+	heads  map[uint64]int32 // built when the set outgrows indexMinLen, then kept
+	next   []int32          // parallel to tuples while heads != nil
+}
+
+// find returns the position of t, whose hash is h, or -1.
+func (s *tupleSet) find(h uint64, t Tuple) int {
+	if s.heads == nil {
+		for i, x := range s.hashes {
+			if x == h && s.tuples[i].Equal(t) {
+				return i
+			}
+		}
+		return -1
+	}
+	i, ok := s.heads[h]
+	if !ok {
+		return -1
+	}
+	for ; i >= 0; i = s.next[i] {
+		if s.tuples[i].Equal(t) {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// push appends t, whose hash is h, without a membership check.
+func (s *tupleSet) push(h uint64, t Tuple) {
+	s.tuples = append(s.tuples, t)
+	s.hashes = append(s.hashes, h)
+	if s.heads != nil {
+		s.link(len(s.tuples)-1, h)
+	} else if len(s.tuples) > indexMinLen {
+		s.buildIndex()
+	}
+}
+
+// link makes position i, whose hash is h, the head of h's chain; next must
+// already hold exactly i entries.
+func (s *tupleSet) link(i int, h uint64) {
+	prev, ok := s.heads[h]
+	if !ok {
+		prev = -1
+	}
+	s.next = append(s.next, prev)
+	s.heads[h] = int32(i)
+}
+
+func (s *tupleSet) buildIndex() {
+	s.heads = make(map[uint64]int32, len(s.tuples))
+	s.next = make([]int32, 0, cap(s.tuples))
+	for i, h := range s.hashes {
+		s.link(i, h)
+	}
+}
+
+// relink redirects the chain pointer that refers to position from — h's
+// head or a predecessor's next — to position to. A negative to cuts the
+// chain there; a chain left empty leaves heads.
+func (s *tupleSet) relink(h uint64, from, to int32) {
+	if s.heads[h] == from {
+		if to < 0 {
+			delete(s.heads, h)
+		} else {
+			s.heads[h] = to
+		}
+		return
+	}
+	i := s.heads[h]
+	for s.next[i] != from {
+		i = s.next[i]
+	}
+	s.next[i] = to
+}
+
+// removeAt deletes the tuple at position i by moving the last tuple into
+// its place. Callers keeping a slice parallel to tuples must apply the same
+// move to it.
+func (s *tupleSet) removeAt(i int) {
+	last := len(s.tuples) - 1
+	if s.heads != nil {
+		s.relink(s.hashes[i], int32(i), s.next[i])
+		if i != last {
+			s.relink(s.hashes[last], int32(last), int32(i))
+			s.next[i] = s.next[last]
+		}
+		s.next = s.next[:last]
+	}
+	s.tuples[i] = s.tuples[last]
+	s.hashes[i] = s.hashes[last]
+	s.tuples[last] = nil // drop the reference for the garbage collector
+	s.tuples = s.tuples[:last]
+	s.hashes = s.hashes[:last]
+}
+
+// clone returns a private copy of the storage; the tuples themselves are
+// shared. A set that has shrunk back to indexMinLen leaves its index behind.
+func (s *tupleSet) clone() tupleSet {
+	c := tupleSet{tuples: slices.Clone(s.tuples), hashes: slices.Clone(s.hashes)}
+	if s.heads != nil && len(s.tuples) > indexMinLen {
+		c.heads = maps.Clone(s.heads)
+		c.next = slices.Clone(s.next)
+	}
+	return c
 }
 
 // NewRelation returns an empty relation of the given arity.
 func NewRelation(arity int) *Relation {
-	return &Relation{arity: arity, buckets: make(map[uint64][]Tuple)}
+	return &Relation{arity: arity}
 }
 
 // RelationOf builds a relation of the given arity from tuples.
@@ -50,37 +176,30 @@ func RelationOf(arity int, tuples ...Tuple) *Relation {
 func (r *Relation) Arity() int { return r.arity }
 
 // Len reports the number of tuples.
-func (r *Relation) Len() int { return r.size }
+func (r *Relation) Len() int { return len(r.tuples) }
 
 // Empty reports whether the relation has no tuples.
-func (r *Relation) Empty() bool { return r.size == 0 }
+func (r *Relation) Empty() bool { return len(r.tuples) == 0 }
 
 // addHashed inserts t under its precomputed hash, reporting whether the
-// relation changed.
+// relation changed. Storage shared with a snapshot is copied only when t is
+// actually new.
 func (r *Relation) addHashed(h uint64, t Tuple) bool {
-	bucket := r.buckets[h]
-	for _, u := range bucket {
-		if u.Equal(t) {
-			return false
-		}
+	if r.containsHashed(h, t) {
+		return false
 	}
-	r.buckets[h] = append(bucket, t)
-	r.size++
+	r.ensureOwned()
+	r.push(h, t)
 	return true
 }
 
 // containsHashed reports membership of t under its precomputed hash.
 func (r *Relation) containsHashed(h uint64, t Tuple) bool {
-	for _, u := range r.buckets[h] {
-		if u.Equal(t) {
-			return true
-		}
-	}
-	return false
+	return r.find(h, t) >= 0
 }
 
 // Snapshot returns an immutable view of the relation in O(1): the snapshot
-// shares the bucket storage, and the next mutation of either side copies the
+// shares the storage, and the next mutation of either side copies the
 // storage first (copy-on-write), so a snapshot keeps observing exactly the
 // state at the time it was taken. Taking a snapshot never copies tuples;
 // the deferred copy is paid at most once per snapshot by the first writer.
@@ -91,22 +210,18 @@ func (r *Relation) containsHashed(h uint64, t Tuple) bool {
 // and diverge); treat it as read-only.
 func (r *Relation) Snapshot() *Relation {
 	r.shared.Store(true)
-	s := &Relation{arity: r.arity, size: r.size, buckets: r.buckets}
+	s := &Relation{arity: r.arity, tupleSet: r.tupleSet}
 	s.shared.Store(true)
 	return s
 }
 
-// ensureOwned gives r private bucket storage before a mutation when the
-// current storage is shared with snapshots.
+// ensureOwned gives r private storage before a mutation when the current
+// storage is shared with snapshots.
 func (r *Relation) ensureOwned() {
 	if !r.shared.Load() {
 		return
 	}
-	nb := make(map[uint64][]Tuple, len(r.buckets))
-	for h, bucket := range r.buckets {
-		nb[h] = append([]Tuple(nil), bucket...)
-	}
-	r.buckets = nb
+	r.tupleSet = r.clone()
 	r.shared.Store(false)
 }
 
@@ -118,28 +233,19 @@ func (r *Relation) Add(t Tuple) bool {
 	if len(t) != r.arity {
 		panic("value: relation arity mismatch on Add")
 	}
-	r.ensureOwned()
 	return r.addHashed(t.Hash(), t)
 }
 
-// Remove deletes t; it reports whether the relation changed.
+// Remove deletes t; it reports whether the relation changed. Storage shared
+// with a snapshot is copied only when t is actually present.
 func (r *Relation) Remove(t Tuple) bool {
-	r.ensureOwned()
-	h := t.Hash()
-	bucket := r.buckets[h]
-	for i, u := range bucket {
-		if u.Equal(t) {
-			if len(bucket) == 1 {
-				delete(r.buckets, h)
-			} else {
-				bucket[i] = bucket[len(bucket)-1]
-				r.buckets[h] = bucket[:len(bucket)-1]
-			}
-			r.size--
-			return true
-		}
+	i := r.find(t.Hash(), t)
+	if i < 0 {
+		return false
 	}
-	return false
+	r.ensureOwned()
+	r.removeAt(i)
+	return true
 }
 
 // Contains reports whether t is in the relation.
@@ -149,46 +255,31 @@ func (r *Relation) Contains(t Tuple) bool {
 
 // Each calls fn for every tuple; fn must not mutate the relation.
 func (r *Relation) Each(fn func(Tuple)) {
-	for _, bucket := range r.buckets {
-		for _, t := range bucket {
-			fn(t)
-		}
+	for _, t := range r.tuples {
+		fn(t)
 	}
 }
 
 // EachUntil calls fn for every tuple until fn returns false; it reports
 // whether the iteration ran to completion.
 func (r *Relation) EachUntil(fn func(Tuple) bool) bool {
-	for _, bucket := range r.buckets {
-		for _, t := range bucket {
-			if !fn(t) {
-				return false
-			}
+	for _, t := range r.tuples {
+		if !fn(t) {
+			return false
 		}
 	}
 	return true
 }
 
 // EachShard calls fn for every tuple of shard s out of n. Shards partition
-// the relation by hash bucket (a bucket belongs to shard h mod n), reusing
-// the existing hash layout: no tuples are moved or copied, and the n shards
-// of a relation are disjoint with union equal to the whole relation. Tuples
-// that Equal each other share a hash, hence a bucket, hence a shard, so
-// set-semantic deduplication is shard-local. Concurrent EachShard calls for
-// distinct shards are safe as long as no goroutine mutates the relation.
+// the relation by tuple hash (a tuple belongs to shard h mod n), reusing
+// the stored hashes: no tuples are moved or copied, and the n shards of a
+// relation are disjoint with union equal to the whole relation. Tuples
+// that Equal each other share a hash, hence a shard, so set-semantic
+// deduplication is shard-local. Concurrent EachShard calls for distinct
+// shards are safe as long as no goroutine mutates the relation.
 func (r *Relation) EachShard(n, s int, fn func(Tuple)) {
-	if n <= 1 {
-		r.Each(fn)
-		return
-	}
-	for h, bucket := range r.buckets {
-		if h%uint64(n) != uint64(s) {
-			continue
-		}
-		for _, t := range bucket {
-			fn(t)
-		}
-	}
+	r.EachShardUntil(n, s, func(t Tuple) bool { fn(t); return true })
 }
 
 // EachShardUntil is EachShard with early termination: it stops when fn
@@ -197,14 +288,9 @@ func (r *Relation) EachShardUntil(n, s int, fn func(Tuple) bool) bool {
 	if n <= 1 {
 		return r.EachUntil(fn)
 	}
-	for h, bucket := range r.buckets {
-		if h%uint64(n) != uint64(s) {
-			continue
-		}
-		for _, t := range bucket {
-			if !fn(t) {
-				return false
-			}
+	for i, h := range r.hashes {
+		if h%uint64(n) == uint64(s) && !fn(r.tuples[i]) {
+			return false
 		}
 	}
 	return true
@@ -212,11 +298,7 @@ func (r *Relation) EachShardUntil(n, s int, fn func(Tuple) bool) bool {
 
 // Tuples returns the tuples in an unspecified order.
 func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, 0, r.size)
-	for _, bucket := range r.buckets {
-		out = append(out, bucket...)
-	}
-	return out
+	return slices.Clone(r.tuples)
 }
 
 // Sorted returns the tuples in lexicographic order, for deterministic output.
@@ -229,23 +311,17 @@ func (r *Relation) Sorted() []Tuple {
 // Clone returns an independent copy of r. The tuples themselves are shared
 // (they are immutable by convention); only the set structure is copied.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{arity: r.arity, size: r.size, buckets: make(map[uint64][]Tuple, len(r.buckets))}
-	for h, bucket := range r.buckets {
-		c.buckets[h] = append([]Tuple(nil), bucket...)
-	}
-	return c
+	return &Relation{arity: r.arity, tupleSet: r.clone()}
 }
 
 // Equal reports whether two relations hold exactly the same tuples.
 func (r *Relation) Equal(s *Relation) bool {
-	if r.size != s.size {
+	if r.Len() != s.Len() {
 		return false
 	}
-	for h, bucket := range r.buckets {
-		for _, t := range bucket {
-			if !s.containsHashed(h, t) {
-				return false
-			}
+	for i, t := range r.tuples {
+		if !s.containsHashed(r.hashes[i], t) {
+			return false
 		}
 	}
 	return true
@@ -257,13 +333,10 @@ func (r *Relation) UnionWith(s *Relation) bool {
 	if r.arity != s.arity {
 		panic("value: relation arity mismatch on UnionWith")
 	}
-	r.ensureOwned()
 	changed := false
-	for h, bucket := range s.buckets {
-		for _, t := range bucket {
-			if r.addHashed(h, t) {
-				changed = true
-			}
+	for i, t := range s.tuples {
+		if r.addHashed(s.hashes[i], t) {
+			changed = true
 		}
 	}
 	return changed
@@ -271,13 +344,18 @@ func (r *Relation) UnionWith(s *Relation) bool {
 
 // SubtractAll removes every tuple of s from r and reports whether r changed.
 func (r *Relation) SubtractAll(s *Relation) bool {
-	r.ensureOwned()
+	if s == r { // the loop below would walk the slice it compacts
+		changed := !r.Empty()
+		r.tupleSet = tupleSet{}
+		r.shared.Store(false)
+		return changed
+	}
 	changed := false
-	for _, bucket := range s.buckets {
-		for _, t := range bucket {
-			if r.Remove(t) {
-				changed = true
-			}
+	for i, t := range s.tuples {
+		if j := r.find(s.hashes[i], t); j >= 0 {
+			r.ensureOwned()
+			r.removeAt(j)
+			changed = true
 		}
 	}
 	return changed
@@ -287,14 +365,12 @@ func (r *Relation) SubtractAll(s *Relation) bool {
 func (r *Relation) Intersect(s *Relation) *Relation {
 	out := NewRelation(r.arity)
 	small, big := r, s
-	if s.size < r.size {
+	if s.Len() < r.Len() {
 		small, big = s, r
 	}
-	for h, bucket := range small.buckets {
-		for _, t := range bucket {
-			if big.containsHashed(h, t) {
-				out.addHashed(h, t)
-			}
+	for i, t := range small.tuples {
+		if h := small.hashes[i]; big.containsHashed(h, t) {
+			out.push(h, t)
 		}
 	}
 	return out
@@ -303,11 +379,9 @@ func (r *Relation) Intersect(s *Relation) *Relation {
 // Minus returns r \ s as a new relation.
 func (r *Relation) Minus(s *Relation) *Relation {
 	out := NewRelation(r.arity)
-	for h, bucket := range r.buckets {
-		for _, t := range bucket {
-			if !s.containsHashed(h, t) {
-				out.addHashed(h, t)
-			}
+	for i, t := range r.tuples {
+		if h := r.hashes[i]; !s.containsHashed(h, t) {
+			out.push(h, t)
 		}
 	}
 	return out
