@@ -34,7 +34,7 @@ var errBatcherClosed = errors.New("engine: batcher is closed")
 //     unknown column, contradictory WHERE) rolls back only that
 //     transaction's staged contribution; the rest of the batch is
 //     unaffected.
-//   - Readers (Get, Rel, Snapshot) observe only fully-flushed batches.
+//   - Readers (Get, GetAll, Rel) observe only fully-flushed batches.
 //     Staged transactions live outside the store until flush, and the
 //     flush applies the whole batch — base rows plus the incremental
 //     maintenance of every dependent view — under the engine's write lock,
@@ -120,22 +120,28 @@ type Batcher struct {
 	stagedRows    uint64 // rows contributed by the batch in flight
 }
 
-// BatcherStats is a snapshot of a Batcher's counters (see Stats).
+// BatcherStats is a snapshot of a Batcher's counters (see Stats). The
+// server marshals it as the "batcher" object of GET /stats.
 type BatcherStats struct {
 	// Admitted counts table transactions admitted into batches; Direct
 	// counts view-targeted transactions, which flush the pending batch and
 	// run the unbatched propagation path. Seq is the admission sequence
 	// number of the most recent transaction (Admitted + Direct).
-	Admitted, Direct, Seq uint64
+	Admitted uint64 `json:"admitted"`
+	Direct   uint64 `json:"direct"`
+	Seq      uint64 `json:"seq"`
 	// Flushes counts flushes that carried at least one transaction;
 	// FlushedTxns the transactions those flushes applied; FlushedRows the
 	// net delta rows they handed to view maintenance; CoalescedRows the
 	// staged rows that cancelled against each other (or were pruned
 	// against the store) and therefore never cost a maintenance pass.
-	Flushes, FlushedTxns, FlushedRows, CoalescedRows uint64
+	Flushes       uint64 `json:"flushes"`
+	FlushedTxns   uint64 `json:"flushed_txns"`
+	FlushedRows   uint64 `json:"flushed_rows"`
+	CoalescedRows uint64 `json:"coalesced_rows"`
 	// Pending is the current queue depth: transactions admitted since the
 	// last flush.
-	Pending int
+	Pending int `json:"pending"`
 }
 
 // Stats returns a snapshot of the batcher's counters.
@@ -429,9 +435,11 @@ func (b *Batcher) Discard(cause error) {
 	b.closed = true
 }
 
-// flushLocked is Flush with b.mu held. It resolves the batch's commit
-// handle: with nil once the batch is applied and visible, or with the WAL
-// append error when the flush failed — the batch then stays staged, so
+// flushLocked is Flush with b.mu held: it prunes the staged deltas
+// against the store, applies them and commits them (commitLocked) as one
+// visibility point. It resolves the batch's commit handle: with nil once
+// the batch is applied and visible, or with the WAL append error when the
+// flush failed — the store is then undone and the batch stays staged, so
 // waiters that saw the error must treat their transactions as
 // indeterminate (a later flush retries the identical batch).
 func (b *Batcher) flushLocked() error {
@@ -450,14 +458,12 @@ func (b *Batcher) flushLocked() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 
-	// Phase 1 (read-only): make the staged deltas exact against the current
-	// store, pruning rows a direct writer preempted between admission and
-	// flush (a staged delete of a row no longer present, a staged insert of
-	// a row now present). In the common case nothing is pruned and the
-	// staged relations themselves become the delta (the stage gets fresh
-	// ones below). The store is not touched yet: the WAL record must be
-	// appended before any effect becomes visible, and a failed append must
-	// leave both the store and the staged batch exactly as they were.
+	// Prune: make the staged deltas exact against the current store,
+	// dropping rows a direct writer preempted between admission and flush
+	// (a staged delete of a row no longer present, a staged insert of a row
+	// now present). In the common case nothing is pruned and the staged
+	// relations themselves become the delta (the stage gets fresh ones once
+	// the batch commits).
 	changed := make(map[string]eval.Delta, len(names))
 	var pruned []value.Tuple
 	for _, n := range names {
@@ -488,47 +494,37 @@ func (b *Batcher) flushLocked() error {
 		}
 	}
 
-	// Phase 2: one WAL record for the whole batch (this is where the
-	// group-commit fsync amortization happens — one sync per batch, not per
-	// transaction). On failure the batch stays staged and the store is
-	// untouched; the caller sees the error and nothing was acknowledged, so
-	// a later flush can retry the identical batch.
-	if err := db.logWrite(wal.KindBatch, db.walTableDeltas(changed)); err != nil {
+	// Apply (every row applies: the prune checked it under this same write
+	// lock), then commit the whole batch as ONE WAL record — one fsync per
+	// batch, not per transaction — and one maintenance pass. A failed
+	// append leaves the store undone and the batch staged for a retry.
+	var net uint64
+	for n, d := range changed {
+		p := datalog.Pred(n)
+		d.Del.Each(func(t value.Tuple) { db.store.Delete(p, t) })
+		d.Ins.Each(func(t value.Tuple) { db.store.Insert(p, t) })
+		net += uint64(d.Ins.Len() + d.Del.Len())
+	}
+	if err := db.commitLocked(wal.KindBatch, changed, nil); err != nil {
 		b.resolveTicketLocked(err)
 		return err
 	}
 
-	// Phase 3: apply. Every row applies by construction (phase 1 checked it
-	// against the store, which no one has touched since — we hold the write
-	// lock). Then reset the staged relations through Update, which keeps
-	// their hot probe indexes alive (rebuilt over the empty relation) for
-	// the next batch's admissions; the old relations live on as the delta.
+	// Reset the staged relations through Update, which keeps their hot
+	// probe indexes alive (rebuilt over the empty relation) for the next
+	// batch's admissions; the old relations live on as the delta.
 	for _, n := range names {
 		arity := b.staged[n]
-		p := datalog.Pred(n)
-		if d, ok := changed[n]; ok {
-			d.Del.Each(func(t value.Tuple) { db.store.Delete(p, t) })
-			d.Ins.Each(func(t value.Tuple) { db.store.Insert(p, t) })
-		}
 		b.stage.Update(datalog.Ins(n), value.NewRelation(arity))
 		b.stage.Update(datalog.Del(n), value.NewRelation(arity))
 	}
 	clear(b.staged)
-	var net uint64
-	for _, d := range changed {
-		net += uint64(d.Ins.Len() + d.Del.Len())
-	}
 	b.flushes++
 	b.flushedTxns += uint64(b.txns)
 	b.flushedRows += net
 	b.coalescedRows += b.stagedRows - net
 	b.stagedRows = 0
 	b.txns = 0
-	if len(changed) > 0 {
-		db.maintainViews(changed, nil)
-		db.publishLocked(changed)
-	}
-	db.autoCheckpointLocked()
 	b.resolveTicketLocked(nil)
 	return nil
 }
@@ -564,8 +560,9 @@ func (b *Batcher) timerFlush() {
 		return
 	}
 	b.armed = false
-	// Flushing staged table deltas cannot fail; maintenance errors degrade
-	// views to the dirty/refresh fallback.
+	// A flush fails only when its WAL append fails; flushLocked has then
+	// resolved the batch's commit handle with that error, which is where
+	// the waiters see it.
 	_ = b.flushLocked()
 }
 

@@ -130,13 +130,13 @@ func TestConcurrentReadersWithInvalidatingWriter(t *testing.T) {
 		}()
 	}
 	// Snapshot readers on the very table the writer mutates in place: Rel
-	// would race here (the returned relation is live), Snapshot must not.
+	// would race here (the returned relation is live), Get must not.
 	for w := 0; w < 2; w++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 50; i++ {
-				snap, err := db.Snapshot("r1")
+				snap, err := db.Get("r1")
 				if err != nil {
 					t.Error(err)
 					return

@@ -83,9 +83,9 @@ func parseCSVValue(field, typ string) (value.Value, error) {
 // header row of the declared attribute names, in deterministic (sorted)
 // order.
 func (db *DB) DumpCSV(name string, w io.Writer) error {
-	// Snapshot, not Rel: the dump iterates outside the lock, and a
-	// concurrent transaction mutates the live relation in place.
-	rel, err := db.Snapshot(name) // takes the lock and refreshes stale views
+	// Get, not Rel: the dump iterates outside the lock, and a concurrent
+	// transaction mutates the live relation in place.
+	rel, err := db.Get(name) // takes the lock and refreshes stale views
 	if err != nil {
 		return err
 	}

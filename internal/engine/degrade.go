@@ -11,11 +11,11 @@ import (
 // log has poisoned itself — the fsyncgate rule: after a failed write or
 // fsync the kernel may have dropped the dirty pages while keeping the file
 // position, so retrying the append could silently skip bytes. The engine
-// therefore stops accepting writes entirely: the in-flight transaction or
-// batch was rolled back by its hook site (the store never kept a write the
-// WAL didn't take), and every later write fails fast with ErrReadOnly
-// while reads, snapshots and view queries keep being served from the
-// intact in-memory state.
+// therefore stops accepting writes entirely: the in-flight write was
+// undone in the store (by commitLocked, or by LoadTable for a bulk load),
+// so the store never keeps a write the WAL didn't take; every later write
+// fails fast with ErrReadOnly while reads, snapshots and view queries keep
+// being served from the intact in-memory state.
 //
 // The only way back is DB.Reopen: it discards the in-memory state and the
 // poisoned log handle, re-runs recovery from the durable files (which

@@ -141,15 +141,15 @@ func oneTarget(stmts []Statement) error {
 // execTable applies the statements to a base table, accumulating the
 // transaction's exact net row delta — an insert cancelling an earlier
 // delete (and vice versa) nets out, and no-op statements contribute
-// nothing — and feeds it into the incremental maintenance of the dependent
-// views. A transaction with a net-empty delta leaves every view untouched.
-// A statement error rolls the already-applied part of the delta back, so a
-// failed transaction leaves the store (and every maintained view) exactly
-// as it was — the atomicity Exec promises.
+// nothing — and commits it (commitLocked), which maintains the dependent
+// views. A statement error undoes the already-applied part of the delta,
+// so a failed transaction leaves the store (and every maintained view)
+// exactly as it was — the atomicity Exec promises.
 func (db *DB) execTable(name string, stmts []Statement) error {
 	decl := db.tables[name]
 	p := datalog.Pred(name)
 	d := eval.NewDelta(decl.Arity())
+	changed := map[string]eval.Delta{name: d}
 	insert := func(r value.Tuple) {
 		if db.store.Insert(p, r) {
 			if !d.Del.Remove(r) {
@@ -167,30 +167,11 @@ func (db *DB) execTable(name string, stmts []Statement) error {
 	match := func(where []Condition) ([]value.Tuple, error) {
 		return db.matchRows(name, decl, where)
 	}
-	rollback := func() {
-		d.Ins.Each(func(r value.Tuple) { db.store.Delete(p, r) })
-		d.Del.Each(func(r value.Tuple) { db.store.Insert(p, r) })
-	}
 	if err := runTableStmts(name, decl, stmts, match, insert, remove); err != nil {
-		// Roll the applied part of the delta back: atomicity.
-		rollback()
+		db.undoLocked(changed)
 		return err
 	}
-	if d.Empty() {
-		return nil
-	}
-	// One WAL record per direct transaction, before the write is
-	// acknowledged. A failed append unwinds the store: the transaction must
-	// not survive in memory when it cannot survive a crash.
-	if err := db.logWrite(wal.KindTxn, walTxnDelta(name, decl.Arity(), d)); err != nil {
-		rollback()
-		return err
-	}
-	changed := map[string]eval.Delta{name: d}
-	db.maintainViews(changed, nil)
-	db.publishLocked(changed)
-	db.autoCheckpointLocked()
-	return nil
+	return db.commitLocked(wal.KindTxn, changed, nil)
 }
 
 // runTableStmts is the statement loop shared by the direct write path
@@ -483,11 +464,11 @@ func collectDeltas(store *eval.Database, v *View, deltas map[string][2]*value.Re
 }
 
 // applyPlan validates the accumulated plan (no relation may both insert and
-// delete the same tuple) and applies it to the store, maintaining indexes.
-// The exact net delta of every applied relation — only rows whose
-// membership actually changed — then drives the incremental maintenance of
-// the dependent views outside the plan; views inside the plan were updated
-// exactly and stay clean.
+// delete the same tuple), applies it to the store and commits the exact net
+// delta of every applied relation — only rows whose membership actually
+// changed. The WAL record holds only the base-table deltas (view rows are
+// derived state, re-materialized on recovery); views inside the plan were
+// updated exactly and are kept out of maintenance.
 func (db *DB) applyPlan(pl *plan) error {
 	names := make([]string, 0, len(pl.ins))
 	for n := range pl.ins {
@@ -522,22 +503,7 @@ func (db *DB) applyPlan(pl *plan) error {
 			keep[n] = true // maintained exactly by the plan
 		}
 	}
-	// One WAL record for the whole view-targeted transaction, holding only
-	// its base-table deltas (view rows are derived state — recovery
-	// re-materializes them from the recovered base tables). A failed append
-	// unwinds everything the plan applied, views included.
-	if err := db.logWrite(wal.KindTxn, db.walTableDeltas(changed)); err != nil {
-		for n, d := range changed {
-			p := datalog.Pred(n)
-			d.Ins.Each(func(t value.Tuple) { db.store.Delete(p, t) })
-			d.Del.Each(func(t value.Tuple) { db.store.Insert(p, t) })
-		}
-		return err
-	}
-	db.maintainViews(changed, keep)
-	db.publishLocked(changed)
-	db.autoCheckpointLocked()
-	return nil
+	return db.commitLocked(wal.KindTxn, changed, keep)
 }
 
 // --- row matching ---------------------------------------------------------

@@ -15,20 +15,21 @@ import (
 // write paths, giving the in-memory database crash-consistent durability:
 //
 //   - every point at which writes become visible appends one WAL record
-//     BEFORE the write is acknowledged: execTable (one record per direct
-//     transaction), applyPlan (one record per view-targeted transaction,
-//     holding the base-table deltas its putback cascade produced),
-//     Batcher.flushLocked (ONE record per group-commit batch, so the fsync
-//     is amortized across the batch exactly like the maintenance pass),
-//     and LoadTable (a bulk-load record);
-//   - a failed append leaves the store untouched (the hook sites roll
-//     back) and the write reports an error — the WAL never acknowledges a
-//     write the store didn't take, and the store never keeps a write the
-//     WAL didn't take. The failed append also poisoned the log (the
-//     fsyncgate rule: a file whose page-cache state is unknown is never
-//     retried), so the engine transitions to read-only degraded mode
-//     (degrade.go): reads keep working, writes fail fast with ErrReadOnly
-//     until DB.Reopen recovers from disk;
+//     BEFORE the write is acknowledged. commitLocked is that point for
+//     every delta-driven write: a direct transaction (execTable), a
+//     view-targeted transaction (applyPlan; the record holds the
+//     base-table deltas its putback cascade produced) and a group-commit
+//     batch (Batcher.flushLocked; ONE record per batch, so the fsync is
+//     amortized across the batch exactly like the maintenance pass).
+//     LoadTable writes a bulk-load record through the same logWrite;
+//   - a failed append undoes the write in the store and the write reports
+//     an error — the WAL never acknowledges a write the store didn't take,
+//     and the store never keeps a write the WAL didn't take. The failed
+//     append also poisoned the log (the fsyncgate rule: a file whose
+//     page-cache state is unknown is never retried), so the engine
+//     transitions to read-only degraded mode (degrade.go): reads keep
+//     working, writes fail fast with ErrReadOnly until DB.Reopen recovers
+//     from disk;
 //   - periodic checkpoints snapshot the base tables plus the DDL catalog
 //     and garbage-collect fully-covered WAL segments; views and their
 //     support counts are NOT checkpointed — Recover re-derives them from
@@ -307,18 +308,64 @@ func (db *DB) checkpointLocked() error {
 	return nil
 }
 
-// logWrite appends one WAL record for a write that is about to be (or has
-// just been) applied to the store, fsyncing per the configured mode. It
-// must run under the engine write lock. On error nothing was acknowledged;
-// the caller must roll its store changes back and fail the write — and the
-// engine has transitioned to read-only degraded mode, because the log is
-// poisoned (see degrade.go).
-func (db *DB) logWrite(kind wal.Kind, tables []wal.TableDelta) error {
+// commitLocked makes one write visible: it is the commit path of every
+// delta-driven write (execTable, applyPlan, Batcher.flushLocked), whose
+// caller has already applied changed — the write's exact net deltas — to
+// the store; views in keep were updated exactly by the caller. In order:
+// a write whose deltas are all empty is no visibility point and returns at
+// once; one WAL record is appended (rendered only when durable), and a
+// failed append undoes changed, view rows included; then the dependent
+// views are maintained, every delta is published under one hub seq, and
+// the checkpoint trigger runs. Must run under the write lock.
+func (db *DB) commitLocked(kind wal.Kind, changed map[string]eval.Delta, keep map[string]bool) error {
+	empty := true
+	for _, d := range changed {
+		if !d.Empty() {
+			empty = false
+			break
+		}
+	}
+	if empty {
+		return nil
+	}
+	if err := db.logWrite(kind, func() []wal.TableDelta { return db.walTableDeltas(changed) }); err != nil {
+		db.undoLocked(changed)
+		return err
+	}
+	db.maintainViews(changed, keep)
+	db.publishLocked(changed)
+	db.autoCheckpointLocked()
+	return nil
+}
+
+// undoLocked reverts deltas that were applied to the store: the rollback
+// of a failed statement (execTable) and of a failed WAL append
+// (commitLocked). Must run under the write lock.
+func (db *DB) undoLocked(changed map[string]eval.Delta) {
+	for n, d := range changed {
+		p := datalog.Pred(n)
+		d.Ins.Each(func(t value.Tuple) { db.store.Delete(p, t) })
+		d.Del.Each(func(t value.Tuple) { db.store.Insert(p, t) })
+	}
+}
+
+// logWrite appends one WAL record for a write that has just been applied
+// to the store, fsyncing per the configured mode. body renders the record
+// and is called only when durability is on. It must run under the engine
+// write lock. On error nothing was acknowledged; the caller must roll its
+// store changes back and fail the write — and the engine has transitioned
+// to read-only degraded mode, because the log is poisoned (see
+// degrade.go).
+func (db *DB) logWrite(kind wal.Kind, body func() []wal.TableDelta) error {
 	if db.ro != nil {
 		return db.readOnlyErrLocked()
 	}
 	d := db.dur
-	if d == nil || len(tables) == 0 {
+	if d == nil {
+		return nil
+	}
+	tables := body()
+	if len(tables) == 0 {
 		return nil
 	}
 	sync := false
@@ -390,11 +437,6 @@ func (db *DB) ddlCheckpointLocked() error {
 		return db.readOnlyErrLocked()
 	}
 	return db.checkpointLocked()
-}
-
-// walTxnDelta renders one table's net delta as a WAL record body.
-func walTxnDelta(name string, arity int, d eval.Delta) []wal.TableDelta {
-	return []wal.TableDelta{{Name: name, Arity: arity, Ins: d.Ins.Tuples(), Del: d.Del.Tuples()}}
 }
 
 // walTableDeltas renders the base-table subset of a changed-relations map

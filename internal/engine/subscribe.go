@@ -18,6 +18,10 @@ import (
 // also publishes its per-relation deltas to the cdc.Hub, under the same
 // write lock — so hub sequence order is commit order, and a batch's deltas
 // share one sequence number (all-or-nothing visibility, same as readers).
+// That point is commitLocked (durable.go) for direct, view-targeted and
+// group-commit transactions, and LoadTable for bulk loads. Both apply the
+// empty rule: a write that changed nothing publishes nothing — no seq, no
+// event, no resync — just as it appends no WAL record.
 //
 // The hub is nil until the first Subscribe, and publish hooks bail on a
 // nil or quiet hub before allocating anything: the steady-state write path

@@ -317,7 +317,10 @@ func (cr *compiledRule) prepareStream(db *Database, ec *evalCtx) *runCtx {
 		}
 		rel := db.Rel(st.pred)
 		rc.rels[i] = rel
-		if rel == nil || len(st.keyPos) == 0 {
+		// A negation over anonymous arguments only (not r(_, _)) has no key
+		// positions but still probes, so it gets an exist table too: a
+		// worker must never build a maintained index on demand.
+		if rel == nil || (len(st.keyPos) == 0 && (st.kind != stepNegAtom || st.fullKey)) {
 			continue
 		}
 		if ix := db.existingIndex(st.pred, st.keyPos); ix != nil {

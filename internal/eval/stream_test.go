@@ -264,3 +264,31 @@ out(X,Z) :- dim(Y,Z), fact(X,Y).
 			perTuple, allocs, budget)
 	}
 }
+
+// TestStreamingKeylessNegationBuildsNoIndex: a negation over anonymous
+// arguments only (not s(_,_)) probes an ephemeral exist table like every
+// other streaming step, never a maintained index built on demand — that
+// writes the Database's index registry, which parallel workers running
+// the rule would do concurrently.
+func TestStreamingKeylessNegationBuildsNoIndex(t *testing.T) {
+	ev := mustEval(t, `
+source r(a:int, b:int).
+source s(a:int, b:int).
+view v(a:int).
+h(X) :- r(X,_), not s(_,_).
+`)
+	db := NewDatabase()
+	r := value.NewRelation(2)
+	r.Add(value.Tuple{value.Int(1), value.Int(2)})
+	db.Set(datalog.Pred("r"), r)
+	db.Set(datalog.Pred("s"), value.NewRelation(2))
+	if err := ev.Eval(db); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.RelOrEmpty(datalog.Pred("h"), 1); !got.Equal(ints(1)) {
+		t.Fatalf("h = %v, want {(1)}", got)
+	}
+	if db.existingIndex(datalog.Pred("s"), nil) != nil {
+		t.Fatal("streaming evaluation built a maintained index for a keyless negation")
+	}
+}

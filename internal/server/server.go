@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"birds/internal/cdc"
 	"birds/internal/datalog"
 	"birds/internal/engine"
 )
@@ -644,40 +645,27 @@ func (s *Server) handleReopen(w http.ResponseWriter, r *http.Request) {
 // --- /stats and /healthz ----------------------------------------------------
 
 type statsResponse struct {
-	OK     bool         `json:"ok"`
-	Server serverStats  `json:"server"`
-	Batch  batcherStats `json:"batcher"`
-	Engine engineStats  `json:"engine"`
-	WAL    walStats     `json:"wal"`
-	CDC    cdcStats     `json:"cdc"`
+	OK     bool                `json:"ok"`
+	Server serverStats         `json:"server"`
+	Batch  engine.BatcherStats `json:"batcher"`
+	Engine engineStats         `json:"engine"`
+	WAL    walStats            `json:"wal"`
+	CDC    cdcStats            `json:"cdc"`
 }
 
 // cdcStats is the subscription hub's slice of GET /stats and GET /healthz:
 // the engine-level hub counters plus the server's HTTP stream gauges.
 type cdcStats struct {
-	Subscribers  int    `json:"subscribers"`
+	cdc.HubStats
 	Streams      int64  `json:"streams"`
 	StreamsTotal uint64 `json:"streams_total"`
-	Seq          uint64 `json:"seq"`
-	Published    uint64 `json:"published"`
-	Delivered    uint64 `json:"delivered"`
-	Dropped      uint64 `json:"dropped"`
-	Resyncs      uint64 `json:"resyncs"`
-	MaxLagSeqs   uint64 `json:"max_lag_seqs"`
 }
 
 func (s *Server) cdcStats() cdcStats {
-	hs := s.db.CDCStats()
 	return cdcStats{
-		Subscribers:  hs.Subscribers,
+		HubStats:     s.db.CDCStats(),
 		Streams:      s.streamsActive.Load(),
 		StreamsTotal: s.streamsTotal.Load(),
-		Seq:          hs.Seq,
-		Published:    hs.Published,
-		Delivered:    hs.Delivered,
-		Dropped:      hs.Dropped,
-		Resyncs:      hs.Resyncs,
-		MaxLagSeqs:   hs.MaxLagSeqs,
 	}
 }
 
@@ -694,17 +682,6 @@ type serverStats struct {
 	Sessions       int            `json:"sessions"`
 	ActiveSessions int            `json:"active_sessions"`
 	SessionDetail  []sessionStats `json:"session_detail,omitempty"`
-}
-
-type batcherStats struct {
-	Admitted      uint64 `json:"admitted"`
-	Direct        uint64 `json:"direct"`
-	Seq           uint64 `json:"seq"`
-	Flushes       uint64 `json:"flushes"`
-	FlushedTxns   uint64 `json:"flushed_txns"`
-	FlushedRows   uint64 `json:"flushed_rows"`
-	CoalescedRows uint64 `json:"coalesced_rows"`
-	Pending       int    `json:"pending"`
 }
 
 type relationStat struct {
@@ -724,7 +701,6 @@ type walStats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	bs := s.bt.Load().Stats()
 	resp := statsResponse{
 		OK: true,
 		Server: serverStats{
@@ -738,18 +714,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			MaxInflight: cap(s.inflight),
 			ReadOnly:    s.db.ReadOnly() != nil,
 		},
-		Batch: batcherStats{
-			Admitted:      bs.Admitted,
-			Direct:        bs.Direct,
-			Seq:           bs.Seq,
-			Flushes:       bs.Flushes,
-			FlushedTxns:   bs.FlushedTxns,
-			FlushedRows:   bs.FlushedRows,
-			CoalescedRows: bs.CoalescedRows,
-			Pending:       bs.Pending,
-		},
-		WAL: walStats{Durable: s.db.Durable(), LastLSN: s.db.LastLSN()},
-		CDC: s.cdcStats(),
+		Batch: s.bt.Load().Stats(),
+		WAL:   walStats{Durable: s.db.Durable(), LastLSN: s.db.LastLSN()},
+		CDC:   s.cdcStats(),
 	}
 	detail, active := s.sessions.stats(time.Minute)
 	resp.Server.Sessions = len(detail)
