@@ -83,12 +83,14 @@ type (
 	Condition = engine.Condition
 	// Assignment is an UPDATE SET clause.
 	Assignment = engine.Assignment
-	// Batcher is the group-commit write pipeline handle (DB.Batch,
-	// DB.SetBatching): admitted transactions stage their coalesced net
-	// deltas and flush as one view-maintenance pass. Batcher.ExecWait
-	// blocks until the transaction's batch is flushed (the session
-	// acknowledgment point cmd/birds-serve is built on), and
-	// Batcher.Stats exposes the pipeline's counters.
+	// Batcher is the group-commit write pipeline handle (DB.Batch), the
+	// only way to group-commit — DB.Exec always commits directly. Admitted
+	// transactions stage their coalesced net deltas and flush as one
+	// view-maintenance pass; the owner closes the handle before DB.Close,
+	// which flushes no batch. Batcher.ExecWait blocks until the
+	// transaction's batch is flushed (the session acknowledgment point
+	// cmd/birds-serve is built on), and Batcher.Stats exposes the
+	// pipeline's counters.
 	Batcher = engine.Batcher
 	// BatcherStats is a snapshot of a Batcher's counters: admissions,
 	// flushes, coalesced-away rows, and queue depth.

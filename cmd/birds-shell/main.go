@@ -16,8 +16,8 @@
 //
 // With -batch-size and/or -flush-interval, table DML goes through the
 // group-commit write pipeline: transactions stage until the batch flushes
-// (size or interval trigger, \flush, or a view-targeted statement) and
-// then propagate into the materialized views as one maintenance pass.
+// (size or interval trigger, \flush, a view-targeted statement, \quit or
+// EOF) and then propagate into the views as one maintenance pass.
 //
 // With -durable DIR the session writes a crash-consistent write-ahead log:
 // a fresh directory starts empty, a directory holding durable state from a
@@ -34,6 +34,7 @@ import (
 	"strings"
 
 	"birds"
+	"birds/internal/engine"
 	"birds/internal/sqlgen"
 )
 
@@ -78,9 +79,9 @@ func main() {
 	} else {
 		db = birds.NewDB()
 	}
-	defer db.Close()
+	var bt *birds.Batcher
 	if *batchSize != 0 || *flushInterval > 0 {
-		db.SetBatching(birds.BatchOptions{MaxTxns: *batchSize, FlushInterval: *flushInterval})
+		bt = db.Batch(birds.BatchOptions{MaxTxns: *batchSize, FlushInterval: *flushInterval})
 		fmt.Printf("batching enabled (batch-size=%d, flush-interval=%s); \\flush forces a flush\n",
 			*batchSize, *flushInterval)
 	}
@@ -117,16 +118,17 @@ func main() {
 			viewBuf.WriteByte('\n')
 			continue
 		}
-		if err := execLine(db, line, &viewBuf, &viewInc); err != nil {
+		if err := execLine(db, bt, line, &viewBuf, &viewInc); err != nil {
 			fmt.Println("error:", err)
 		}
 	}
+	command(db, bt, `\quit`, &viewBuf, &viewInc) // EOF ends the session like \quit
 }
 
-func execLine(db *birds.DB, line string, viewBuf **strings.Builder, viewInc *bool) error {
+func execLine(db *birds.DB, bt *birds.Batcher, line string, viewBuf **strings.Builder, viewInc *bool) error {
 	switch {
 	case strings.HasPrefix(line, `\`):
-		return command(db, line, viewBuf, viewInc)
+		return command(db, bt, line, viewBuf, viewInc)
 	case strings.HasPrefix(strings.ToLower(line), "source "):
 		prog, err := birds.Parse(line)
 		if err != nil {
@@ -139,12 +141,18 @@ func execLine(db *birds.DB, line string, viewBuf **strings.Builder, viewInc *boo
 			fmt.Printf("table %s created\n", d)
 		}
 		return nil
+	case bt != nil:
+		stmts, err := engine.ParseSQL(line)
+		if err != nil {
+			return err
+		}
+		return bt.Exec(stmts...)
 	default:
 		return db.ExecSQL(line)
 	}
 }
 
-func command(db *birds.DB, line string, viewBuf **strings.Builder, viewInc *bool) error {
+func command(db *birds.DB, bt *birds.Batcher, line string, viewBuf **strings.Builder, viewInc *bool) error {
 	fields := strings.Fields(line)
 	switch strings.ToLower(fields[0]) {
 	case `\help`:
@@ -176,16 +184,22 @@ commands:
 		fmt.Printf("checkpoint written (lsn=%d)\n", db.LastLSN())
 		return nil
 	case `\flush`:
-		if !db.Batching() {
+		if bt == nil {
 			fmt.Println("batching is not enabled (start the shell with -batch-size or -flush-interval)")
 			return nil
 		}
-		if err := db.Flush(); err != nil {
+		if err := bt.Flush(); err != nil {
 			return err
 		}
 		fmt.Println("batch flushed")
 		return nil
 	case `\quit`, `\q`:
+		// DB.Close does not flush a batch handle: close the session's first.
+		if bt != nil {
+			if err := bt.Close(); err != nil {
+				fmt.Println("error:", err)
+			}
+		}
 		db.Close()
 		os.Exit(0)
 	case `\beginview`:

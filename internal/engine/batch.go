@@ -13,8 +13,7 @@ import (
 	"birds/internal/wal"
 )
 
-// errBatcherClosed is returned by a closed Batcher handle; DB.Exec routing
-// treats it as "batching was just disabled" and retries directly.
+// errBatcherClosed is returned by a closed Batcher handle.
 var errBatcherClosed = errors.New("engine: batcher is closed")
 
 // This file is the group-commit write pipeline: a Batcher admits table
@@ -49,10 +48,10 @@ var errBatcherClosed = errors.New("engine: batcher is closed")
 //   - View-targeted transactions and reads of the engine bypass staging:
 //     a view update first flushes the pending batch (its trigger must
 //     evaluate against flushed state), then runs the normal propagation
-//     path. Direct writes that bypass a handle Batcher (LoadTable, Exec on
-//     another DB handle) serialize at the flush point: the flush re-checks
-//     every staged row against the store, so views are still maintained
-//     with exact net deltas, but statement matching of already-admitted
+//     path. Writes that bypass the handle (DB.Exec, LoadTable, another
+//     handle) serialize at the flush point: the flush re-checks every
+//     staged row against the store, so views are still maintained with
+//     exact net deltas, but statement matching of already-admitted
 //     transactions will not have seen those writes.
 //
 // Lock discipline: admissions serialize on the batcher's own mutex and
@@ -212,49 +211,17 @@ type wantedIndex struct {
 	positions []int
 }
 
-// Batch returns a new group-commit handle on the database. The handle is
-// independent of SetBatching: transactions admitted through it are staged
-// until its Flush/Close (or its size/interval triggers), while db.Exec
-// keeps its configured behavior.
+// Batch returns a new group-commit handle on the database: transactions
+// admitted through it are staged until its Flush/Close (or its
+// size/interval triggers), while db.Exec keeps committing directly. The
+// handle's owner must Close it before closing the DB — DB.Close knows
+// nothing of handles and flushes no batch.
 func (db *DB) Batch(opts BatchOptions) *Batcher {
 	if opts.MaxTxns == 0 {
 		opts.MaxTxns = DefaultBatchSize
 	}
 	return &Batcher{db: db, opts: opts, stage: eval.NewDatabase(), staged: make(map[string]int)}
 }
-
-// SetBatching routes every subsequent db.Exec through a new group-commit
-// Batcher with the given options and returns it. A previously installed
-// batcher is flushed and closed. Use StopBatching (or SetBatching on a
-// fresh handle) to restore immediate per-transaction propagation.
-func (db *DB) SetBatching(opts BatchOptions) *Batcher {
-	b := db.Batch(opts)
-	if old := db.batcher.Swap(b); old != nil {
-		old.Close()
-	}
-	return b
-}
-
-// StopBatching flushes and uninstalls the batcher installed by SetBatching,
-// restoring immediate per-transaction propagation. It is a no-op when
-// batching is not enabled.
-func (db *DB) StopBatching() error {
-	if old := db.batcher.Swap(nil); old != nil {
-		return old.Close()
-	}
-	return nil
-}
-
-// Flush propagates the pending batch of the installed batcher, if any.
-func (db *DB) Flush() error {
-	if b := db.batcher.Load(); b != nil {
-		return b.Flush()
-	}
-	return nil
-}
-
-// Batching reports whether Exec currently routes through a batcher.
-func (db *DB) Batching() bool { return db.batcher.Load() != nil }
 
 // Exec admits one transaction into the current batch. Table transactions
 // are validated and staged (visible to later admissions, invisible to
@@ -344,7 +311,7 @@ func (b *Batcher) ExecAsync(stmts ...Statement) (seq uint64, c Commit, err error
 		if err := b.flushLocked(); err != nil {
 			return fail(err)
 		}
-		if err := db.execDirect(stmts); err != nil {
+		if err := db.Exec(stmts...); err != nil {
 			return fail(err)
 		}
 		b.seq++
@@ -410,7 +377,8 @@ func (b *Batcher) Close() error {
 // Discard drops the staged batch without flushing it and closes the
 // handle. The staged transactions were never WAL-logged, so dropping them
 // keeps the store and the log in agreement — this is the degraded-mode
-// retirement path (DB.Reopen), where flushing is impossible. A pending
+// retirement path: the handle's owner discards it before DB.Reopen, since
+// flushing is impossible while the engine is read-only. A pending
 // commit ticket resolves with cause (errBatcherClosed when nil), so
 // waiters learn their transactions were not applied.
 func (b *Batcher) Discard(cause error) {

@@ -250,18 +250,15 @@ func TestBatchSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestBatcherConcurrentAdmission races many writers through one installed
-// batcher (db.Exec routed) with a small size trigger, so admissions and
-// flushes interleave. Writers touch disjoint key ranges, so every
+// TestBatcherConcurrentAdmission races many writers through one shared
+// batcher handle with a small size trigger, so admissions and flushes
+// interleave. Writers touch disjoint key ranges, so every
 // interleaving is serially equivalent to the same statements in any order;
 // the final state must match a serial reference. Run under -race.
 func TestBatcherConcurrentAdmission(t *testing.T) {
 	dbBatch := maintainDB(t)
 	dbSerial := maintainDB(t)
-	dbBatch.SetBatching(BatchOptions{MaxTxns: 8})
-	if !dbBatch.Batching() {
-		t.Fatal("batching not installed")
-	}
+	bt := dbBatch.Batch(BatchOptions{MaxTxns: 8})
 
 	const writers, perWriter = 4, 40
 	stmtsOf := func(w int) []Statement {
@@ -289,7 +286,7 @@ func TestBatcherConcurrentAdmission(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for _, s := range stmtsOf(w) {
-				if err := dbBatch.Exec(s); err != nil {
+				if err := bt.Exec(s); err != nil {
 					errs <- err
 					return
 				}
@@ -305,11 +302,8 @@ func TestBatcherConcurrentAdmission(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if err := dbBatch.StopBatching(); err != nil {
+	if err := bt.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if dbBatch.Batching() {
-		t.Fatal("batching still installed after StopBatching")
 	}
 
 	for w := 0; w < writers; w++ {
@@ -320,66 +314,6 @@ func TestBatcherConcurrentAdmission(t *testing.T) {
 		}
 	}
 	assertSameEngineState(t, dbBatch, dbSerial, "concurrent vs serial")
-}
-
-// TestSetBatchingRouting pins the Exec routing: with batching installed,
-// writes are invisible until DB.Flush; a view-targeted Exec flushes the
-// pending batch first; StopBatching restores immediate propagation.
-func TestSetBatchingRouting(t *testing.T) {
-	db := maintainDB(t)
-	db.SetBatching(BatchOptions{MaxTxns: -1})
-	if err := db.Exec(Insert("r1", value.Int(1), value.Int(1))); err != nil {
-		t.Fatal(err)
-	}
-	r1, err := db.Get("r1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Contains(tup(1, 1)) {
-		t.Fatal("staged write visible before flush")
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r1, err = db.Get("r1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1.Contains(tup(1, 1)) {
-		t.Fatal("flushed write not visible")
-	}
-
-	// A view-targeted transaction flushes the staged batch before running.
-	if err := db.Exec(Insert("r1", value.Int(7), value.Int(7))); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Exec(Insert("r2", value.Int(7), value.Int(8))); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Exec(Delete("j", Eq("a", value.Int(7)))); err != nil {
-		t.Fatal(err)
-	}
-	j, err := db.Get("j")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Contains(tup(7, 8)) {
-		t.Fatalf("view delete did not see the flushed batch: %v", j)
-	}
-
-	if err := db.StopBatching(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Exec(Insert("r1", value.Int(2), value.Int(2))); err != nil {
-		t.Fatal(err)
-	}
-	r1, err = db.Get("r1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1.Contains(tup(2, 2)) {
-		t.Fatal("unbatched write not immediately visible")
-	}
 }
 
 // TestBatcherIntervalFlush pins the interval trigger: a non-empty batch
@@ -408,30 +342,5 @@ func TestBatcherIntervalFlush(t *testing.T) {
 			t.Fatal("interval trigger never flushed the batch")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestClosedInstalledBatcherFallsBack pins the routing edge the retry loop
-// must not spin on: Close called directly on the batcher SetBatching
-// installed (instead of StopBatching) uninstalls it on the next Exec,
-// which then runs — and is immediately visible — on the direct path.
-func TestClosedInstalledBatcherFallsBack(t *testing.T) {
-	db := maintainDB(t)
-	bt := db.SetBatching(BatchOptions{MaxTxns: -1})
-	if err := bt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Exec(Insert("r1", value.Int(5), value.Int(5))); err != nil {
-		t.Fatal(err)
-	}
-	r1, err := db.Get("r1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1.Contains(tup(5, 5)) {
-		t.Fatal("write through a closed installed batcher not applied directly")
-	}
-	if db.Batching() {
-		t.Fatal("closed batcher still installed after fallback")
 	}
 }

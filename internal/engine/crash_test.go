@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"birds/internal/datalog"
+	"birds/internal/eval"
 	"birds/internal/value"
 	"birds/internal/wal"
 )
@@ -392,7 +393,7 @@ func TestCheckpointDuringBatchAdmission(t *testing.T) {
 	if err := db.EnableDurability(DurabilityOptions{Dir: dir, Sync: wal.SyncOnFlush, CheckpointEvery: -1}); err != nil {
 		t.Fatal(err)
 	}
-	db.SetBatching(BatchOptions{MaxTxns: -1}) // explicit flush only
+	bt := db.Batch(BatchOptions{MaxTxns: -1}) // explicit flush only
 	ref := maintainDB(t)
 
 	stmts := []Statement{
@@ -401,7 +402,7 @@ func TestCheckpointDuringBatchAdmission(t *testing.T) {
 		Insert("r1", value.Int(3), value.Int(2)),
 	}
 	for _, s := range stmts {
-		if err := db.Exec(s); err != nil {
+		if err := bt.Exec(s); err != nil {
 			t.Fatal(err)
 		}
 		if err := ref.Exec(s); err != nil {
@@ -416,7 +417,7 @@ func TestCheckpointDuringBatchAdmission(t *testing.T) {
 	if got := db.LastLSN(); got != ckLSN {
 		t.Fatalf("checkpoint consumed LSNs: %d -> %d", ckLSN, got)
 	}
-	if err := db.Flush(); err != nil {
+	if err := bt.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.LastLSN(); got != ckLSN+1 {
@@ -433,9 +434,6 @@ func TestCheckpointDuringBatchAdmission(t *testing.T) {
 	if stats.CheckpointLSN != ckLSN || stats.Replayed != 1 {
 		t.Fatalf("recovery loaded checkpoint %d and replayed %d records, want checkpoint %d and 1 record",
 			stats.CheckpointLSN, stats.Replayed, ckLSN)
-	}
-	if !rec.Batching() {
-		t.Fatal("recovery did not restore the batching configuration")
 	}
 	assertSameDurableState(t, rec, ref, "batch admitted across a checkpoint")
 }
@@ -550,6 +548,49 @@ func TestFlushAppendErrorDegradesToReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameDurableState(t, rec, ref, "recovered after reopen continuation")
+}
+
+// TestReopenKeepsEvaluatorSettings pins that Reopen keeps the engine's own
+// evaluator settings: every recovered view runs with the parallelism and
+// execution mode in force on db at Reopen time — not the defaults, and not
+// whatever was in force when the last checkpoint was cut.
+func TestReopenKeepsEvaluatorSettings(t *testing.T) {
+	ffs := wal.NewFaultFS(nil, 1)
+	db := maintainDB(t)
+	if err := db.EnableDurability(DurabilityOptions{Dir: t.TempDir(), CheckpointEvery: -1, FS: ffs}); err != nil {
+		t.Fatal(err)
+	}
+	db.SetParallelism(3)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.SetParallelism(2)
+	db.SetExecMode(eval.ExecMaterialized)
+
+	ffs.Inject(&wal.Rule{Op: wal.OpWrite, Err: errors.New("injected: append failure"), Once: true})
+	if err := db.Exec(Insert("r1", value.Int(1), value.Int(1))); err == nil {
+		t.Fatal("write with a failing append succeeded")
+	}
+	ffs.Clear()
+	if err := db.Reopen(); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+
+	if db.parallelism != 2 || db.execMode != eval.ExecMaterialized {
+		t.Fatalf("after reopen: parallelism %d, exec mode %v; want 2, materialized", db.parallelism, db.execMode)
+	}
+	for name, v := range db.views {
+		evs := map[string]*eval.Evaluator{"get": v.getEval, "strategy": v.Strategy.Evaluator(), "dput": v.incEval, "constraints": v.consEval}
+		for kind, e := range evs {
+			if e == nil {
+				continue
+			}
+			if e.Parallelism() != 2 || e.ExecModeOf() != eval.ExecMaterialized {
+				t.Errorf("view %s %s evaluator: parallelism %d, exec mode %v; want 2, materialized",
+					name, kind, e.Parallelism(), e.ExecModeOf())
+			}
+		}
+	}
 }
 
 // effectiveStmt is the kill-and-restart op stream: every op has a non-empty

@@ -46,9 +46,12 @@ func (db *DB) readOnlyErrLocked() error {
 // background checkpoint, discards the in-memory state and the poisoned
 // log, re-runs recovery from disk (checkpoint + WAL tail — exactly the
 // acknowledged writes), and swaps the recovered state in, re-arming
-// durability and clearing degraded mode. Batching configuration survives.
-// On failure the engine stays degraded (reads keep working) and Reopen can
-// be retried.
+// durability and clearing degraded mode. The engine's own evaluator
+// settings (SetParallelism, SetExecMode) carry over to the recovered
+// views. Group-commit handles are not the engine's: their owner discards
+// them before Reopen (nothing they staged was logged) and creates fresh
+// ones after. On failure the engine stays degraded (reads keep working)
+// and Reopen can be retried.
 func (db *DB) Reopen() error {
 	db.mu.Lock()
 	if db.dur == nil {
@@ -65,7 +68,6 @@ func (db *DB) Reopen() error {
 	}
 	db.reopening = true
 	d := db.dur
-	roErr := db.readOnlyErrLocked()
 	db.mu.Unlock()
 
 	fail := func(err error) error {
@@ -79,26 +81,11 @@ func (db *DB) Reopen() error {
 	// (its goroutine takes db.mu to finish).
 	d.ckptWG.Wait()
 
-	// Retire the old batcher: anything staged was never logged, so it is
-	// correctly dropped; a pending flush ticket resolves with ErrReadOnly.
-	if old := db.batcher.Swap(nil); old != nil {
-		old.Discard(roErr)
-	}
 	d.log.Close() // poisoned: Close skips the sync, just releases the fd
 
 	db2, _, err := RecoverFS(d.opts.FS, d.opts.Dir)
 	if err != nil {
 		return fail(fmt.Errorf("engine: reopen: %w", err))
-	}
-
-	// The recovered engine's batcher (restored from the checkpointed
-	// config) is bound to db2's mutex; strip it and re-create it on db
-	// after the swap.
-	var batchOpts *BatchOptions
-	if b2 := db2.batcher.Swap(nil); b2 != nil {
-		o := b2.opts
-		batchOpts = &o
-		b2.Discard(errBatcherClosed)
 	}
 
 	db.mu.Lock()
@@ -107,7 +94,12 @@ func (db *DB) Reopen() error {
 	db.views = db2.views
 	db.dirty = db2.dirty
 	db.viewOrder = db2.viewOrder
-	db.parallelism = db2.parallelism
+	for _, v := range db.views {
+		if db.parallelism > 0 {
+			v.setParallelism(db.parallelism)
+		}
+		v.setExecMode(db.execMode)
+	}
 	db.dur = db2.dur
 	db.ro = nil
 	db.reopening = false
@@ -118,9 +110,5 @@ func (db *DB) Reopen() error {
 		db.hub.MarkAllLost()
 	}
 	db.mu.Unlock()
-
-	if batchOpts != nil {
-		db.SetBatching(*batchOpts)
-	}
 	return nil
 }

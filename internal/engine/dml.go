@@ -69,41 +69,13 @@ func Eq(col string, v value.Value) Condition {
 	return Condition{Col: col, Op: datalog.OpEq, Val: v}
 }
 
-// Exec runs the statements as one transaction (BEGIN ... END). All
-// statements must target the same relation; for a view target, the
-// combined view delta is derived per Algorithm 2 and propagated through
-// the view's update strategy to the sources. On any error nothing is
-// applied.
-//
-// With batching enabled (SetBatching), table transactions are admitted to
-// the current batch and take effect — including the incremental
-// maintenance of dependent views — at the next flush; see Batcher for the
-// group-commit contract. Without batching every transaction propagates
-// immediately.
+// Exec runs the statements as one transaction (BEGIN ... END): one engine
+// write lock, one view-maintenance pass. All statements must target the
+// same relation; for a view target, the combined view delta is derived per
+// Algorithm 2 and propagated through the view's update strategy to the
+// sources. On any error nothing is applied. Exec always commits directly;
+// group commit is the explicit Batcher handle (DB.Batch).
 func (db *DB) Exec(stmts ...Statement) error {
-	// Re-load on a closed batcher: a concurrent SetBatching swaps in a
-	// replacement, and the write must route to it (not run directly, which
-	// would leapfrog transactions already staged there). Only a nil load —
-	// batching disabled — falls through to the direct path.
-	for {
-		b := db.batcher.Load()
-		if b == nil {
-			return db.execDirect(stmts)
-		}
-		if err := b.Exec(stmts...); err != errBatcherClosed {
-			return err
-		}
-		// The loaded batcher is closed. If it is still the installed one
-		// (the caller Closed the handle directly instead of StopBatching),
-		// uninstall it so the next iteration runs direct; if it was
-		// swapped meanwhile, the next iteration picks up the replacement.
-		db.batcher.CompareAndSwap(b, nil)
-	}
-}
-
-// execDirect is the unbatched transaction path: one engine write lock, one
-// view-maintenance pass.
-func (db *DB) execDirect(stmts []Statement) error {
 	if len(stmts) == 0 {
 		return nil
 	}

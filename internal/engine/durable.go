@@ -180,16 +180,11 @@ func (db *DB) DisableDurability() error {
 	return d.log.Close()
 }
 
-// Close flushes any pending batch, syncs and detaches the write-ahead log.
-// The DB remains usable as a purely in-memory engine afterwards.
-func (db *DB) Close() error {
-	berr := db.StopBatching()
-	derr := db.DisableDurability()
-	if berr != nil {
-		return berr
-	}
-	return derr
-}
+// Close syncs and detaches the write-ahead log. It flushes no batch: a
+// Batcher handle's owner closes the handle first, or its staged
+// transactions never reach the log. The DB remains usable as a purely
+// in-memory engine afterwards.
+func (db *DB) Close() error { return db.DisableDurability() }
 
 // Checkpoint synchronously snapshots the base tables and the DDL catalog,
 // then removes fully-covered WAL segments. If an earlier automatic
@@ -240,10 +235,6 @@ func (db *DB) snapshotLocked() (*ckptSnap, error) {
 		Sync:            d.opts.Sync,
 		CheckpointEvery: d.opts.CheckpointEvery,
 		SegmentBytes:    d.opts.SegmentBytes,
-		Parallelism:     db.parallelism,
-	}
-	if b := db.batcher.Load(); b != nil {
-		ck.Batching = &wal.BatchConfig{MaxTxns: b.opts.MaxTxns, FlushInterval: b.opts.FlushInterval}
 	}
 	snap := &ckptSnap{ck: ck, gcFrom: gcFrom}
 	names := make([]string, 0, len(db.tables))
@@ -488,9 +479,11 @@ type RecoverStats struct {
 // checkpointed catalog and re-derives their materializations AND support
 // counts from base state through the counted IVM initialization. The
 // returned engine has durability re-enabled on dir (with the checkpointed
-// sync mode and batching options restored) and is identical, relation for
-// relation and count for count, to an uninterrupted run over the same
-// acknowledged writes.
+// durability options restored) and is identical, relation for relation and
+// count for count, to an uninterrupted run over the same acknowledged
+// writes. Process settings — parallelism, execution mode, group-commit
+// handles — are not durable state: the recovered engine starts at the
+// defaults, and its caller re-applies its own.
 func Recover(dir string) (*DB, RecoverStats, error) { return RecoverFS(nil, dir) }
 
 // RecoverFS is Recover through an injected filesystem (nil = the process
@@ -513,9 +506,6 @@ func RecoverFS(fsys wal.FS, dir string) (*DB, RecoverStats, error) {
 	stats.CheckpointLSN = ck.LSN
 
 	db := NewDB()
-	if ck.Parallelism > 0 {
-		db.parallelism = ck.Parallelism
-	}
 
 	// Base tables: schema from the catalog, rows from the snapshot.
 	for _, ts := range ck.Tables {
@@ -597,13 +587,6 @@ func RecoverFS(fsys wal.FS, dir string) (*DB, RecoverStats, error) {
 		for _, w := range v.getOverlap {
 			w.getEval.InvalidateIVM()
 		}
-	}
-
-	// Group-commit routing comes back before the fresh checkpoint below, so
-	// the new checkpoint carries the batching config forward to the next
-	// recovery.
-	if ck.Batching != nil {
-		db.SetBatching(BatchOptions{MaxTxns: ck.Batching.MaxTxns, FlushInterval: ck.Batching.FlushInterval})
 	}
 
 	// Re-attach the log where the replay ended and take a fresh

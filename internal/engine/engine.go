@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"birds/internal/cdc"
 	"birds/internal/core"
@@ -41,11 +40,6 @@ type DB struct {
 	viewOrder   []string        // views in dependency order (sources first); rebuilt on CreateView
 	parallelism int             // evaluator workers for views (0 = sequential)
 	execMode    eval.ExecMode   // execution strategy for view evaluators (zero = streaming)
-
-	// batcher, when non-nil, routes Exec through the group-commit write
-	// pipeline (batch.go). Atomic so Exec can read it without taking the
-	// engine lock (the batcher has its own lock discipline).
-	batcher atomic.Pointer[Batcher]
 
 	// dur, when non-nil, is the crash-durability state (durable.go): the
 	// attached write-ahead log and checkpoint policy. Guarded by mu — every

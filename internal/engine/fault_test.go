@@ -128,10 +128,16 @@ func runFaultTrial(t *testing.T, fc faultClass, seed int64) {
 	}
 	const groupSize = 4
 	useBatch := rng.Intn(2) == 0
+	// The batched arm owns one handle, and every DML op of the trial —
+	// stream, degraded probe and continuation — goes through it.
 	var bt *Batcher
+	exec := db.Exec
+	newBatch := func() {
+		bt = db.Batch(BatchOptions{MaxTxns: groupSize, FlushInterval: time.Millisecond})
+		exec = bt.Exec
+	}
 	if useBatch {
-		db.SetBatching(BatchOptions{MaxTxns: groupSize, FlushInterval: time.Millisecond})
-		bt = db.batcher.Load()
+		newBatch()
 	}
 	label := fmt.Sprintf("%s seed=%d batch=%v", fc.name, seed, useBatch)
 
@@ -231,11 +237,19 @@ func runFaultTrial(t *testing.T, fc faultClass, seed int64) {
 		if _, err := db.Get("r1"); err != nil {
 			t.Fatalf("%s: read while degraded: %v", label, err)
 		}
-		if err := db.Exec(Insert("r1", value.Int(1), value.Int(1))); !errors.Is(err, ErrReadOnly) {
+		if err := exec(Insert("r1", value.Int(1), value.Int(1))); !errors.Is(err, ErrReadOnly) {
 			t.Fatalf("%s: write while degraded: got %v, want ErrReadOnly", label, err)
+		}
+		// Retire the handle and re-create it after Reopen, the way the
+		// server's POST /reopen does: nothing it staged was logged.
+		if useBatch {
+			bt.Discard(db.ReadOnly())
 		}
 		if err := db.Reopen(); err != nil {
 			t.Fatalf("%s: reopen: %v", label, err)
+		}
+		if useBatch {
+			newBatch()
 		}
 		if err := db.ReadOnly(); err != nil {
 			t.Fatalf("%s: still degraded after reopen: %v", label, err)
@@ -277,11 +291,16 @@ func runFaultTrial(t *testing.T, fc faultClass, seed int64) {
 	// Continuation: the engine accepts writes and stays in lockstep.
 	for i := 0; i < 8; i++ {
 		s := batchStmt(rng)
-		if err := db.Exec(s); err != nil {
+		if err := exec(s); err != nil {
 			t.Fatalf("%s: continuation op %d: %v", label, i, err)
 		}
 		if err := ref.Exec(s); err != nil {
 			t.Fatal(err)
+		}
+	}
+	if useBatch {
+		if err := bt.Close(); err != nil {
+			t.Fatalf("%s: batcher close: %v", label, err)
 		}
 	}
 	if err := db.Close(); err != nil {

@@ -9,20 +9,21 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"birds/internal/value"
 )
 
 // A checkpoint is an atomic snapshot of everything the log's row deltas are
 // relative to: the DDL catalog (base-table schemas, view putback programs
-// with their validated get rules, batching and durability options) and the
-// full contents of every base table, stamped with the LSN of the last log
-// record whose effects it includes. Materialized views and their support
-// counts are deliberately absent: recovery re-derives them from base state
-// through the counted initialization, proving the IVM layer a pure function
-// of the base tables (and keeping checkpoints proportional to base data,
-// not base + derived data).
+// with their validated get rules), the durability options and the full
+// contents of every base table, stamped with the LSN of the last log
+// record whose effects it includes. A process's own settings (group-commit
+// handles, evaluator parallelism) are not durable state and are not
+// recorded. Materialized views and their support counts are deliberately
+// absent: recovery re-derives them from base state through the counted
+// initialization, proving the IVM layer a pure function of the base tables
+// (and keeping checkpoints proportional to base data, not base + derived
+// data).
 //
 // File layout: magic, then the same binary encoding as log records, then a
 // trailing CRC32-Castagnoli over everything before it. Checkpoints are
@@ -40,17 +41,11 @@ type Checkpoint struct {
 	Tables []TableState
 	Views  []ViewState
 
-	// Batching, when non-nil, restores group-commit routing (DB.SetBatching)
-	// on recovery.
-	Batching *BatchConfig
 	// Sync, CheckpointEvery and SegmentBytes restore the durability
 	// options on recovery.
 	Sync            SyncMode
 	CheckpointEvery int
 	SegmentBytes    int64
-	// Parallelism restores the engine's evaluator worker budget (0 = the
-	// engine default, i.e. sequential until SetParallelism is called).
-	Parallelism int
 }
 
 // TableState is one base table: schema and full contents.
@@ -75,15 +70,8 @@ type ViewState struct {
 	Incremental bool
 }
 
-// BatchConfig mirrors engine.BatchOptions without importing the engine
-// (which imports this package).
-type BatchConfig struct {
-	MaxTxns       int
-	FlushInterval time.Duration
-}
-
 const (
-	ckptMagic  = "BIRDSCKPT\x02"
+	ckptMagic  = "BIRDSCKPT\x03"
 	ckptSuffix = ".ckpt"
 	ckptPrefix = "checkpoint-"
 	tmpSuffix  = ".tmp"
@@ -228,14 +216,6 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 	buf = append(buf, byte(ck.Sync))
 	buf = binary.AppendUvarint(buf, uint64(ck.CheckpointEvery))
 	buf = binary.AppendVarint(buf, ck.SegmentBytes)
-	buf = binary.AppendVarint(buf, int64(ck.Parallelism))
-	if ck.Batching != nil {
-		buf = append(buf, 1)
-		buf = binary.AppendVarint(buf, int64(ck.Batching.MaxTxns))
-		buf = binary.AppendVarint(buf, int64(ck.Batching.FlushInterval))
-	} else {
-		buf = append(buf, 0)
-	}
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Tables)))
 	for _, t := range ck.Tables {
 		buf = appendString(buf, t.Name)
@@ -279,13 +259,6 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	ck.Sync = SyncMode(d.byte())
 	ck.CheckpointEvery = int(d.uvarint())
 	ck.SegmentBytes = d.varint()
-	ck.Parallelism = int(d.varint())
-	if d.byte() == 1 {
-		ck.Batching = &BatchConfig{
-			MaxTxns:       int(d.varint()),
-			FlushInterval: time.Duration(d.varint()),
-		}
-	}
 	nt := int(d.uvarint())
 	for i := 0; i < nt && d.err == nil; i++ {
 		var t TableState

@@ -13,7 +13,7 @@ import (
 // a contiguous LSN sequence from which a fresh Open can continue appending
 // (the recovery contract). split places a segment boundary mid-stream so
 // the multi-segment walk (including boundaries that tear a frame in half)
-// is fuzzed too; split 0 writes the bytes as the legacy wal.log.
+// is fuzzed too; split 0 writes the bytes as one segment.
 func FuzzReplay(f *testing.F) {
 	// Seeds: real logs produced by the writer itself — single-segment,
 	// multi-segment (rotation), pinned truncations at and off frame
@@ -63,7 +63,7 @@ func FuzzReplay(f *testing.F) {
 			writeFileT(t, filepath.Join(dir, segName(1)), data[:s])
 			writeFileT(t, filepath.Join(dir, segName(1<<40)), data[s:])
 		} else {
-			writeFileT(t, filepath.Join(dir, LogName), data)
+			writeFileT(t, filepath.Join(dir, segName(1)), data)
 		}
 
 		var lsns []uint64

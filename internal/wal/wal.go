@@ -16,10 +16,9 @@
 //   - recovery loads the latest valid checkpoint and replays the log tail.
 //
 // The log is split into size-bounded segments named wal-<first LSN>.log
-// (16-hex zero-padded, so lexicographic order is LSN order); a legacy
-// single-file wal.log replays as the oldest segment. Appends rotate to a
-// fresh segment once the active one crosses the threshold, and a
-// checkpoint rotates unconditionally so that every record it covers lives
+// (16-hex zero-padded, so lexicographic order is LSN order). Appends
+// rotate to a fresh segment once the active one crosses the threshold, and
+// a checkpoint rotates unconditionally so that every record it covers lives
 // in a sealed segment that can be garbage-collected the moment the
 // checkpoint is durable — which is what lets checkpoint writing proceed in
 // the background while new appends land in the next segment.
@@ -157,11 +156,6 @@ type Record struct {
 	Tables []TableDelta
 }
 
-// LogName is the legacy single-file log name; directories written before
-// segmentation hold one and it replays as the oldest segment. New appends
-// always go to named segments.
-const LogName = "wal.log"
-
 const (
 	segPrefix = "wal-"
 	segSuffix = ".log"
@@ -188,29 +182,22 @@ func segLSN(name string) (uint64, bool) {
 	return lsn, true
 }
 
-// Segments lists the log files in dir in replay order: the legacy wal.log
-// first (if present), then named segments ascending by first LSN. fsys nil
-// means the process filesystem.
+// Segments lists the log segments in dir in replay order, ascending by
+// first LSN. fsys nil means the process filesystem.
 func Segments(fsys FS, dir string) []string {
 	fsys = realFS(fsys)
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
-	var legacy []string
 	var segs []string
 	for _, e := range entries {
-		name := e.Name()
-		if name == LogName {
-			legacy = append(legacy, name)
-			continue
-		}
-		if _, ok := segLSN(name); ok {
-			segs = append(segs, name)
+		if _, ok := segLSN(e.Name()); ok {
+			segs = append(segs, e.Name())
 		}
 	}
 	sort.Strings(segs) // zero-padded hex: lexicographic == LSN order
-	return append(legacy, segs...)
+	return segs
 }
 
 // HasLogData reports whether dir holds any non-empty log segment. fsys nil
@@ -269,9 +256,9 @@ type Log struct {
 //
 // Appends continue into the newest existing segment after trimming any
 // torn tail it carries (the trimmed bytes are by definition
-// unacknowledged); if the directory holds no segment — or only a legacy
-// wal.log, which is never appended to — a fresh segment is created. Stray
-// checkpoint temp files from an interrupted checkpoint are swept here.
+// unacknowledged); if the directory holds no segment, a fresh segment is
+// created. Stray checkpoint temp files from an interrupted checkpoint are
+// swept here.
 func Open(fsys FS, dir string, nextLSN uint64, segBytes int64) (*Log, error) {
 	fsys = realFS(fsys)
 	if segBytes == 0 {
@@ -282,30 +269,6 @@ func Open(fsys FS, dir string, nextLSN uint64, segBytes int64) (*Log, error) {
 	}
 	sweepTemp(fsys, dir)
 
-	// The legacy wal.log is never appended to, but a torn tail it carries
-	// must still be trimmed here: new records go to named segments, which
-	// replay after it, and any data following torn bytes reads as mid-log
-	// corruption. The trimmed bytes are by definition unacknowledged.
-	if data, err := fsys.ReadFile(filepath.Join(dir, LogName)); err == nil {
-		valid, verr := validPrefixLen(data)
-		if verr != nil {
-			return nil, fmt.Errorf("%s: %w", LogName, verr)
-		}
-		if valid < len(data) {
-			f, err := fsys.OpenFile(filepath.Join(dir, LogName), os.O_RDWR, 0o644)
-			if err != nil {
-				return nil, err
-			}
-			terr := f.Truncate(int64(valid))
-			if cerr := f.Close(); terr == nil {
-				terr = cerr
-			}
-			if terr != nil {
-				return nil, terr
-			}
-		}
-	}
-
 	l := &Log{fsys: fsys, dir: dir, nextLSN: nextLSN, segBytes: segBytes}
 	segs := Segments(fsys, dir)
 	// Drop empty trailing segments (leftovers of an interrupted rotation):
@@ -313,9 +276,6 @@ func Open(fsys FS, dir string, nextLSN uint64, segBytes int64) (*Log, error) {
 	// tail of the previous segment in the middle of the log.
 	for len(segs) > 0 {
 		name := segs[len(segs)-1]
-		if name == LogName {
-			break
-		}
 		st, err := fsys.Stat(filepath.Join(dir, name))
 		if err != nil || st.Size() > 0 {
 			break
@@ -325,22 +285,17 @@ func Open(fsys FS, dir string, nextLSN uint64, segBytes int64) (*Log, error) {
 		}
 		segs = segs[:len(segs)-1]
 	}
-	newest := ""
-	if n := len(segs); n > 0 {
-		if name := segs[n-1]; name != LogName {
-			newest = name
-		}
-	}
-	if newest == "" {
+	if len(segs) == 0 {
 		if err := l.createSegmentLocked(nextLSN); err != nil {
 			return nil, err
 		}
 		return l, nil
 	}
 
-	// Append into the newest named segment: find the end of its valid
-	// frame prefix and trim anything after it, so a new append can never
+	// Append into the newest segment: find the end of its valid frame
+	// prefix and trim anything after it, so a new append can never
 	// resurrect torn bytes into a mid-log corruption.
+	newest := segs[len(segs)-1]
 	path := filepath.Join(dir, newest)
 	data, err := fsys.ReadFile(path)
 	if err != nil {
@@ -537,10 +492,8 @@ func (l *Log) RotateForCheckpoint() (uint64, error) {
 	return l.segStart, nil
 }
 
-// RemoveSegmentsBelow deletes every sealed log file whose records all
-// predate startLSN: named segments with first LSN < startLSN and the
-// legacy wal.log (only ever present alongside a later checkpoint or
-// segment). Removal failures are non-fatal — stale segments only cost
+// RemoveSegmentsBelow deletes every sealed segment whose records all
+// predate startLSN, i.e. whose first LSN is below it. Removal failures are non-fatal — stale segments only cost
 // replay skips — so only the first error is reported.
 func (l *Log) RemoveSegmentsBelow(startLSN uint64) error {
 	l.mu.Lock()
@@ -548,11 +501,8 @@ func (l *Log) RemoveSegmentsBelow(startLSN uint64) error {
 	l.mu.Unlock()
 	var firstErr error
 	for _, name := range Segments(fsys, dir) {
-		lsn, ok := segLSN(name)
-		if name == LogName {
-			lsn, ok = 0, true
-		}
-		if !ok || lsn >= startLSN || lsn == active {
+		lsn, _ := segLSN(name)
+		if lsn >= startLSN || lsn == active {
 			continue
 		}
 		if err := fsys.Remove(filepath.Join(dir, name)); err != nil && firstErr == nil {
@@ -633,12 +583,11 @@ type ReplayResult struct {
 	Skipped int
 	// TornTail reports that trailing bytes were discarded as a torn write.
 	TornTail bool
-	// Segments counts the log files read (legacy wal.log included).
+	// Segments counts the log segments read.
 	Segments int
 }
 
-// Replay reads the log at dir — the legacy wal.log, then every named
-// segment in LSN order — and delivers every record with LSN > afterLSN to
+// Replay reads the log at dir — every segment in LSN order — and delivers every record with LSN > afterLSN to
 // fn, in log order. Incomplete or checksum-failing trailing records are
 // skipped silently (TornTail is set), but only at the very end of the
 // log: a bad record followed by a well-formed record in the same segment,

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"birds/internal/value"
 )
@@ -120,13 +119,11 @@ func TestTornTailSkippedAtEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The truncated copies are written under the legacy single-file name,
-	// so this doubles as coverage for the pre-segment replay path.
 	// Frame boundaries, computed by a clean replay of prefix sizes.
 	boundaries := frameBoundaries(t, full)
 	for cut := 0; cut <= len(full); cut++ {
 		tdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(tdir, LogName), full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(tdir, segName(1)), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		recs, res, err := replayAll(t, tdir, 0)
@@ -542,8 +539,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		LSN:             42,
 		Sync:            SyncOnFlush,
 		CheckpointEvery: 512,
-		Parallelism:     4,
-		Batching:        &BatchConfig{MaxTxns: 64, FlushInterval: 5 * time.Millisecond},
 		Tables: []TableState{{
 			Name:  "items",
 			Attrs: []AttrState{{"iid", "int"}, {"iname", "string"}},
@@ -565,11 +560,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.LSN != 42 || got.Sync != SyncOnFlush || got.CheckpointEvery != 512 || got.Parallelism != 4 {
+	if got.LSN != 42 || got.Sync != SyncOnFlush || got.CheckpointEvery != 512 {
 		t.Fatalf("header mismatch: %+v", got)
-	}
-	if got.Batching == nil || got.Batching.MaxTxns != 64 || got.Batching.FlushInterval != 5*time.Millisecond {
-		t.Fatalf("batching mismatch: %+v", got.Batching)
 	}
 	if len(got.Tables) != 2 || got.Tables[0].Name != "items" || len(got.Tables[0].Rows) != 2 ||
 		got.Tables[1].Name != "empty" || len(got.Tables[1].Rows) != 0 {
