@@ -102,9 +102,9 @@ type Event struct {
 // Hub.Publish by the engine. Tuple slices are owned by the hub from then
 // on (the engine reports freshly built delta relations).
 type Update struct {
-	View     string
-	Inserts  []value.Tuple
-	Deletes  []value.Tuple
+	View    string
+	Inserts []value.Tuple
+	Deletes []value.Tuple
 }
 
 // ErrClosed is returned by Recv once the subscription is closed and its

@@ -30,21 +30,21 @@ var errBatcherClosed = errors.New("engine: batcher is closed")
 // Consistency contract (group commit):
 //
 //   - Admission is atomic per transaction: a statement error (bad arity,
-//     unknown column, contradictory WHERE) rolls back only that
-//     transaction's staged contribution; the rest of the batch is
-//     unaffected.
+//     unknown column) stages nothing of that transaction; the rest of the
+//     batch is unaffected.
 //   - Readers (Get, GetAll, Rel) observe only fully-flushed batches.
 //     Staged transactions live outside the store until flush, and the
 //     flush applies the whole batch — base rows plus the incremental
 //     maintenance of every dependent view — under the engine's write lock,
 //     so a copy-on-write snapshot taken at any moment holds either none or
 //     all of a batch, never a partial one.
-//   - Within a batch, transactions read their own and earlier admitted
-//     transactions' effects (statement matching runs against the last
-//     flushed state overlaid with the staged delta), so admitting
-//     transactions t1..tn and flushing is equivalent to executing t1..tn
-//     serially one-at-a-time — the property the differential harness in
-//     batch_test.go pins down.
+//   - Admitting transactions t1..tn and flushing is equivalent to executing
+//     t1..tn serially one-at-a-time, by construction: admission derives
+//     each transaction's net delta with the same txnDelta (dml.go) that
+//     DB.Exec uses, run against the last flushed state overlaid with the
+//     staged delta — exactly the state serial execution would have reached.
+//     The differential harness in batch_test.go checks both paths against a
+//     naive model.
 //   - View-targeted transactions and reads of the engine bypass staging:
 //     a view update first flushes the pending batch (its trigger must
 //     evaluate against flushed state), then runs the normal propagation
@@ -55,11 +55,12 @@ var errBatcherClosed = errors.New("engine: batcher is closed")
 //     transactions will not have seen those writes.
 //
 // Lock discipline: admissions serialize on the batcher's own mutex and
-// read the store under the engine's read lock (statement matching probes
-// existing hash indexes read-only and falls back to a scan, scheduling the
-// index build for after admission), so admissions run concurrently with
-// readers and never pay the maintenance lock; only the flush takes the
-// engine write lock. Lock order is always batcher.mu → engine.mu.
+// run txnDelta under the engine's read lock (it probes existing hash
+// indexes read-only and falls back to a scan; a missed index is built
+// after admission under the write lock), so admissions run concurrently
+// with readers and never pay the maintenance lock; only the flush and those
+// index builds take the engine write lock. Lock order is always batcher.mu →
+// engine.mu.
 
 // DefaultBatchSize is the size trigger used when BatchOptions.MaxTxns is 0.
 const DefaultBatchSize = 64
@@ -92,7 +93,6 @@ type Batcher struct {
 	stage    *eval.Database
 	staged   map[string]int // tables with staged deltas → arity
 	txns     int            // transactions admitted since the last flush
-	wantIx   []wantedIndex  // WHERE probes that missed a store index during admission
 	timer    *time.Timer
 	armed    bool
 	deadline time.Time // when the armed interval trigger is due
@@ -204,11 +204,6 @@ func (b *Batcher) resolveTicketLocked(err error) {
 	b.ticket.err = err
 	close(b.ticket.done)
 	b.ticket = nil
-}
-
-type wantedIndex struct {
-	pred      datalog.PredSym
-	positions []int
 }
 
 // Batch returns a new group-commit handle on the database: transactions
@@ -325,7 +320,6 @@ func (b *Batcher) ExecAsync(stmts ...Statement) (seq uint64, c Commit, err error
 	if err != nil {
 		return fail(err)
 	}
-	b.buildWantedIndexes()
 	b.txns++
 	b.seq++
 	b.admitted++
@@ -467,12 +461,10 @@ func (b *Batcher) flushLocked() error {
 	// batch, not per transaction — and one maintenance pass. A failed
 	// append leaves the store undone and the batch staged for a retry.
 	var net uint64
-	for n, d := range changed {
-		p := datalog.Pred(n)
-		d.Del.Each(func(t value.Tuple) { db.store.Delete(p, t) })
-		d.Ins.Each(func(t value.Tuple) { db.store.Insert(p, t) })
+	for _, d := range changed {
 		net += uint64(d.Ins.Len() + d.Del.Len())
 	}
+	db.applyLocked(changed)
 	if err := db.commitLocked(wal.KindBatch, changed, nil); err != nil {
 		b.resolveTicketLocked(err)
 		return err
@@ -542,81 +534,30 @@ func (b *Batcher) disarmTimerLocked() {
 	b.armed = false
 }
 
-// buildWantedIndexes builds, under the engine write lock, the hash indexes
-// admission probes fell back to scanning for — once per (table, column
-// set), so subsequent admissions probe read-only.
-func (b *Batcher) buildWantedIndexes() {
-	if len(b.wantIx) == 0 {
-		return
-	}
-	b.db.mu.Lock()
-	for _, w := range b.wantIx {
-		b.db.store.Index(w.pred, w.positions)
-	}
-	b.db.mu.Unlock()
-	b.wantIx = b.wantIx[:0]
-}
-
-// admitTable validates and stages one table transaction: its statements
-// run against the effective relation state (last flushed store overlaid
-// with the staged batch delta and the transaction's own local delta), and
-// the resulting net row delta merges into the staged batch only if every
-// statement succeeded. The store is only read, under the engine read lock.
-// It returns the number of net delta rows the transaction contributed
-// (before cross-transaction cancellation), which feeds the coalescing
-// counters behind Stats.
+// admitTable validates and stages one table transaction: txnDelta runs
+// its statements under the engine read lock against the last flushed store
+// overlaid with the staged batch, and the resulting net delta merges into
+// the stage only if every statement succeeded. A store index a probe missed
+// is built afterwards under the write lock. It returns the number of net
+// delta rows the transaction contributed (before cross-transaction
+// cancellation), which feeds the coalescing counters behind Stats.
 func (b *Batcher) admitTable(name string, decl *datalog.RelDecl, stmts []Statement) (int, error) {
-	arity := decl.Arity()
-	pendIns := b.stage.Ensure(datalog.Ins(name), arity)
-	pendDel := b.stage.Ensure(datalog.Del(name), arity)
-	l := eval.NewDelta(arity) // this transaction's local delta
-
 	db := b.db
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	p := datalog.Pred(name)
-
-	effContains := func(t value.Tuple) bool {
-		switch {
-		case l.Ins.Contains(t):
-			return true
-		case l.Del.Contains(t):
-			return false
-		case pendIns.Contains(t):
-			return true
-		case pendDel.Contains(t):
-			return false
-		}
-		rel := db.store.Rel(p)
-		return rel != nil && rel.Contains(t)
+	l, miss, err := db.txnDelta(name, decl, stmts, b.stage)
+	db.mu.RUnlock()
+	if err != nil {
+		return 0, err // nothing staged: per-transaction rollback
 	}
-	insert := func(t value.Tuple) {
-		if effContains(t) {
-			return
-		}
-		if !l.Del.Remove(t) {
-			l.Ins.Add(t)
-		}
-	}
-	remove := func(t value.Tuple) {
-		if !effContains(t) {
-			return
-		}
-		if !l.Ins.Remove(t) {
-			l.Del.Add(t)
-		}
+	if len(miss) > 0 {
+		db.mu.Lock()
+		db.indexLocked(name, miss)
+		db.mu.Unlock()
 	}
 
-	match := func(where []Condition) ([]value.Tuple, error) {
-		return b.matchEffective(name, decl, where, l)
-	}
-	if err := runTableStmts(name, decl, stmts, match, insert, remove); err != nil {
-		return 0, err // l is discarded: nothing staged, per-txn rollback
-	}
-
-	// Commit: merge the transaction's local delta into the staged batch,
-	// cancelling insert/delete pairs across transactions. Insert/Delete on
-	// the stage maintain its probe indexes incrementally.
+	// Merge the transaction's delta into the staged batch, cancelling
+	// insert/delete pairs across transactions. Insert/Delete on the stage
+	// maintain its probe indexes incrementally.
 	insP, delP := datalog.Ins(name), datalog.Del(name)
 	l.Del.Each(func(t value.Tuple) {
 		if !b.stage.Delete(insP, t) {
@@ -629,106 +570,7 @@ func (b *Batcher) admitTable(name string, decl *datalog.RelDecl, stmts []Stateme
 		}
 	})
 	if !l.Empty() {
-		b.staged[name] = arity
+		b.staged[name] = decl.Arity()
 	}
 	return l.Ins.Len() + l.Del.Len(), nil
-}
-
-// matchEffective returns the rows matching where in the effective state
-// (store ⊖ staged deletions ⊕ staged insertions, batch and transaction
-// layers). Store candidates come from an existing hash index when one
-// covers the equality columns — a pure read — and otherwise from a scan,
-// with the index build scheduled for after admission; staged-insertion
-// candidates probe the stage database's own maintained indexes. Must be
-// called with db.mu read-held and b.mu held.
-func (b *Batcher) matchEffective(name string, decl *datalog.RelDecl, where []Condition, l eval.Delta) ([]value.Tuple, error) {
-	positions, key, none, err := eqProbe(decl, where)
-	if err != nil || none {
-		return nil, err
-	}
-	p := datalog.Pred(name)
-	insP := datalog.Ins(name)
-	pendDel := b.stage.RelOrEmpty(datalog.Del(name), decl.Arity())
-	out := value.NewRelation(decl.Arity())
-	addIfLive := func(t value.Tuple) error {
-		ok, err := rowMatches(decl, t, where)
-		if err != nil {
-			return err
-		}
-		if ok && !pendDel.Contains(t) && !l.Del.Contains(t) {
-			out.Add(t)
-		}
-		return nil
-	}
-	// Store candidates.
-	storeScan := positions == nil
-	if !storeScan {
-		if tuples, ok := b.db.store.LookupExisting(p, positions, key); ok {
-			for _, t := range tuples {
-				if err := addIfLive(t); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			b.wantIx = append(b.wantIx, wantedIndex{pred: p, positions: positions})
-			storeScan = true // scan this time; the index exists next time
-		}
-	}
-	if storeScan {
-		var ierr error
-		b.db.store.RelOrEmpty(p, decl.Arity()).EachUntil(func(t value.Tuple) bool {
-			ierr = addIfLive(t)
-			return ierr == nil
-		})
-		if ierr != nil {
-			return nil, ierr
-		}
-	}
-	// Staged-insertion candidates: part of the effective state, shadowed
-	// only by transaction-local deletions. The stage is private to the
-	// batcher, so building its index here mutates nothing shared.
-	addStaged := func(t value.Tuple) error {
-		ok, err := rowMatches(decl, t, where)
-		if err != nil {
-			return err
-		}
-		if ok && !l.Del.Contains(t) {
-			out.Add(t)
-		}
-		return nil
-	}
-	if positions != nil {
-		for _, t := range b.stage.Lookup(insP, positions, key) {
-			if err := addStaged(t); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var serr error
-		b.stage.RelOrEmpty(insP, decl.Arity()).EachUntil(func(t value.Tuple) bool {
-			serr = addStaged(t)
-			return serr == nil
-		})
-		if serr != nil {
-			return nil, serr
-		}
-	}
-	// Transaction-local insertions (bounded by this transaction's own
-	// statements — a linear pass is fine).
-	var lerr error
-	l.Ins.EachUntil(func(t value.Tuple) bool {
-		ok, err := rowMatches(decl, t, where)
-		if err != nil {
-			lerr = err
-			return false
-		}
-		if ok {
-			out.Add(t)
-		}
-		return true
-	})
-	if lerr != nil {
-		return nil, lerr
-	}
-	return out.Tuples(), nil
 }

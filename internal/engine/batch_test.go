@@ -18,14 +18,22 @@ import (
 // Run under -race: the admission-under-read-lock discipline is part of
 // what is tested.
 
+// fuzzTable is one maintainDB fixture table the fuzz steps write.
+type fuzzTable struct {
+	name string
+	cols [2]string
+}
+
+var fuzzTables = []fuzzTable{{"r1", [2]string{"a", "b"}}, {"r2", [2]string{"b", "c"}}}
+
 // batchStmt builds the random statement of one fuzz step against the
 // maintainDB fixture tables (r1, r2).
 func batchStmt(rng *rand.Rand) Statement {
-	tables := []struct {
-		name string
-		cols [2]string
-	}{{"r1", [2]string{"a", "b"}}, {"r2", [2]string{"b", "c"}}}
-	tb := tables[rng.Intn(len(tables))]
+	return tableStmt(rng, fuzzTables[rng.Intn(len(fuzzTables))])
+}
+
+// tableStmt builds a random statement against one fuzz table.
+func tableStmt(rng *rand.Rand, tb fuzzTable) Statement {
 	row := tup(rng.Intn(5), rng.Intn(5))
 	switch rng.Intn(4) {
 	case 0:
@@ -39,6 +47,96 @@ func batchStmt(rng *rand.Rand) Statement {
 		return Update(tb.name,
 			[]Assignment{{Col: tb.cols[1], Val: row[1]}},
 			Eq(tb.cols[0], row[0]))
+	}
+}
+
+// batchTxn builds a random transaction of 1-4 statements on one fuzz
+// table. Values range over 0..4, so later statements often match rows that
+// earlier ones inserted, deleted or updated.
+func batchTxn(rng *rand.Rand) []Statement {
+	tb := fuzzTables[rng.Intn(len(fuzzTables))]
+	txn := make([]Statement, 1+rng.Intn(4))
+	for i := range txn {
+		txn[i] = tableStmt(rng, tb)
+	}
+	return txn
+}
+
+// tableModel is the naive oracle for the fuzz tables: a Go set of rows per
+// table, each statement applied by a linear scan over it.
+type tableModel map[string]map[[2]int64]bool
+
+func newTableModel() tableModel {
+	m := tableModel{}
+	for _, tb := range fuzzTables {
+		m[tb.name] = map[[2]int64]bool{}
+	}
+	return m
+}
+
+// exec applies one transaction: statements in order, an UPDATE deleting
+// every matched row before inserting the rewritten ones.
+func (m tableModel) exec(txn []Statement) {
+	var tb fuzzTable
+	for _, f := range fuzzTables {
+		if f.name == txn[0].Target {
+			tb = f
+		}
+	}
+	rows := m[tb.name]
+	for _, s := range txn {
+		if s.Kind == StmtInsert {
+			rows[[2]int64{s.Row[0].AsInt(), s.Row[1].AsInt()}] = true
+			continue
+		}
+		var hit [][2]int64
+		for r := range rows {
+			match := true
+			for _, c := range s.Where {
+				v := r[0]
+				if c.Col == tb.cols[1] {
+					v = r[1]
+				}
+				switch c.Op {
+				case datalog.OpEq:
+					match = match && v == c.Val.AsInt()
+				case datalog.OpLt:
+					match = match && v < c.Val.AsInt()
+				default:
+					panic("tableModel: unsupported operator")
+				}
+			}
+			if match {
+				hit = append(hit, r)
+			}
+		}
+		for _, r := range hit {
+			delete(rows, r)
+		}
+		if s.Kind == StmtUpdate {
+			for _, r := range hit {
+				r[1] = s.Set[0].Val.AsInt() // tableStmt's UPDATE sets the second column
+				rows[r] = true
+			}
+		}
+	}
+}
+
+// check fails unless db's fuzz tables hold exactly the model's rows.
+func (m tableModel) check(t *testing.T, db *DB, label string) {
+	t.Helper()
+	for name, rows := range m {
+		want := value.NewRelation(2)
+		for r := range rows {
+			want.Add(tup(int(r[0]), int(r[1])))
+		}
+		got, err := db.Get(name)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: %s = %v, naive model has %v", label, name, got, want)
+		}
 	}
 }
 
@@ -70,21 +168,29 @@ func assertSameEngineState(t *testing.T, got, want *DB, label string) {
 // random transactions t1..tn through a Batcher and flushing (explicitly, by
 // size trigger, or at Close) yields exactly the state of executing t1..tn
 // serially one-at-a-time — base tables, view contents, and view cleanliness
-// alike. Compared at every flush boundary, not just at the end.
+// alike. Both paths derive their deltas through the same txnDelta, so the
+// oracle for the tables is a naive model instead: the serial engine must
+// match it after every transaction, the batched one at every flush
+// boundary. Views are compared between the two engines, whose maintenance
+// differs (one pass per transaction vs one per flush).
 func TestBatcherDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 4; trial++ {
 		dbSerial := maintainDB(t)
 		dbBatch := maintainDB(t)
+		model := newTableModel()
 		bt := dbBatch.Batch(BatchOptions{MaxTxns: 2 + rng.Intn(6)})
 
 		for step := 0; step < 150; step++ {
-			s := batchStmt(rng)
-			if err := dbSerial.Exec(s); err != nil {
-				t.Fatalf("trial %d step %d: serial: %v", trial, step, err)
+			label := fmt.Sprintf("trial %d step %d", trial, step)
+			txn := batchTxn(rng)
+			model.exec(txn)
+			if err := dbSerial.Exec(txn...); err != nil {
+				t.Fatalf("%s: serial: %v", label, err)
 			}
-			if err := bt.Exec(s); err != nil {
-				t.Fatalf("trial %d step %d: batched: %v", trial, step, err)
+			model.check(t, dbSerial, label+" serial")
+			if err := bt.Exec(txn...); err != nil {
+				t.Fatalf("%s: batched: %v", label, err)
 			}
 			if rng.Intn(10) == 0 {
 				if err := bt.Flush(); err != nil {
@@ -92,12 +198,14 @@ func TestBatcherDifferential(t *testing.T) {
 				}
 			}
 			if bt.Pending() == 0 {
-				assertSameEngineState(t, dbBatch, dbSerial, fmt.Sprintf("trial %d step %d", trial, step))
+				model.check(t, dbBatch, label+" batched")
+				assertSameEngineState(t, dbBatch, dbSerial, label)
 			}
 		}
 		if err := bt.Close(); err != nil {
 			t.Fatal(err)
 		}
+		model.check(t, dbBatch, fmt.Sprintf("trial %d final", trial))
 		assertSameEngineState(t, dbBatch, dbSerial, fmt.Sprintf("trial %d final", trial))
 	}
 }

@@ -159,8 +159,9 @@ view top(a:int).
 	}
 }
 
-// Algorithm 2 corner cases: update-then-delete of the same row, and an
-// update that rewrites a row back to itself.
+// Algorithm 2 corner cases: update-then-delete of the same row, an update
+// that rewrites a row back to itself, and statements that match the
+// transaction's own earlier inserts and deletes.
 func TestTransactionAlgorithm2Corners(t *testing.T) {
 	db := setupUnion(t, false)
 	// Update 2 -> 7, then delete 7: net effect is only the deletion of 2.
@@ -183,6 +184,46 @@ func TestTransactionAlgorithm2Corners(t *testing.T) {
 	after, _ := db.Rel("r1")
 	if !after.Equal(before) {
 		t.Errorf("identity update changed r1: %v -> %v", before, after)
+	}
+
+	// Statements that see the transaction's own earlier effects, from the
+	// fixture state v = r1 ∪ r2 = {1} ∪ {2, 4}, in both maintenance modes.
+	ints := func(xs ...int) *value.Relation {
+		r := value.NewRelation(1)
+		for _, x := range xs {
+			r.Add(tup(x))
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name      string
+		txn       []Statement
+		v, r1, r2 *value.Relation
+	}{
+		{"insert-then-delete nets to nothing", []Statement{
+			Insert("v", value.Int(9)),
+			Delete("v", Eq("a", value.Int(9))),
+		}, ints(1, 2, 4), ints(1), ints(2, 4)},
+		{"delete-then-reinsert nets to nothing", []Statement{
+			Delete("v", Eq("a", value.Int(2))),
+			Insert("v", value.Int(2)),
+		}, ints(1, 2, 4), ints(1), ints(2, 4)},
+		{"update matches a row inserted earlier", []Statement{
+			Insert("v", value.Int(7)),
+			Update("v", []Assignment{{Col: "a", Val: value.Int(8)}}, Eq("a", value.Int(7))),
+		}, ints(1, 2, 4, 8), ints(1, 8), ints(2, 4)},
+	} {
+		for _, incremental := range []bool{false, true} {
+			db := setupUnion(t, incremental)
+			if err := db.Exec(tc.txn...); err != nil {
+				t.Fatalf("%s (incremental=%v): %v", tc.name, incremental, err)
+			}
+			for rel, want := range map[string]*value.Relation{"v": tc.v, "r1": tc.r1, "r2": tc.r2} {
+				if got, _ := db.Get(rel); !got.Equal(want) {
+					t.Errorf("%s (incremental=%v): %s = %v, want %v", tc.name, incremental, rel, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 
 	"birds/internal/datalog"
@@ -108,247 +110,267 @@ func oneTarget(stmts []Statement) error {
 	return nil
 }
 
-// --- statements against base tables -------------------------------------
+// --- the transaction delta (Algorithm 2) ----------------------------------
 
-// execTable applies the statements to a base table, accumulating the
-// transaction's exact net row delta — an insert cancelling an earlier
-// delete (and vice versa) nets out, and no-op statements contribute
-// nothing — and commits it (commitLocked), which maintains the dependent
-// views. A statement error undoes the already-applied part of the delta,
-// so a failed transaction leaves the store (and every maintained view)
-// exactly as it was — the atomicity Exec promises.
+// execTable commits a base-table transaction: its net delta (txnDelta) is
+// applied and committed (commitLocked), which maintains the dependent
+// views. A statement error fails the transaction before the store is
+// touched — the atomicity Exec promises.
 func (db *DB) execTable(name string, stmts []Statement) error {
-	decl := db.tables[name]
-	p := datalog.Pred(name)
-	d := eval.NewDelta(decl.Arity())
-	changed := map[string]eval.Delta{name: d}
-	insert := func(r value.Tuple) {
-		if db.store.Insert(p, r) {
-			if !d.Del.Remove(r) {
-				d.Ins.Add(r)
-			}
-		}
-	}
-	remove := func(r value.Tuple) {
-		if db.store.Delete(p, r) {
-			if !d.Ins.Remove(r) {
-				d.Del.Add(r)
-			}
-		}
-	}
-	match := func(where []Condition) ([]value.Tuple, error) {
-		return db.matchRows(name, decl, where)
-	}
-	if err := runTableStmts(name, decl, stmts, match, insert, remove); err != nil {
-		db.undoLocked(changed)
+	d, miss, err := db.txnDelta(name, db.tables[name], stmts, nil)
+	if err != nil {
 		return err
 	}
+	db.indexLocked(name, miss)
+	changed := map[string]eval.Delta{name: d}
+	db.applyLocked(changed)
 	return db.commitLocked(wal.KindTxn, changed, nil)
 }
 
-// runTableStmts is the statement loop shared by the direct write path
-// (execTable) and batch admission (Batcher.admitTable): the transaction
-// semantics — arity validation, WHERE matching, UPDATE as delete-then-
-// insert of the matched rows — live here once, parameterized over the
-// effective state the statements run against (the store directly, or the
-// store overlaid with staged batch deltas).
-func runTableStmts(name string, decl *datalog.RelDecl, stmts []Statement,
-	match func([]Condition) ([]value.Tuple, error),
-	insert, remove func(value.Tuple)) error {
-	for _, s := range stmts {
-		switch s.Kind {
-		case StmtInsert:
-			if len(s.Row) != decl.Arity() {
-				return fmt.Errorf("engine: INSERT arity mismatch on %q", name)
-			}
-			insert(s.Row)
-		case StmtDelete:
-			rows, err := match(s.Where)
-			if err != nil {
-				return err
-			}
-			for _, r := range rows {
-				remove(r)
-			}
-		case StmtUpdate:
-			rows, err := match(s.Where)
-			if err != nil {
-				return err
-			}
-			updated, err := applyAssignments(decl, rows, s.Set)
-			if err != nil {
-				return err
-			}
-			for _, r := range rows {
-				remove(r)
-			}
-			for _, r := range updated {
-				insert(r)
-			}
-		}
-	}
-	return nil
-}
-
-// --- statements against views --------------------------------------------
-
-// execView derives the transaction's view delta (Algorithm 2), checks the
+// execView derives the transaction's view delta (txnDelta), checks the
 // constraints, propagates through the strategy cascade, and applies the
 // resulting plan atomically.
 func (db *DB) execView(name string, stmts []Statement) error {
-	v := db.views[name]
 	if db.dirty[name] {
 		if err := db.refresh(name); err != nil {
 			return err
 		}
 	}
-	ins, del, err := db.viewDelta(name, v.Decl, stmts)
+	d, miss, err := db.txnDelta(name, db.views[name].Decl, stmts, nil)
 	if err != nil {
 		return err
 	}
-
-	pl := newPlan()
-	if err := db.propagate(name, ins, del, pl); err != nil {
+	db.indexLocked(name, miss)
+	pl := plan{}
+	if err := db.propagate(name, d, pl); err != nil {
 		return err
 	}
 	return db.applyPlan(pl)
 }
 
-// viewDelta implements Algorithm 2: fold the per-statement insertion and
-// deletion sets into ΔV, with later statements overriding earlier ones.
-func (db *DB) viewDelta(name string, decl *datalog.RelDecl, stmts []Statement) (ins, del *value.Relation, err error) {
+// txnDelta runs one transaction's statements against relation name (a
+// table or a view) and returns their exact net delta against the effective
+// state: the store, overlaid with stage — the batch's staged Ins(name) and
+// Del(name); nil outside a batch — and with the transaction's own earlier
+// statements. It is Algorithm 2 (Appendix D) under set semantics: each
+// statement's deletions apply before its insertions (an UPDATE rewriting a
+// row to itself is a net no-op), an insert cancels an earlier delete and
+// vice versa, and no-op statements contribute nothing. It only reads the
+// store and the stage, so a statement error discards the transaction with
+// nothing to undo. miss lists the equality-column sets a WHERE probe found
+// no store index for (it scanned instead); the caller builds them under the
+// write lock (indexLocked), so later probes hit. Every write path —
+// execTable, execView and Batcher.admitTable — derives its delta here.
+func (db *DB) txnDelta(name string, decl *datalog.RelDecl, stmts []Statement, stage *eval.Database) (eval.Delta, [][]int, error) {
 	arity := decl.Arity()
-	ins, del = value.NewRelation(arity), value.NewRelation(arity)
-
-	// matchEffective returns the rows of (V \ del) ∪ ins matching where.
-	matchEffective := func(where []Condition) ([]value.Tuple, error) {
-		base, err := db.matchRows(name, decl, where)
-		if err != nil {
-			return nil, err
-		}
-		var out []value.Tuple
-		for _, r := range base {
-			if !del.Contains(r) {
-				out = append(out, r)
-			}
-		}
-		for _, r := range ins.Tuples() {
-			okRow, err := rowMatches(decl, r, where)
-			if err != nil {
-				return nil, err
-			}
-			if okRow {
-				out = append(out, r)
-			}
-		}
-		return out, nil
+	p := datalog.Pred(name)
+	none := value.NewRelation(arity) // no staged rows outside a batch
+	e := effective{
+		store: db.store,
+		stage: stage,
+		decl:  decl,
+		p:     p,
+		rel:   db.store.RelOrEmpty(p, arity),
+		sIns:  none,
+		sDel:  none,
+		txn:   eval.NewDelta(arity),
 	}
-
+	if stage != nil {
+		e.sIns = stage.RelOrEmpty(datalog.Ins(name), arity)
+		e.sDel = stage.RelOrEmpty(datalog.Del(name), arity)
+	}
+	var miss [][]int
 	for _, s := range stmts {
 		var plus, minus []value.Tuple
 		switch s.Kind {
 		case StmtInsert:
 			if len(s.Row) != arity {
-				return nil, nil, fmt.Errorf("engine: INSERT arity mismatch on %q", name)
+				return eval.Delta{}, nil, fmt.Errorf("engine: INSERT arity mismatch on %q", name)
 			}
 			plus = []value.Tuple{s.Row}
-		case StmtDelete:
-			minus, err = matchEffective(s.Where)
+		case StmtDelete, StmtUpdate:
+			rows, m, err := e.match(s.Where)
 			if err != nil {
-				return nil, nil, err
+				return eval.Delta{}, nil, err
 			}
-		case StmtUpdate:
-			minus, err = matchEffective(s.Where)
-			if err != nil {
-				return nil, nil, err
+			if m != nil {
+				miss = append(miss, m)
 			}
-			plus, err = applyAssignments(decl, minus, s.Set)
-			if err != nil {
-				return nil, nil, err
+			minus = rows
+			if s.Kind == StmtUpdate {
+				if plus, err = applyAssignments(decl, rows, s.Set); err != nil {
+					return eval.Delta{}, nil, err
+				}
 			}
 		}
-		// ΔV+ ← (ΔV+ \ δ−) ∪ δ+ ; ΔV− ← (ΔV− ∪ δ−) \ δ+ (Algorithm 2,
-		// with a statement's own deletions applied before its insertions —
-		// an UPDATE rewriting a row to itself is a net no-op, per
-		// Appendix D's "deletions followed by insertions").
+		// A matched row is in the effective state: deleting it cancels this
+		// transaction's own insert or deletes a row of a layer below.
 		for _, r := range minus {
-			ins.Remove(r)
-			del.Add(r)
+			if !e.txn.Ins.Remove(r) {
+				e.txn.Del.Add(r)
+			}
 		}
 		for _, r := range plus {
-			ins.Add(r)
-			del.Remove(r)
+			if !e.has(r) && !e.txn.Del.Remove(r) {
+				e.txn.Ins.Add(r)
+			}
 		}
 	}
-	return ins, del, nil
+	return e.txn, miss, nil
 }
 
-// plan accumulates the changes of one transaction before anything is
-// applied, so that a failed constraint or contradiction aborts cleanly.
-type plan struct {
-	ins map[string]*value.Relation // per relation (base tables and views)
-	del map[string]*value.Relation
+// effective is the state txnDelta's statements run against, in layers:
+// the stored relation rel, less the staged deletions sDel plus the staged
+// insertions sIns (both empty outside a batch), less txn.Del plus txn.Ins.
+type effective struct {
+	store, stage *eval.Database // stage is nil outside a batch
+	decl         *datalog.RelDecl
+	p            datalog.PredSym
+	rel          *value.Relation
+	sIns, sDel   *value.Relation
+	txn          eval.Delta // the transaction's net delta so far
 }
 
-func newPlan() *plan {
-	return &plan{ins: make(map[string]*value.Relation), del: make(map[string]*value.Relation)}
-}
-
-func (p *plan) add(name string, arity int, ins, del *value.Relation) {
-	if p.ins[name] == nil {
-		p.ins[name] = value.NewRelation(arity)
-		p.del[name] = value.NewRelation(arity)
+// has reports whether t is in the effective state.
+func (e *effective) has(t value.Tuple) bool {
+	switch {
+	case e.txn.Ins.Contains(t):
+		return true
+	case e.txn.Del.Contains(t):
+		return false
+	case e.sIns.Contains(t):
+		return true
+	case e.sDel.Contains(t):
+		return false
 	}
-	p.ins[name].UnionWith(ins)
-	p.del[name].UnionWith(del)
+	return e.rel.Contains(t)
+}
+
+// match returns the rows of the effective state matching where, each once.
+// Stored rows come from an existing store index on the equality columns — a
+// pure read, safe under the read lock — or from a scan, which reports the
+// index's positions as miss. Staged insertions probe the stage's own
+// indexes (the stage is private to its batcher, so building one there
+// mutates nothing shared); the transaction's own insertions are bounded by
+// its statements and scanned.
+func (e *effective) match(where []Condition) (rows []value.Tuple, miss []int, err error) {
+	positions, key, none, err := eqProbe(e.decl, where)
+	if err != nil || none {
+		return nil, nil, err
+	}
+	stored, staged := e.rel.All(), e.sIns.All()
+	if positions != nil {
+		if tuples, ok := e.store.LookupExisting(e.p, positions, key); ok {
+			stored = slices.Values(tuples)
+		} else {
+			miss = positions
+		}
+		if e.stage != nil {
+			staged = slices.Values(e.stage.Lookup(datalog.Ins(e.p.Name), positions, key))
+		}
+	}
+	for layer, cands := range [...]iter.Seq[value.Tuple]{stored, staged, e.txn.Ins.All()} {
+		for t := range cands {
+			if e.shadowed(layer, t) {
+				continue
+			}
+			ok, err := rowMatches(e.decl, t, where)
+			if err != nil {
+				return nil, nil, err
+			}
+			if ok {
+				rows = append(rows, t)
+			}
+		}
+	}
+	return rows, miss, nil
+}
+
+// shadowed reports whether candidate t of a layer (0 stored, 1 staged
+// insertions, 2 the transaction's insertions) is hidden by a layer above
+// it, or — a staged insertion of a stored row — was already visited.
+func (e *effective) shadowed(layer int, t value.Tuple) bool {
+	switch layer {
+	case 0:
+		return e.sDel.Contains(t) || e.txn.Del.Contains(t)
+	case 1:
+		return e.rel.Contains(t) || e.txn.Del.Contains(t)
+	}
+	return false
+}
+
+// indexLocked builds the store indexes txnDelta's probes missed, so the
+// relation's next transactions probe instead of scanning. Must run under
+// the write lock.
+func (db *DB) indexLocked(name string, miss [][]int) {
+	for _, positions := range miss {
+		db.store.Index(datalog.Pred(name), positions)
+	}
+}
+
+// --- propagation through view update strategies -------------------------
+
+// plan accumulates the changes of one transaction, per relation (base
+// tables and views), before anything is applied, so that a failed
+// constraint or contradiction aborts cleanly.
+type plan map[string]eval.Delta
+
+// add merges d into the relation's planned delta; the plan owns d after.
+func (pl plan) add(name string, d eval.Delta) {
+	acc, ok := pl[name]
+	if !ok {
+		pl[name] = d
+		return
+	}
+	acc.Ins.UnionWith(d.Ins)
+	acc.Del.UnionWith(d.Del)
 }
 
 // propagate evaluates the update strategy of view name against the view
 // delta and records the source deltas in the plan, cascading into sources
 // that are themselves views.
-func (db *DB) propagate(name string, ins, del *value.Relation, pl *plan) error {
+func (db *DB) propagate(name string, d eval.Delta, pl plan) error {
 	v := db.views[name]
 	cur := db.store.RelOrEmpty(datalog.Pred(name), v.Decl.Arity())
 	// Normalize: inserting a present tuple and deleting an absent one are
-	// no-ops under set semantics.
-	normIns := value.NewRelation(v.Decl.Arity())
-	ins.Each(func(t value.Tuple) {
+	// no-ops under set semantics (a cascaded source delta may hold either).
+	norm := eval.NewDelta(v.Decl.Arity())
+	d.Ins.Each(func(t value.Tuple) {
 		if !cur.Contains(t) {
-			normIns.Add(t)
+			norm.Ins.Add(t)
 		}
 	})
-	normDel := value.NewRelation(v.Decl.Arity())
-	del.Each(func(t value.Tuple) {
+	d.Del.Each(func(t value.Tuple) {
 		if cur.Contains(t) {
-			normDel.Add(t)
+			norm.Del.Add(t)
 		}
 	})
-	if normIns.Empty() && normDel.Empty() {
+	if norm.Empty() {
 		return nil
 	}
-	pl.add(name, v.Decl.Arity(), normIns, normDel)
+	pl.add(name, norm)
 
-	deltas := make(map[string][2]*value.Relation) // source -> (ins, del)
+	deltas := make(map[string]eval.Delta) // source -> delta
 	if v.Incremental {
-		if err := db.evalIncremental(v, normIns, normDel, deltas); err != nil {
+		if err := db.evalIncremental(v, norm, deltas); err != nil {
 			return err
 		}
 	} else {
-		if err := db.evalFull(name, v, normIns, normDel, deltas); err != nil {
+		if err := db.evalFull(name, v, norm, deltas); err != nil {
 			return err
 		}
 	}
 
 	for _, s := range v.sources {
-		d, ok := deltas[s]
+		sd, ok := deltas[s]
 		if !ok {
 			continue
 		}
 		if _, isTable := db.tables[s]; isTable {
-			pl.add(s, db.tables[s].Arity(), d[0], d[1])
+			pl.add(s, sd)
 			continue
 		}
-		if err := db.propagate(s, d[0], d[1], pl); err != nil {
+		if err := db.propagate(s, sd, pl); err != nil {
 			return err
 		}
 	}
@@ -359,20 +381,19 @@ func (db *DB) propagate(name string, ins, del *value.Relation, pl *plan) error {
 // relations +v / -v, the incremental program is evaluated, and the source
 // deltas are collected. Cost is proportional to the view delta once the
 // store's indexes are warm.
-func (db *DB) evalIncremental(v *View, ins, del *value.Relation, deltas map[string][2]*value.Relation) error {
+func (db *DB) evalIncremental(v *View, d eval.Delta, deltas map[string]eval.Delta) error {
 	// The ∂put and constraint programs overwrite their IDB relations in the
 	// shared store; drop the get-side counts that described them.
 	db.invalidateForStrategyRun(v)
 	name := v.Decl.Name
 	// Update keeps any indexes on the view-delta predicates alive across
 	// transactions instead of dropping and lazily rebuilding them.
-	db.store.Update(datalog.Ins(name), ins)
-	db.store.Update(datalog.Del(name), del)
+	db.store.Update(datalog.Ins(name), d.Ins)
+	db.store.Update(datalog.Del(name), d.Del)
 	defer func() {
 		db.store.Update(datalog.Ins(name), value.NewRelation(v.Decl.Arity()))
 		db.store.Update(datalog.Del(name), value.NewRelation(v.Decl.Arity()))
 	}()
-
 	// Admissibility: constraints checked against the inserted tuples.
 	if err := v.consEval.Eval(db.store); err != nil {
 		return err
@@ -396,15 +417,15 @@ func (db *DB) evalIncremental(v *View, ins, del *value.Relation, deltas map[stri
 // is temporarily replaced by the updated view, the full strategy is
 // evaluated (cost proportional to the base tables), and the source deltas
 // are collected.
-func (db *DB) evalFull(name string, v *View, ins, del *value.Relation, deltas map[string][2]*value.Relation) error {
+func (db *DB) evalFull(name string, v *View, d eval.Delta, deltas map[string]eval.Delta) error {
 	// The strategy evaluation overwrites its IDB relations in the shared
 	// store; drop the get-side counts that described them.
 	db.invalidateForStrategyRun(v)
 	p := datalog.Pred(name)
 	old := db.store.RelOrEmpty(p, v.Decl.Arity())
 	updated := old.Clone()
-	updated.SubtractAll(del)
-	updated.UnionWith(ins)
+	updated.SubtractAll(d.Del)
+	updated.UnionWith(d.Ins)
 	db.store.Update(p, updated)
 	defer db.store.Update(p, old)
 
@@ -424,14 +445,15 @@ func (db *DB) evalFull(name string, v *View, ins, del *value.Relation, deltas ma
 }
 
 // collectDeltas clones the evaluated ±source relations out of the store.
-func collectDeltas(store *eval.Database, v *View, deltas map[string][2]*value.Relation) {
+func collectDeltas(store *eval.Database, v *View, deltas map[string]eval.Delta) {
 	for _, s := range v.Strategy.Prog.Sources {
-		ins := store.RelOrEmpty(datalog.Ins(s.Name), s.Arity()).Clone()
-		del := store.RelOrEmpty(datalog.Del(s.Name), s.Arity()).Clone()
-		if ins.Empty() && del.Empty() {
-			continue
+		d := eval.Delta{
+			Ins: store.RelOrEmpty(datalog.Ins(s.Name), s.Arity()).Clone(),
+			Del: store.RelOrEmpty(datalog.Del(s.Name), s.Arity()).Clone(),
 		}
-		deltas[s.Name] = [2]*value.Relation{ins, del}
+		if !d.Empty() {
+			deltas[s.Name] = d
+		}
 	}
 }
 
@@ -441,14 +463,14 @@ func collectDeltas(store *eval.Database, v *View, deltas map[string][2]*value.Re
 // changed. The WAL record holds only the base-table deltas (view rows are
 // derived state, re-materialized on recovery); views inside the plan were
 // updated exactly and are kept out of maintenance.
-func (db *DB) applyPlan(pl *plan) error {
-	names := make([]string, 0, len(pl.ins))
-	for n := range pl.ins {
+func (db *DB) applyPlan(pl plan) error {
+	names := make([]string, 0, len(pl))
+	for n := range pl {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if common := pl.ins[n].Intersect(pl.del[n]); !common.Empty() {
+		if common := pl[n].Ins.Intersect(pl[n].Del); !common.Empty() {
 			return fmt.Errorf("engine: contradictory updates on %q: tuple %s both inserted and deleted",
 				n, common.Tuples()[0])
 		}
@@ -457,13 +479,13 @@ func (db *DB) applyPlan(pl *plan) error {
 	keep := make(map[string]bool)
 	for _, n := range names {
 		p := datalog.Pred(n)
-		d := eval.NewDelta(pl.ins[n].Arity())
-		pl.del[n].Each(func(t value.Tuple) {
+		d := eval.NewDelta(pl[n].Ins.Arity())
+		pl[n].Del.Each(func(t value.Tuple) {
 			if db.store.Delete(p, t) {
 				d.Del.Add(t)
 			}
 		})
-		pl.ins[n].Each(func(t value.Tuple) {
+		pl[n].Ins.Each(func(t value.Tuple) {
 			if db.store.Insert(p, t) {
 				d.Ins.Add(t)
 			}
@@ -552,33 +574,6 @@ func eqProbe(decl *datalog.RelDecl, where []Condition) (positions []int, key val
 		key[k] = seen[pos].val
 	}
 	return ordered, key, false, nil
-}
-
-// matchRows returns the stored rows of a relation matching the conditions,
-// probing a hash index on the equality columns when possible.
-func (db *DB) matchRows(name string, decl *datalog.RelDecl, where []Condition) ([]value.Tuple, error) {
-	positions, key, none, err := eqProbe(decl, where)
-	if err != nil || none {
-		return nil, err
-	}
-	p := datalog.Pred(name)
-	var candidates []value.Tuple
-	if positions != nil {
-		candidates = db.store.Lookup(p, positions, key)
-	} else {
-		candidates = db.store.RelOrEmpty(p, decl.Arity()).Tuples()
-	}
-	var out []value.Tuple
-	for _, r := range candidates {
-		ok, err := rowMatches(decl, r, where)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // applyAssignments produces the updated versions of rows under SET clauses.

@@ -86,6 +86,11 @@ type durability struct {
 	ckptErr   error // last automatic-checkpoint failure (retried, surfaced by Checkpoint)
 	ckptBusy  bool  // a background checkpoint is writing
 	ckptWG    sync.WaitGroup
+	// cutLSN is the LSN of the newest checkpoint cut (after Recover, of the
+	// checkpoint it loaded) and cutGens the generations taken at it: a new
+	// cut at the same LSN takes the next generation, so its write never
+	// renames over the live checkpoint file.
+	cutLSN, cutGens uint64
 }
 
 // EnableDurability opens a write-ahead log in opts.Dir and takes an
@@ -236,6 +241,11 @@ func (db *DB) snapshotLocked() (*ckptSnap, error) {
 		CheckpointEvery: d.opts.CheckpointEvery,
 		SegmentBytes:    d.opts.SegmentBytes,
 	}
+	if d.cutLSN != ck.LSN {
+		d.cutLSN, d.cutGens = ck.LSN, 0
+	}
+	ck.Gen = d.cutGens
+	d.cutGens++
 	snap := &ckptSnap{ck: ck, gcFrom: gcFrom}
 	names := make([]string, 0, len(db.tables))
 	for n := range db.tables {
@@ -329,9 +339,18 @@ func (db *DB) commitLocked(kind wal.Kind, changed map[string]eval.Delta, keep ma
 	return nil
 }
 
+// applyLocked applies exact net deltas to the store: every deletion and
+// insertion changes it. Must run under the write lock.
+func (db *DB) applyLocked(changed map[string]eval.Delta) {
+	for n, d := range changed {
+		p := datalog.Pred(n)
+		d.Del.Each(func(t value.Tuple) { db.store.Delete(p, t) })
+		d.Ins.Each(func(t value.Tuple) { db.store.Insert(p, t) })
+	}
+}
+
 // undoLocked reverts deltas that were applied to the store: the rollback
-// of a failed statement (execTable) and of a failed WAL append
-// (commitLocked). Must run under the write lock.
+// of a failed WAL append (commitLocked). Must run under the write lock.
 func (db *DB) undoLocked(changed map[string]eval.Delta) {
 	for n, d := range changed {
 		p := datalog.Pred(n)
@@ -607,7 +626,7 @@ func RecoverFS(fsys wal.FS, dir string) (*DB, RecoverStats, error) {
 		return nil, stats, err
 	}
 	db.mu.Lock()
-	db.dur = &durability{log: log, opts: opts}
+	db.dur = &durability{log: log, opts: opts, cutLSN: ck.LSN, cutGens: ck.Gen + 1}
 	if err := db.checkpointLocked(); err != nil {
 		db.dur = nil
 		db.mu.Unlock()

@@ -45,9 +45,9 @@ import (
 type faultDegrade int
 
 const (
-	degradeEither faultDegrade = iota // depends on where the fault lands
-	degradeIfFired                    // fired ⇒ the engine must be read-only
-	degradeNever                      // the fault is non-fatal by design
+	degradeEither  faultDegrade = iota // depends on where the fault lands
+	degradeIfFired                     // fired ⇒ the engine must be read-only
+	degradeNever                       // the fault is non-fatal by design
 )
 
 // faultClass arms one kind of storage betrayal at a randomized point.
@@ -316,4 +316,83 @@ func runFaultTrial(t *testing.T, fc faultClass, seed int64) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A checkpoint cut at an LSN that already has one must not rename over the
+// live checkpoint file: under a torn rename that file is the only valid
+// generation (older ones and their WAL segments are gone), so cold recovery
+// would find none. The two tests below drive the two ways to re-cut at the
+// same LSN — DDL, whose catalog change lives only in checkpoints, and an
+// explicit Checkpoint with no write since the last cut — into a torn
+// rename, then recover cold.
+
+// tornRecut enables durability on db over a FaultFS, runs setup, arms a
+// torn rename of the next checkpoint file, runs recut (which must fail
+// with the injected fault) and returns the cold-recovered engine.
+func tornRecut(t *testing.T, db *DB, setup, recut func() error) *DB {
+	t.Helper()
+	dir := t.TempDir()
+	ffs := wal.NewFaultFS(nil, 1)
+	if err := db.EnableDurability(DurabilityOptions{Dir: dir, Sync: wal.SyncOnCommit, FS: ffs}); err != nil {
+		t.Fatal(err)
+	}
+	if err := setup(); err != nil {
+		t.Fatal(err)
+	}
+	lsn := db.LastLSN()
+	rule := &wal.Rule{Op: wal.OpRename, Path: "checkpoint-", TornRename: true, Once: true}
+	ffs.Inject(rule)
+	if err := recut(); !errors.Is(err, wal.ErrInjected) {
+		t.Fatalf("re-cut at LSN %d: err = %v, want the injected torn rename", lsn, err)
+	}
+	if rule.Fires() != 1 {
+		t.Fatalf("torn rename fired %d times, want 1", rule.Fires())
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, stats, err := Recover(dir)
+	if err != nil {
+		t.Fatalf("cold recover after a torn same-LSN checkpoint: %v", err)
+	}
+	if stats.CheckpointLSN != lsn {
+		t.Fatalf("recovered from checkpoint LSN %d, want the live one at %d", stats.CheckpointLSN, lsn)
+	}
+	t.Cleanup(func() { rec.Close() })
+	return rec
+}
+
+func TestDDLCheckpointTornRenameKeepsLiveGeneration(t *testing.T) {
+	db := NewDB()
+	if err := db.CreateTable(mustDecl(t, "r(a:int).")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Exec(Insert("r", value.Int(1))); err != nil {
+		t.Fatal(err)
+	}
+	rec := tornRecut(t, db, func() error { return nil }, func() error {
+		return db.CreateTable(mustDecl(t, "s(b:int)."))
+	})
+	got, err := rec.Get("r")
+	if err != nil || !got.Equal(value.RelationOf(1, tup(1))) {
+		t.Fatalf("recovered r = %v (err %v), want {(1)}", got, err)
+	}
+	if _, err := rec.Get("s"); err == nil {
+		t.Fatal("the failed CREATE TABLE s survived recovery")
+	}
+}
+
+func TestExplicitCheckpointTornRenameKeepsLiveGeneration(t *testing.T) {
+	db := maintainDB(t)
+	rec := tornRecut(t, db, func() error {
+		if err := db.Exec(Insert("r1", value.Int(1), value.Int(2))); err != nil {
+			return err
+		}
+		return db.Checkpoint()
+	}, db.Checkpoint)
+	want := maintainDB(t)
+	if err := want.Exec(Insert("r1", value.Int(1), value.Int(2))); err != nil {
+		t.Fatal(err)
+	}
+	assertSameEngineState(t, rec, want, "recovered")
 }

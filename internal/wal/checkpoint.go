@@ -28,15 +28,22 @@ import (
 // File layout: magic, then the same binary encoding as log records, then a
 // trailing CRC32-Castagnoli over everything before it. Checkpoints are
 // written to a temp file, fsynced, renamed into place
-// (checkpoint-<LSN 16-hex>.ckpt) and the directory fsynced — a crash
-// leaves either the old generation or the complete new one, never a
-// partial file under the live name.
+// (checkpoint-<LSN 16-hex>.ckpt, or checkpoint-<LSN>-<Gen 16-hex>.ckpt for
+// a later cut at the same LSN) and the directory fsynced — a crash leaves
+// either the old generation or the complete new one, never a partial file
+// under the live name. A write never renames over an existing generation:
+// a torn rename damages only the file being written.
 
 // Checkpoint is a decoded snapshot.
 type Checkpoint struct {
 	// LSN is the sequence number of the last log record included in the
 	// snapshot; recovery replays records with larger LSNs only.
 	LSN uint64
+	// Gen orders the checkpoints cut at one LSN (a DDL statement or an
+	// explicit checkpoint with no write since the last cut): each new cut
+	// at an LSN takes the next Gen. It lives in the file name, not the
+	// payload; LatestCheckpoint sets it from the name.
+	Gen uint64
 
 	Tables []TableState
 	Views  []ViewState
@@ -77,20 +84,36 @@ const (
 	tmpSuffix  = ".tmp"
 )
 
-// ckptName renders the live file name of a checkpoint at lsn; the 16-hex
-// zero-padded LSN makes lexicographic order equal LSN order.
-func ckptName(lsn uint64) string {
-	return fmt.Sprintf("%s%016x%s", ckptPrefix, lsn, ckptSuffix)
+// ckptName renders the live file name of a checkpoint at lsn and
+// generation gen.
+func ckptName(lsn, gen uint64) string {
+	if gen == 0 {
+		return fmt.Sprintf("%s%016x%s", ckptPrefix, lsn, ckptSuffix)
+	}
+	return fmt.Sprintf("%s%016x-%016x%s", ckptPrefix, lsn, gen, ckptSuffix)
 }
 
-// WriteCheckpoint atomically persists ck into dir and removes strictly
-// older checkpoint generations on success. Newer generations are left
-// alone: a synchronous checkpoint (DDL, explicit request) may land while a
-// background one at an earlier LSN is still being written, and whichever
-// finishes last must not delete the other's newer state. A failed write
-// leaves no temp file behind; if even the cleanup fails (the disk is truly
-// hostile), the next Open sweeps strays. fsys nil means the process
-// filesystem.
+// ckptFile is a live checkpoint file with the LSN and generation its name
+// carries.
+type ckptFile struct {
+	name     string
+	lsn, gen uint64
+}
+
+// older reports whether f precedes the checkpoint at (lsn, gen).
+func (f ckptFile) older(lsn, gen uint64) bool {
+	return f.lsn < lsn || (f.lsn == lsn && f.gen < gen)
+}
+
+// WriteCheckpoint atomically persists ck into dir under the name of its
+// (LSN, Gen), which the caller keeps unique — so the write never replaces a
+// live generation — and removes strictly older generations on success.
+// Newer generations are left alone: a synchronous checkpoint (DDL,
+// explicit request) may land while a background one cut earlier is still
+// being written, and whichever finishes last must not delete the other's
+// newer state. A failed write leaves no temp file behind; if even the
+// cleanup fails (the disk is truly hostile), the next Open sweeps strays.
+// fsys nil means the process filesystem.
 func WriteCheckpoint(fsys FS, dir string, ck *Checkpoint) error {
 	fsys = realFS(fsys)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -116,11 +139,12 @@ func WriteCheckpoint(fsys FS, dir string, ck *Checkpoint) error {
 		fsys.Remove(tmpName)
 		return err
 	}
-	live := filepath.Join(dir, ckptName(ck.LSN))
+	live := filepath.Join(dir, ckptName(ck.LSN, ck.Gen))
 	if err := fsys.Rename(tmpName, live); err != nil {
-		// A torn rename may leave a partial copy under the live name; its
-		// checksum makes recovery fall back to the previous generation, and
-		// the next successful checkpoint removes it as an older generation.
+		// A torn rename may leave a partial copy under the new name; its
+		// checksum makes recovery fall back to the previous generation, which
+		// the rename never touched, and the next successful checkpoint
+		// removes the partial copy as an older generation.
 		fsys.Remove(tmpName)
 		return err
 	}
@@ -130,9 +154,9 @@ func WriteCheckpoint(fsys FS, dir string, ck *Checkpoint) error {
 	// The new generation is durable; older generations (and stray temp
 	// files) are redundant. Removal failures are ignored — stale files are
 	// skipped by LSN order on recovery.
-	for _, name := range checkpointFiles(fsys, dir) {
-		if name < ckptName(ck.LSN) {
-			fsys.Remove(filepath.Join(dir, name))
+	for _, f := range checkpointFiles(fsys, dir) {
+		if f.older(ck.LSN, ck.Gen) {
+			fsys.Remove(filepath.Join(dir, f.name))
 		}
 	}
 	return nil
@@ -161,15 +185,13 @@ func sweepTemp(fsys FS, dir string) {
 // means the process filesystem.
 func LatestCheckpoint(fsys FS, dir string) (*Checkpoint, error) {
 	fsys = realFS(fsys)
-	names := checkpointFiles(fsys, dir)
-	if len(names) == 0 {
+	files := checkpointFiles(fsys, dir)
+	if len(files) == 0 {
 		return nil, nil
 	}
-	// Newest first: names embed the LSN zero-padded, so lexicographic
-	// descending is LSN descending.
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	var firstErr error
-	for _, name := range names {
+	for i := len(files) - 1; i >= 0; i-- { // newest first
+		name := files[i].name
 		data, err := fsys.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			if firstErr == nil {
@@ -184,27 +206,39 @@ func LatestCheckpoint(fsys FS, dir string) (*Checkpoint, error) {
 			}
 			continue
 		}
+		ck.Gen = files[i].gen
 		return ck, nil
 	}
 	return nil, fmt.Errorf("wal: no valid checkpoint in %s: %w", dir, firstErr)
 }
 
-// checkpointFiles lists the live checkpoint file names in dir (temp files
-// excluded), unsorted.
-func checkpointFiles(fsys FS, dir string) []string {
+// checkpointFiles lists the live checkpoint files in dir (temp files
+// excluded), oldest first.
+func checkpointFiles(fsys FS, dir string) []ckptFile {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
-	var out []string
+	var out []ckptFile
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasPrefix(name, ckptPrefix) && strings.HasSuffix(name, ckptSuffix) {
-			if _, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix), 16, 64); err == nil {
-				out = append(out, name)
+		if !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
+			continue
+		}
+		lsnHex, genHex, hasGen := strings.Cut(strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix), "-")
+		f := ckptFile{name: name}
+		var err error
+		if f.lsn, err = strconv.ParseUint(lsnHex, 16, 64); err != nil {
+			continue
+		}
+		if hasGen {
+			if f.gen, err = strconv.ParseUint(genHex, 16, 64); err != nil {
+				continue
 			}
 		}
+		out = append(out, f)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].older(out[j].lsn, out[j].gen) })
 	return out
 }
 

@@ -58,12 +58,12 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return f, nil
 }
 
-func (osFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(path string) error                    { return os.Remove(path) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(path string) error                     { return os.Remove(path) }
 func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
-func (osFS) ReadFile(path string) ([]byte, error)        { return os.ReadFile(path) }
-func (osFS) ReadDir(path string) ([]fs.DirEntry, error)  { return os.ReadDir(path) }
-func (osFS) Stat(path string) (fs.FileInfo, error)       { return os.Stat(path) }
+func (osFS) ReadFile(path string) ([]byte, error)         { return os.ReadFile(path) }
+func (osFS) ReadDir(path string) ([]fs.DirEntry, error)   { return os.ReadDir(path) }
+func (osFS) Stat(path string) (fs.FileInfo, error)        { return os.Stat(path) }
 
 // realFS resolves the nil-means-OS convention in one place.
 func realFS(fsys FS) FS {

@@ -497,8 +497,45 @@ func TestCheckpointRenameFailureLeavesNoTemp(t *testing.T) {
 		t.Fatalf("ck=%+v err=%v", ck, err)
 	}
 	names := listDir(t, dir)
-	if len(names) != 1 || names[0] != ckptName(3) {
+	if len(names) != 1 || names[0] != ckptName(3, 0) {
 		t.Fatalf("stale files not removed: %v", names)
+	}
+}
+
+// TestCheckpointGenerationsAtOneLSN: a re-write at an LSN that already has
+// a checkpoint goes to the next generation's name, so a torn rename there
+// leaves the live generation loadable; generations order after the LSN,
+// and the next success removes the older ones.
+func TestCheckpointGenerationsAtOneLSN(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFaultFS(nil, 1)
+	if err := WriteCheckpoint(ffs, dir, &Checkpoint{LSN: 5, CheckpointEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Inject(&Rule{Op: OpRename, TornRename: true, Once: true})
+	if err := WriteCheckpoint(ffs, dir, &Checkpoint{LSN: 5, Gen: 1, CheckpointEvery: 2}); err == nil {
+		t.Fatal("torn rename did not error")
+	}
+	ck, err := LatestCheckpoint(ffs, dir)
+	if err != nil || ck.Gen != 0 || ck.CheckpointEvery != 1 {
+		t.Fatalf("ck=%+v err=%v; want the live generation 0", ck, err)
+	}
+	if err := WriteCheckpoint(ffs, dir, &Checkpoint{LSN: 5, Gen: 2, CheckpointEvery: 3}); err != nil {
+		t.Fatal(err)
+	}
+	ck, err = LatestCheckpoint(ffs, dir)
+	if err != nil || ck.LSN != 5 || ck.Gen != 2 || ck.CheckpointEvery != 3 {
+		t.Fatalf("ck=%+v err=%v; want generation 2", ck, err)
+	}
+	if names := listDir(t, dir); len(names) != 1 || names[0] != ckptName(5, 2) {
+		t.Fatalf("older generations not removed: %v", names)
+	}
+	// A later LSN outranks every generation of an earlier one.
+	if err := WriteCheckpoint(ffs, dir, &Checkpoint{LSN: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if names := listDir(t, dir); len(names) != 1 || names[0] != ckptName(6, 0) {
+		t.Fatalf("generation 2 at LSN 5 not removed by LSN 6: %v", names)
 	}
 }
 
@@ -583,7 +620,7 @@ func TestLatestCheckpointFallsBack(t *testing.T) {
 	if err := WriteCheckpoint(nil, dir, &Checkpoint{LSN: 1}); err != nil {
 		t.Fatal(err)
 	}
-	old, err := os.ReadFile(filepath.Join(dir, ckptName(1)))
+	old, err := os.ReadFile(filepath.Join(dir, ckptName(1, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,10 +628,10 @@ func TestLatestCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// WriteCheckpoint removed generation 1; restore it, then corrupt 2.
-	if err := os.WriteFile(filepath.Join(dir, ckptName(1)), old, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, ckptName(1, 0)), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	path2 := filepath.Join(dir, ckptName(2))
+	path2 := filepath.Join(dir, ckptName(2, 0))
 	data, err := os.ReadFile(path2)
 	if err != nil {
 		t.Fatal(err)
