@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -72,29 +71,6 @@ func BenchmarkTable1Validation(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1ValidationParallel is BenchmarkTable1Validation with the
-// witness search inside each validation fanned out over GOMAXPROCS oracle
-// workers — the per-entry effect of the parallelism knob.
-func BenchmarkTable1ValidationParallel(b *testing.B) {
-	oracle := benchOracle()
-	oracle.Parallelism = runtime.GOMAXPROCS(0)
-	opts := core.Options{Oracle: oracle}
-	for _, e := range bench.Table1() {
-		if e.Program == "" {
-			continue
-		}
-		e := e
-		b.Run(e.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				row := bench.RunTable1Entry(e, opts)
-				if row.Err != nil || !row.Valid {
-					b.Fatalf("%s: %v %s", e.Name, row.Err, row.FailureDetail)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTable1Suite measures the whole 32-view suite end to end,
 // sequentially and with the entries validated concurrently.
 func BenchmarkTable1Suite(b *testing.B) {
@@ -122,9 +98,7 @@ func BenchmarkTable1Suite(b *testing.B) {
 var fig6Sizes = []int{10000, 40000, 160000}
 
 // BenchmarkFig6 regenerates the four panels of Figure 6, in both execution
-// modes and with the evaluator sequential (seq) vs hash-shard parallel
-// (par, GOMAXPROCS workers). The differential harness in internal/bench
-// verifies the two produce identical relations.
+// modes.
 func BenchmarkFig6(b *testing.B) {
 	for _, v := range bench.Fig6Views() {
 		v := v
@@ -132,35 +106,30 @@ func BenchmarkFig6(b *testing.B) {
 			name        string
 			incremental bool
 		}{{"original", false}, {"incremental", true}} {
-			for _, par := range []struct {
-				name string
-				p    int
-			}{{"seq", 1}, {"par", -1}} {
-				for _, n := range fig6Sizes {
-					mode, par, n := mode, par, n
-					b.Run(fmt.Sprintf("%s/%s/%s/n=%d", v.Name, mode.name, par.name, n), func(b *testing.B) {
-						db, err := bench.SetupFig6(v, n, mode.incremental, 1, par.p)
-						if err != nil {
-							b.Fatal(err)
-						}
-						// Warm-up: build the maintained hash indexes.
-						for round := 1; round <= 2; round++ {
-							for _, txn := range v.Update(n, round) {
-								if err := db.Exec(txn...); err != nil {
-									b.Fatal(err)
-								}
+			for _, n := range fig6Sizes {
+				mode, n := mode, n
+				b.Run(fmt.Sprintf("%s/%s/n=%d", v.Name, mode.name, n), func(b *testing.B) {
+					db, err := bench.SetupFig6(v, n, mode.incremental, 1, 0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					// Warm-up: build the maintained hash indexes.
+					for round := 1; round <= 2; round++ {
+						for _, txn := range v.Update(n, round) {
+							if err := db.Exec(txn...); err != nil {
+								b.Fatal(err)
 							}
 						}
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							for _, txn := range v.Update(n, i+3) {
-								if err := db.Exec(txn...); err != nil {
-									b.Fatal(err)
-								}
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for _, txn := range v.Update(n, i+3) {
+							if err := db.Exec(txn...); err != nil {
+								b.Fatal(err)
 							}
 						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}
@@ -587,7 +556,7 @@ func BenchmarkAblationTransactionMerge(b *testing.B) {
 		b.Fatal(err)
 	}
 	setup := func(b *testing.B) *birds.DB {
-		db, err := bench.SetupFig6(v, n, true, 1, 1)
+		db, err := bench.SetupFig6(v, n, true, 1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -39,7 +39,6 @@ import (
 	"birds/internal/core"
 	"birds/internal/datalog"
 	"birds/internal/engine"
-	"birds/internal/eval"
 	"birds/internal/sat"
 	"birds/internal/sqlgen"
 	"birds/internal/value"
@@ -208,11 +207,6 @@ var (
 // NewDB creates an empty in-memory database.
 func NewDB() *DB { return engine.NewDB() }
 
-// DefaultParallelism is the GOMAXPROCS-derived evaluator worker count used
-// when a parallelism knob is set to "auto" (DB.SetParallelism(0),
-// ViewOptions.Parallelism < 0, Strategy.SetParallelism(0)).
-func DefaultParallelism() int { return eval.DefaultParallelism() }
-
 // Parse parses a putback program: source/view declarations followed by
 // update rules and integrity constraints.
 func Parse(src string) (*Program, error) { return datalog.Parse(src) }
@@ -248,12 +242,6 @@ func LoadProgram(prog *Program) (*Strategy, error) {
 
 // Program returns the underlying program.
 func (s *Strategy) Program() *Program { return s.pb.Prog }
-
-// SetParallelism sets the worker-goroutine budget of the strategy's compiled
-// evaluator (used by Put-style evaluation over large source tables). p <= 0
-// selects DefaultParallelism, 1 restores sequential evaluation. Parallel and
-// sequential evaluation produce identical relations.
-func (s *Strategy) SetParallelism(p int) { s.pb.Evaluator().SetParallelism(p) }
 
 // Class reports the language-fragment classification of the strategy.
 func (s *Strategy) Class() Class { return s.pb.Class }

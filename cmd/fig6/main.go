@@ -19,7 +19,6 @@ func main() {
 		viewName = flag.String("view", "all", "view to sweep (luxuryitems, officeinfo, outstanding_task, vw_brands, or all)")
 		sizesArg = flag.String("sizes", "", "comma-separated base-table sizes (default 25k..400k)")
 		rounds   = flag.Int("rounds", 6, "measured update rounds per size (first round is warm-up)")
-		parallel = flag.Int("parallel", -1, "evaluator workers per update (-1 = GOMAXPROCS, 1 = sequential)")
 	)
 	flag.Parse()
 
@@ -51,12 +50,12 @@ func main() {
 	fmt.Println("Figure 6: view updating time (reproduction)")
 	for _, v := range views {
 		fmt.Printf("\n%s\n%-12s %-18s %-18s %s\n", v.Name, "base size", "original (ms)", "incremental (ms)", "speedup")
-		orig, err := bench.RunFig6(v, sizes, false, *rounds, 1, *parallel)
+		orig, err := bench.RunFig6(v, sizes, false, *rounds, 1)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fig6:", err)
 			os.Exit(1)
 		}
-		inc, err := bench.RunFig6(v, sizes, true, *rounds, 1, *parallel)
+		inc, err := bench.RunFig6(v, sizes, true, *rounds, 1)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fig6:", err)
 			os.Exit(1)

@@ -121,7 +121,7 @@ func TestFig6ViewsRunTiny(t *testing.T) {
 		t.Run(v.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, incremental := range []bool{false, true} {
-				pts, err := RunFig6(v, []int{200, 400}, incremental, 4, 1, 1)
+				pts, err := RunFig6(v, []int{200, 400}, incremental, 4, 1)
 				if err != nil {
 					t.Fatalf("incremental=%v: %v", incremental, err)
 				}
@@ -138,11 +138,10 @@ func TestFig6ViewsRunTiny(t *testing.T) {
 	}
 }
 
-// The four execution configurations — full vs incremental strategy, each
-// sequential and with parallel evaluators — must produce identical view and
+// The full and the incremental strategy must produce identical view and
 // base-table contents on the Figure 6 workloads after the same transaction
-// stream. This is the differential harness behind the benchmark's
-// parallel-vs-sequential claim.
+// stream: the differential harness behind the benchmark's ∂put ≡ put
+// claim.
 func TestFig6ModesAgree(t *testing.T) {
 	for _, v := range Fig6Views() {
 		v := v
@@ -152,17 +151,11 @@ func TestFig6ModesAgree(t *testing.T) {
 			type cfg struct {
 				name        string
 				incremental bool
-				parallelism int
 			}
-			cfgs := []cfg{
-				{"full-seq", false, 1},
-				{"full-par", false, 4},
-				{"inc-seq", true, 1},
-				{"inc-par", true, 4},
-			}
+			cfgs := []cfg{{"full", false}, {"inc", true}}
 			dbs := make([]*engine.DB, len(cfgs))
 			for i, c := range cfgs {
-				db, err := SetupFig6(v, n, c.incremental, 7, c.parallelism)
+				db, err := SetupFig6(v, n, c.incremental, 7, 0)
 				if err != nil {
 					t.Fatalf("%s: %v", c.name, err)
 				}

@@ -194,9 +194,9 @@ type Fig6Point struct {
 // SetupFig6 builds a database of the given size with the view installed in
 // the requested execution mode. Validation is skipped (the same strategies
 // are validated by the Table 1 harness); the expected get is supplied.
-// parallelism is the evaluator worker count (engine.ViewOptions semantics:
-// 0/1 sequential, < 0 the GOMAXPROCS-derived default).
-func SetupFig6(v Fig6View, n int, incremental bool, seed int64, parallelism int) (*engine.DB, error) {
+// The last argument is ignored: evaluation is always sequential. It remains
+// only because existing callers pass it.
+func SetupFig6(v Fig6View, n int, incremental bool, seed int64, _ int) (*engine.DB, error) {
 	db := engine.NewDB()
 	rng := rand.New(rand.NewSource(seed))
 	if err := v.Setup(db, n, rng); err != nil {
@@ -210,7 +210,6 @@ func SetupFig6(v Fig6View, n int, incremental bool, seed int64, parallelism int)
 		Incremental:    incremental,
 		SkipValidation: true,
 		ExpectedGet:    get,
-		Parallelism:    parallelism,
 	}); err != nil {
 		return nil, err
 	}
@@ -220,13 +219,13 @@ func SetupFig6(v Fig6View, n int, incremental bool, seed int64, parallelism int)
 // RunFig6 measures one panel: for each base-table size, the mean time of a
 // view-update transaction in the chosen mode (rounds updates, first round
 // used as warm-up and excluded).
-func RunFig6(v Fig6View, sizes []int, incremental bool, rounds int, seed int64, parallelism int) ([]Fig6Point, error) {
+func RunFig6(v Fig6View, sizes []int, incremental bool, rounds int, seed int64) ([]Fig6Point, error) {
 	if rounds < 4 {
 		rounds = 4
 	}
 	var out []Fig6Point
 	for _, n := range sizes {
-		db, err := SetupFig6(v, n, incremental, seed, parallelism)
+		db, err := SetupFig6(v, n, incremental, seed, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -2,13 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
 
 	"birds/internal/core"
 	"birds/internal/datalog"
-	"birds/internal/eval"
 	"birds/internal/sqlgen"
 )
 
@@ -115,12 +115,12 @@ func RunTable1(opts core.Options) []Table1Row {
 // concurrently by up to `workers` goroutines. Entry validations are
 // independent (each compiles its own putback and oracle), so the rows are
 // identical to a sequential run; only wall time changes. workers <= 0
-// selects the GOMAXPROCS-derived default.
+// selects GOMAXPROCS.
 func RunTable1Parallel(opts core.Options, workers int) []Table1Row {
 	entries := Table1()
 	rows := make([]Table1Row, len(entries))
 	if workers <= 0 {
-		workers = eval.DefaultParallelism()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers <= 1 {
 		for i, e := range entries {

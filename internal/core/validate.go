@@ -122,23 +122,6 @@ func Validate(pb *Putback, expectedGet []*datalog.Rule, opts Options) (*Result, 
 	return res, nil
 }
 
-// testFactory adapts a test constructor parameterized by a compiled
-// evaluator into a sat.Problem.TestFactory: each parallel search worker
-// compiles its own evaluator over prog, because rule plans carry reusable
-// scratch state and are not goroutine-safe.
-func testFactory(test func(*eval.Evaluator) func(db *eval.Database) bool, prog *datalog.Program) func() func(db *eval.Database) bool {
-	return func() func(db *eval.Database) bool {
-		ev, err := eval.New(prog)
-		if err != nil {
-			// The same program already compiled on the sequential path; a
-			// failure here would silently turn the witness search into a
-			// soundness-destroying no-op, so fail loudly instead.
-			panic(fmt.Sprintf("core: parallel search worker cannot recompile validated program: %v", err))
-		}
-		return test(ev)
-	}
-}
-
 // validator carries the shared state of one validation run.
 type validator struct {
 	pb       *Putback
@@ -205,28 +188,26 @@ func (v *validator) checkWellDefined() *Failure {
 		args := fol.QueryVars(s.Arity())
 		guide := fol.NewAnd(v.unfolder.Pred(ins, args), v.unfolder.Pred(del, args))
 		name := s.Name
-		test := func(ev *eval.Evaluator) func(db *eval.Database) bool {
-			return func(db *eval.Database) bool {
-				if err := ev.Eval(db); err != nil {
-					return false
-				}
-				if violated, err := ev.Violations(db); err != nil || len(violated) > 0 {
-					return false
-				}
-				insRel := db.RelOrEmpty(datalog.Ins(name), 0)
-				delRel := db.RelOrEmpty(datalog.Del(name), 0)
-				if insRel.Empty() || delRel.Empty() {
-					return false
-				}
-				return !insRel.Intersect(delRel).Empty()
+		ev := v.pb.eval
+		test := func(db *eval.Database) bool {
+			if err := ev.Eval(db); err != nil {
+				return false
 			}
+			if violated, err := ev.Violations(db); err != nil || len(violated) > 0 {
+				return false
+			}
+			insRel := db.RelOrEmpty(datalog.Ins(name), 0)
+			delRel := db.RelOrEmpty(datalog.Del(name), 0)
+			if insRel.Empty() || delRel.Empty() {
+				return false
+			}
+			return !insRel.Intersect(delRel).Empty()
 		}
 		witness := v.oracle.Find(sat.Problem{
 			Rels:        v.allSpecs,
 			ExtraConsts: v.consts,
 			Guide:       guide,
-			Test:        test(v.pb.eval),
-			TestFactory: testFactory(test, v.pb.Prog),
+			Test:        test,
 		})
 		if witness != nil {
 			return &Failure{
@@ -267,28 +248,25 @@ func (v *validator) checkGetPut(getRules []*datalog.Rule) *Failure {
 	if len(deltaSyms) == 0 {
 		return nil // no delta rules at all: put is the identity
 	}
-	test := func(ev *eval.Evaluator) func(db *eval.Database) bool {
-		return func(db *eval.Database) bool {
-			if err := ev.Eval(db); err != nil {
-				return false
-			}
-			if violated, err := ev.Violations(db); err != nil || len(violated) > 0 {
-				return false
-			}
-			for _, d := range deltaSyms {
-				if rel := db.Rel(d); rel != nil && !rel.Empty() {
-					return true
-				}
-			}
+	test := func(db *eval.Database) bool {
+		if err := ev.Eval(db); err != nil {
 			return false
 		}
+		if violated, err := ev.Violations(db); err != nil || len(violated) > 0 {
+			return false
+		}
+		for _, d := range deltaSyms {
+			if rel := db.Rel(d); rel != nil && !rel.Empty() {
+				return true
+			}
+		}
+		return false
 	}
 	witness := v.oracle.Find(sat.Problem{
 		Rels:        v.srcSpecs,
 		ExtraConsts: programConstants(v.pb.Prog, &datalog.Program{Rules: getRules}),
 		Guide:       fol.NewOr(disjuncts...),
-		Test:        test(ev),
-		TestFactory: testFactory(test, combined),
+		Test:        test,
 	})
 	if witness != nil {
 		return &Failure{
@@ -371,8 +349,6 @@ func (v *validator) findSourceModel(sentence fol.Formula) *eval.Database {
 	for _, c := range fol.Constants(sentence) {
 		consts = append(consts, c.Const)
 	}
-	// The model check is stateless (a fresh fol.Model per call over the
-	// task-local database), so parallel workers can share the closure.
 	test := func(db *eval.Database) bool {
 		m := fol.NewModel(db, consts...)
 		for _, pc := range srcCons {
@@ -387,7 +363,6 @@ func (v *validator) findSourceModel(sentence fol.Formula) *eval.Database {
 		ExtraConsts: consts,
 		Guide:       sentence,
 		Test:        test,
-		TestFactory: func() func(db *eval.Database) bool { return test },
 	})
 }
 
@@ -435,38 +410,27 @@ func (v *validator) checkPutGet(getRules []*datalog.Rule) *Failure {
 		fol.NewAnd(vAtom, fol.NewNot(newF)), // Φ2
 	)
 
-	test := func(pbEv, pgEv *eval.Evaluator) func(db *eval.Database) bool {
-		return func(db *eval.Database) bool {
-			// The updated view must satisfy Σ to be an admissible update.
-			if err := pbEv.Eval(db); err != nil {
-				return false
-			}
-			if violated, err := pbEv.Violations(db); err != nil || len(violated) > 0 {
-				return false
-			}
-			if err := pgEv.Eval(db); err != nil {
-				return false
-			}
-			got := db.RelOrEmpty(newView, arity)
-			want := db.RelOrEmpty(viewSym, arity)
-			return !got.Equal(want)
+	pbEv := v.pb.eval
+	test := func(db *eval.Database) bool {
+		// The updated view must satisfy Σ to be an admissible update.
+		if err := pbEv.Eval(db); err != nil {
+			return false
 		}
+		if violated, err := pbEv.Violations(db); err != nil || len(violated) > 0 {
+			return false
+		}
+		if err := ev.Eval(db); err != nil {
+			return false
+		}
+		got := db.RelOrEmpty(newView, arity)
+		want := db.RelOrEmpty(viewSym, arity)
+		return !got.Equal(want)
 	}
 	witness := v.oracle.Find(sat.Problem{
 		Rels:        v.allSpecs,
 		ExtraConsts: programConstants(putget),
 		Guide:       guide,
-		Test:        test(v.pb.eval, ev),
-		TestFactory: func() func(db *eval.Database) bool {
-			pbEv, err1 := eval.New(v.pb.Prog)
-			pgEv, err2 := eval.New(putget)
-			if err1 != nil || err2 != nil {
-				// Both programs compiled on the sequential path just above;
-				// degrading silently would make the PutGet search vacuous.
-				panic(fmt.Sprintf("core: parallel putget worker cannot recompile programs: %v / %v", err1, err2))
-			}
-			return test(pbEv, pgEv)
-		},
+		Test:        test,
 	})
 	if witness != nil {
 		return &Failure{

@@ -535,3 +535,95 @@ view v(a:int).
 		}
 	}
 }
+
+// TestValidateOutcomes pins the validator's verdict on three programs: a
+// valid union strategy, an ill-defined one (rejected by the well-definedness
+// pass) and a PutGet violation, each rejection with a concrete witness.
+func TestValidateOutcomes(t *testing.T) {
+	cases := []struct {
+		name     string
+		src      string
+		expected []string // expected get rules, nil to derive
+		valid    bool
+		pass     Pass // failing pass when invalid
+	}{
+		{
+			name:     "union-valid",
+			src:      unionSrc,
+			expected: []string{"v(X) :- r1(X).", "v(X) :- r2(X)."},
+			valid:    true,
+		},
+		{
+			name: "ill-defined",
+			src: `
+source r(a:int).
+view v(a:int).
++r(X) :- v(X).
+-r(X) :- v(X), r(X).
+`,
+			valid: false,
+			pass:  PassWellDefined,
+		},
+		{
+			name: "putget-violation",
+			src: `
+source r(a:int).
+view v(a:int).
+-r(X) :- r(X), v(X).
++r(X) :- v(X), not r(X).
+`,
+			valid: false,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var expected []*datalog.Rule
+			if tc.expected != nil {
+				expected = mustRules(t, tc.expected...)
+			}
+			res, err := Validate(mustPutback(t, tc.src), expected, testOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Valid != tc.valid {
+				t.Fatalf("Valid = %v, want %v (%v)", res.Valid, tc.valid, res.Failure)
+			}
+			if tc.valid {
+				return
+			}
+			if tc.pass != "" && res.Failure.Pass != tc.pass {
+				t.Errorf("failing pass %q, want %q", res.Failure.Pass, tc.pass)
+			}
+			if res.Failure.Witness == nil {
+				t.Error("rejection carries no witness instance")
+			}
+		})
+	}
+}
+
+// TestValidateDeterministic runs the same validation twice and requires an
+// identical result: validity, failing pass, detail and witness instance.
+func TestValidateDeterministic(t *testing.T) {
+	src := `
+source r(a:int).
+view v(a:int).
++r(X) :- v(X).
+-r(X) :- v(X), r(X).
+`
+	var first string
+	for i := 0; i < 2; i++ {
+		res, err := Validate(mustPutback(t, src), nil, testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Valid {
+			t.Fatal("program must be rejected")
+		}
+		got := string(res.Failure.Pass) + ": " + res.Failure.Detail + " / " + res.Failure.Witness.String()
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d diverged:\n%s\nvs\n%s", i, got, first)
+		}
+	}
+}

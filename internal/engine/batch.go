@@ -23,9 +23,7 @@ var errBatcherClosed = errors.New("engine: batcher is closed")
 // nothing), and flushes the whole buffer as ONE view-maintenance pass —
 // so N writes cost one delta propagation instead of N. PR 3 made every
 // write O(|Δ|); batching amortizes the per-pass fixed cost (per-view
-// EvalDelta invocation, delta bookkeeping, lock traffic) across the batch,
-// and hands the maintenance pass a wide coalesced delta the parallel
-// propagation path of internal/eval can fan out across workers.
+// EvalDelta invocation, delta bookkeeping, lock traffic) across the batch.
 //
 // Consistency contract (group commit):
 //

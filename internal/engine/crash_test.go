@@ -551,20 +551,18 @@ func TestFlushAppendErrorDegradesToReadOnly(t *testing.T) {
 }
 
 // TestReopenKeepsEvaluatorSettings pins that Reopen keeps the engine's own
-// evaluator settings: every recovered view runs with the parallelism and
-// execution mode in force on db at Reopen time — not the defaults, and not
-// whatever was in force when the last checkpoint was cut.
+// evaluator setting: every recovered view runs with the execution mode in
+// force on db at Reopen time — not the default, and not whatever was in
+// force when the last checkpoint was cut.
 func TestReopenKeepsEvaluatorSettings(t *testing.T) {
 	ffs := wal.NewFaultFS(nil, 1)
 	db := maintainDB(t)
 	if err := db.EnableDurability(DurabilityOptions{Dir: t.TempDir(), CheckpointEvery: -1, FS: ffs}); err != nil {
 		t.Fatal(err)
 	}
-	db.SetParallelism(3)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	db.SetParallelism(2)
 	db.SetExecMode(eval.ExecMaterialized)
 
 	ffs.Inject(&wal.Rule{Op: wal.OpWrite, Err: errors.New("injected: append failure"), Once: true})
@@ -576,8 +574,8 @@ func TestReopenKeepsEvaluatorSettings(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 
-	if db.parallelism != 2 || db.execMode != eval.ExecMaterialized {
-		t.Fatalf("after reopen: parallelism %d, exec mode %v; want 2, materialized", db.parallelism, db.execMode)
+	if db.execMode != eval.ExecMaterialized {
+		t.Fatalf("after reopen: exec mode %v; want materialized", db.execMode)
 	}
 	for name, v := range db.views {
 		evs := map[string]*eval.Evaluator{"get": v.getEval, "strategy": v.Strategy.Evaluator(), "dput": v.incEval, "constraints": v.consEval}
@@ -585,9 +583,8 @@ func TestReopenKeepsEvaluatorSettings(t *testing.T) {
 			if e == nil {
 				continue
 			}
-			if e.Parallelism() != 2 || e.ExecModeOf() != eval.ExecMaterialized {
-				t.Errorf("view %s %s evaluator: parallelism %d, exec mode %v; want 2, materialized",
-					name, kind, e.Parallelism(), e.ExecModeOf())
+			if e.ExecModeOf() != eval.ExecMaterialized {
+				t.Errorf("view %s %s evaluator: exec mode %v; want materialized", name, kind, e.ExecModeOf())
 			}
 		}
 	}

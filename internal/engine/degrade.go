@@ -46,12 +46,11 @@ func (db *DB) readOnlyErrLocked() error {
 // background checkpoint, discards the in-memory state and the poisoned
 // log, re-runs recovery from disk (checkpoint + WAL tail — exactly the
 // acknowledged writes), and swaps the recovered state in, re-arming
-// durability and clearing degraded mode. The engine's own evaluator
-// settings (SetParallelism, SetExecMode) carry over to the recovered
-// views. Group-commit handles are not the engine's: their owner discards
-// them before Reopen (nothing they staged was logged) and creates fresh
-// ones after. On failure the engine stays degraded (reads keep working)
-// and Reopen can be retried.
+// durability and clearing degraded mode. The engine's evaluator setting
+// (SetExecMode) carries over to the recovered views. Group-commit handles
+// are not the engine's: their owner discards them before Reopen (nothing
+// they staged was logged) and creates fresh ones after. On failure the
+// engine stays degraded (reads keep working) and Reopen can be retried.
 func (db *DB) Reopen() error {
 	db.mu.Lock()
 	if db.dur == nil {
@@ -95,9 +94,6 @@ func (db *DB) Reopen() error {
 	db.dirty = db2.dirty
 	db.viewOrder = db2.viewOrder
 	for _, v := range db.views {
-		if db.parallelism > 0 {
-			v.setParallelism(db.parallelism)
-		}
 		v.setExecMode(db.execMode)
 	}
 	db.dur = db2.dur

@@ -500,9 +500,9 @@ type RecoverStats struct {
 // returned engine has durability re-enabled on dir (with the checkpointed
 // durability options restored) and is identical, relation for relation and
 // count for count, to an uninterrupted run over the same acknowledged
-// writes. Process settings — parallelism, execution mode, group-commit
-// handles — are not durable state: the recovered engine starts at the
-// defaults, and its caller re-applies its own.
+// writes. Process settings — execution mode, group-commit handles — are
+// not durable state: the recovered engine starts at the defaults, and its
+// caller re-applies its own.
 func Recover(dir string) (*DB, RecoverStats, error) { return RecoverFS(nil, dir) }
 
 // RecoverFS is Recover through an injected filesystem (nil = the process

@@ -32,14 +32,13 @@ import (
 // Relations) run concurrently under a read lock. Reading a stale view
 // upgrades to the write lock, because rematerialization mutates the store.
 type DB struct {
-	mu          sync.RWMutex
-	store       *eval.Database
-	tables      map[string]*datalog.RelDecl
-	views       map[string]*View
-	dirty       map[string]bool // views whose materialization is stale
-	viewOrder   []string        // views in dependency order (sources first); rebuilt on CreateView
-	parallelism int             // evaluator workers for views (0 = sequential)
-	execMode    eval.ExecMode   // execution strategy for view evaluators (zero = streaming)
+	mu        sync.RWMutex
+	store     *eval.Database
+	tables    map[string]*datalog.RelDecl
+	views     map[string]*View
+	dirty     map[string]bool // views whose materialization is stale
+	viewOrder []string        // views in dependency order (sources first); rebuilt on CreateView
+	execMode  eval.ExecMode   // execution strategy for view evaluators (zero = streaming)
 
 	// dur, when non-nil, is the crash-durability state (durable.go): the
 	// attached write-ahead log and checkpoint policy. Guarded by mu — every
@@ -102,36 +101,6 @@ func NewDB() *DB {
 		views:  make(map[string]*View),
 		dirty:  make(map[string]bool),
 	}
-}
-
-// SetParallelism sets the number of worker goroutines the evaluators behind
-// view operations (materialization, trigger evaluation, constraint checks)
-// may use, for existing and future views. p <= 0 selects the
-// GOMAXPROCS-derived default; 1 restores sequential evaluation. Transactions
-// still serialize on the engine's write lock — parallelism is inside one
-// evaluation, and results are identical to sequential evaluation.
-func (db *DB) SetParallelism(p int) {
-	if p <= 0 {
-		p = eval.DefaultParallelism()
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.parallelism = p
-	for _, v := range db.views {
-		v.setParallelism(p)
-	}
-}
-
-// setParallelism applies the worker budget to every evaluator of the view.
-func (v *View) setParallelism(p int) {
-	v.getEval.SetParallelism(p)
-	if v.incEval != nil {
-		v.incEval.SetParallelism(p)
-	}
-	if v.consEval != nil {
-		v.consEval.SetParallelism(p)
-	}
-	v.Strategy.Evaluator().SetParallelism(p)
 }
 
 // SetExecMode selects the execution strategy for full evaluations behind
@@ -198,10 +167,6 @@ type ViewOptions struct {
 	SkipValidation bool
 	// Oracle overrides the validation oracle configuration.
 	Oracle *sat.Config
-	// Parallelism overrides the engine's evaluator worker count for this
-	// view: 0 inherits DB.SetParallelism, 1 forces sequential evaluation,
-	// > 1 uses that many workers, < 0 the GOMAXPROCS-derived default.
-	Parallelism int
 }
 
 // CreateView parses, validates and registers an updatable view from a
@@ -296,16 +261,6 @@ func (db *DB) CreateViewFromProgram(prog *datalog.Program, opts ViewOptions) (*V
 		idbPredsOf(v.consEval.Program(), v.allIDB)
 	}
 
-	par := opts.Parallelism
-	switch {
-	case par == 0:
-		par = db.parallelism
-	case par < 0:
-		par = eval.DefaultParallelism()
-	}
-	if par > 0 {
-		v.setParallelism(par)
-	}
 	v.setExecMode(db.execMode)
 
 	// The initial materialization below may overwrite auxiliary relations

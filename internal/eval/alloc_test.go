@@ -7,10 +7,8 @@ import (
 	"birds/internal/value"
 )
 
-// Allocation-regression guards for the PR 1 hot paths. The parallel
-// evaluator merges per-worker partial relations and resolves indexes up
-// front; none of that may reintroduce per-tuple allocations into the warm
-// paths below. testing.AllocsPerRun bounds are exact where the path is
+// Allocation-regression guards for the evaluator's warm hot paths: none of
+// them may allocate per tuple. testing.AllocsPerRun bounds are exact where the path is
 // allocation-free and small fixed budgets where Go's map/closure machinery
 // makes zero unattainable — either way, a per-tuple regression (allocations
 // scaling with relation or delta size) trips them loudly.
@@ -41,7 +39,7 @@ func TestAllocsIndexProbe(t *testing.T) {
 	}
 }
 
-// The prepared read-only probe used by parallel workers is the same pure
+// The resolved-index probe a prepared streaming run makes is the same pure
 // lookup: zero allocations.
 func TestAllocsPreparedProbe(t *testing.T) {
 	db := allocGuardDB(50000)

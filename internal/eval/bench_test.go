@@ -116,68 +116,6 @@ view v(a:int, b:int).
 	}
 }
 
-// BenchmarkEvalParallel measures the level-parallel, hash-sharded evaluator
-// against the sequential one on scan- and join-heavy rules over a large
-// EDB — the speedup source for the Figure 6 "original" (full-strategy)
-// mode. p=1 is the sequential baseline; p=max is GOMAXPROCS workers.
-func BenchmarkEvalParallel(b *testing.B) {
-	src := `
-source r(a:int, b:int).
-source s(b:int, c:int).
-view v(a:int).
-j(X,Z) :- r(X,Y), s(Y,Z), Z < 40.
-sel(X,Y) :- r(X,Y), Y > 10.
-anti(X,Y) :- r(X,Y), not s(Y,_).
-top(X) :- j(X,Z), Z > 5.
-`
-	prog, err := datalog.Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// A selective join partner: ~4 matches per key instead of benchDB's
-	// n/100, so the output stays proportional to n.
-	mkDB := func(n int) *Database {
-		db := NewDatabase()
-		r := value.NewRelation(2)
-		s := value.NewRelation(2)
-		for i := 0; i < n; i++ {
-			r.Add(value.Tuple{value.Int(int64(i)), value.Int(int64(i % (n / 4)))})
-		}
-		for k := 0; k < n/4; k++ {
-			s.Add(value.Tuple{value.Int(int64(k)), value.Int(int64(k % 50))})
-		}
-		db.Set(datalog.Pred("r"), r)
-		db.Set(datalog.Pred("s"), s)
-		return db
-	}
-	for _, n := range []int{100000, 400000} {
-		for _, par := range []struct {
-			name string
-			p    int
-		}{{"p=1", 1}, {"p=max", 0}} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, par.name), func(b *testing.B) {
-				ev, err := New(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ev.SetParallelism(par.p)
-				db := mkDB(n)
-				// Warm indexes once so every iteration measures evaluation,
-				// not index construction.
-				if err := ev.Eval(db); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := ev.Eval(db); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkDatabaseLookup measures a warm-index point probe: the key
 // projection is hashed in place, so the probe itself must not allocate.
 func BenchmarkDatabaseLookup(b *testing.B) {

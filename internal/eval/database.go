@@ -139,8 +139,8 @@ func (ix *hashIndex) remove(t value.Tuple) {
 // lookup returns the tuples whose projection on the index's key positions
 // equals key. It is a pure read — no allocation, no mutation — and is safe
 // to call concurrently from many goroutines as long as the index (and the
-// indexed relation) is not being mutated; the parallel evaluator relies on
-// this after resolving indexes in its serial prepare phase.
+// indexed relation) is not being mutated; LookupExisting readers under a
+// shared lock rely on this.
 func (ix *hashIndex) lookup(key value.Tuple) []value.Tuple {
 	h := value.HashSeed
 	for _, v := range key {

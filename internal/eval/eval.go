@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 
 	"birds/internal/analysis"
 	"birds/internal/datalog"
@@ -13,18 +12,14 @@ import (
 // Datalog program. Compile once with New, then call Eval repeatedly as the
 // EDB changes. An Evaluator (and the Database it runs over) is not safe
 // for concurrent use by multiple callers; callers serialize (the engine
-// holds one lock per transaction). With SetParallelism(>1) a single Eval
-// call fans its work out over worker goroutines internally; results are
-// identical to the sequential evaluation.
+// holds one lock per transaction).
 type Evaluator struct {
 	prog        *datalog.Program
 	order       []datalog.PredSym
-	levels      [][]datalog.PredSym // topological leveling of order: level i depends only on levels < i
 	deps        map[datalog.PredSym][]datalog.PredSym
 	rules       map[datalog.PredSym][]*compiledRule
 	constraints []*compiledRule
 	arities     map[datalog.PredSym]int
-	parallelism int
 	mode        ExecMode // full-eval execution mode; zero value = ExecStreaming
 
 	// Counting-based incremental view maintenance state (ivm.go): the
@@ -47,11 +42,10 @@ func New(prog *datalog.Program) (*Evaluator, error) {
 		return nil, err
 	}
 	e := &Evaluator{
-		prog:        prog,
-		order:       order,
-		rules:       make(map[datalog.PredSym][]*compiledRule),
-		arities:     make(map[datalog.PredSym]int),
-		parallelism: 1,
+		prog:    prog,
+		order:   order,
+		rules:   make(map[datalog.PredSym][]*compiledRule),
+		arities: make(map[datalog.PredSym]int),
 	}
 	for _, r := range prog.Rules {
 		cr, err := compileRule(r)
@@ -70,9 +64,7 @@ func New(prog *datalog.Program) (*Evaluator, error) {
 		e.rules[h] = append(e.rules[h], cr)
 	}
 
-	// Restrict the dependency graph to IDB predicates and level the DAG:
-	// level(p) = 1 + max level of p's IDB dependencies. Predicates of one
-	// level are independent and can be evaluated concurrently.
+	// Restrict the dependency graph to IDB predicates (EvalQuery's cone).
 	idb := prog.IDBPreds()
 	e.deps = make(map[datalog.PredSym][]datalog.PredSym, len(order))
 	for sym, ds := range analysis.Deps(prog) {
@@ -81,20 +73,6 @@ func New(prog *datalog.Program) (*Evaluator, error) {
 				e.deps[sym] = append(e.deps[sym], d)
 			}
 		}
-	}
-	lvl := make(map[datalog.PredSym]int, len(order))
-	for _, sym := range order {
-		l := 0
-		for _, d := range e.deps[sym] {
-			if dl := lvl[d] + 1; dl > l {
-				l = dl
-			}
-		}
-		lvl[sym] = l
-		for len(e.levels) <= l {
-			e.levels = append(e.levels, nil)
-		}
-		e.levels[l] = append(e.levels[l], sym)
 	}
 	return e, nil
 }
@@ -105,28 +83,6 @@ func (e *Evaluator) Program() *datalog.Program { return e.prog }
 // IDBOrder returns the bottom-up evaluation order of IDB predicates.
 func (e *Evaluator) IDBOrder() []datalog.PredSym { return e.order }
 
-// DefaultParallelism is the GOMAXPROCS-derived worker count used when a
-// caller asks for parallel evaluation without picking a number.
-func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
-
-// SetParallelism sets the number of worker goroutines one Eval call may use.
-// p <= 0 selects DefaultParallelism; p == 1 (the default) evaluates on the
-// calling goroutine. Parallel and sequential evaluation produce identical
-// relations — set-identical under Relation.Equal, with the same
-// lookup-observable index contents: rule outputs are sets, shards partition
-// tuples by hash, and per-worker partial results are merged in a
-// fixed order after a level barrier. SetParallelism must not be called
-// concurrently with Eval.
-func (e *Evaluator) SetParallelism(p int) {
-	if p <= 0 {
-		p = DefaultParallelism()
-	}
-	e.parallelism = p
-}
-
-// Parallelism reports the configured worker count.
-func (e *Evaluator) Parallelism() int { return e.parallelism }
-
 // Eval computes every IDB relation bottom-up and stores the results in db
 // (replacing any previous IDB contents). The EDB relations of db are read
 // but not modified.
@@ -135,7 +91,7 @@ func (e *Evaluator) Eval(db *Database) error {
 }
 
 // evalPreds evaluates the IDB predicates for which include returns true (a
-// nil include evaluates all), level by level. In streaming mode (the
+// nil include evaluates all), in topological order. In streaming mode (the
 // default) each rule runs its cheapest driver variant over ephemeral probe
 // tables shared through one per-evaluation context; materialized mode keeps
 // the compile-time join order and maintained indexes.
@@ -143,9 +99,6 @@ func (e *Evaluator) evalPreds(db *Database, include map[datalog.PredSym]bool) er
 	var ec *evalCtx
 	if e.mode == ExecStreaming {
 		ec = newEvalCtx()
-	}
-	if e.parallelism > 1 {
-		return e.evalParallel(db, ec, include)
 	}
 	for _, sym := range e.order {
 		if include != nil && !include[sym] {
@@ -155,7 +108,7 @@ func (e *Evaluator) evalPreds(db *Database, include map[datalog.PredSym]bool) er
 		if ec != nil {
 			err = e.evalPredStreaming(db, ec, sym)
 		} else {
-			err = e.evalPredSequential(db, sym)
+			err = e.evalPredMaterialized(db, sym)
 		}
 		if err != nil {
 			return err
@@ -188,11 +141,9 @@ func (e *Evaluator) installEval(db *Database, sym datalog.PredSym, out *value.Re
 	db.Update(sym, out)
 }
 
-// evalPredSequential evaluates one IDB predicate's rules on the calling
-// goroutine and installs the result — the unit both the sequential
-// evaluator and the parallel scheduler's small-level fallback run, so the
-// two paths cannot drift apart.
-func (e *Evaluator) evalPredSequential(db *Database, sym datalog.PredSym) error {
+// evalPredMaterialized evaluates one IDB predicate's rules with the
+// materialized executor and installs the result.
+func (e *Evaluator) evalPredMaterialized(db *Database, sym datalog.PredSym) error {
 	out := value.NewRelation(e.arities[sym])
 	for _, cr := range e.rules[sym] {
 		if err := cr.run(db, func(t value.Tuple) bool {
@@ -300,15 +251,14 @@ type step struct {
 
 // compiledRule is an executable plan for one rule. The plan owns a runtime
 // environment (variable bindings plus per-step scratch buffers) allocated
-// once at compile time and reused across sequential runs; parallel workers
-// get private environments from newEnv instead.
+// once at compile time and reused across runs.
 type compiledRule struct {
 	rule  *datalog.Rule
 	nvars int
 	steps []step
 	head  []argSlot // nil for constraints
 	en    *env
-	rc    runCtx // reusable lazy-probe context for sequential runs
+	rc    runCtx // reusable lazy-probe context for materialized runs
 
 	// variants are alternative plans for the streaming executor, one per
 	// positive body atom forced first as the streamed outer scan (stream.go);
@@ -407,7 +357,7 @@ func compilePlan(r *datalog.Rule, driver int) (*compiledRule, error) {
 		}
 	}
 	cr.nvars = len(vi.idx)
-	cr.en = cr.newEnv()
+	cr.en = newEnvFor(cr.steps, cr.nvars)
 	return cr, nil
 }
 
@@ -573,36 +523,22 @@ func compileBody(vi *varIndexer, bound map[string]bool, lits []datalog.Literal, 
 
 // env is the runtime variable binding state, plus per-step scratch: probe
 // keys (or full negation tuples) and newly-bound variable lists, reused
-// across probes instead of allocated per tuple. A parallel worker's env also
-// carries its shard assignment for the rule's partitioned outer scan.
+// across probes instead of allocated per tuple.
 type env struct {
 	vals    []value.Value
 	set     []bool
 	scratch []value.Tuple
 	newly   [][]int
-	// shard assignment: at step shardStep the scan iterates only the
-	// tuples of hash shard shard/nshards. shardStep < 0 disables sharding.
-	shardStep int
-	shard     int
-	nshards   int
-}
-
-// newEnv allocates a fresh runtime environment for the rule: the compiled
-// plan itself is immutable at run time, so one plan can drive many envs
-// concurrently (one per parallel worker).
-func (cr *compiledRule) newEnv() *env {
-	return newEnvFor(cr.steps, cr.nvars)
 }
 
 // newEnvFor builds a runtime environment (bindings plus per-step scratch)
 // for any compiled step sequence — full rule plans and delta plans alike.
 func newEnvFor(steps []step, nvars int) *env {
 	en := &env{
-		vals:      make([]value.Value, nvars),
-		set:       make([]bool, nvars),
-		scratch:   make([]value.Tuple, len(steps)),
-		newly:     make([][]int, len(steps)),
-		shardStep: -1,
+		vals:    make([]value.Value, nvars),
+		set:     make([]bool, nvars),
+		scratch: make([]value.Tuple, len(steps)),
+		newly:   make([][]int, len(steps)),
 	}
 	for i := range steps {
 		st := &steps[i]
@@ -630,13 +566,10 @@ func (e *env) get(s argSlot) value.Value {
 
 // runCtx resolves a plan's relation reads and index probes. In lazy mode
 // (rels == nil) it goes through the Database, building maintained indexes on
-// demand — the materialized-mode sequential path. In prepared mode every
-// step's relation and probe structure was resolved up front (prepare for the
-// materialized parallel path, prepareStream for the streaming path), making
-// execution a pure read over the database: that is the read-only evaluation
-// snapshot parallel workers run against. A keyed step probes, in order of
-// preference, its ephemeral join/exist table (streaming), its resolved
-// maintained index, or the Database lazily.
+// demand — the materialized path. In prepared mode (prepareStream, the
+// streaming path) every step's relation and probe structure was resolved up
+// front. A keyed step probes, in order of preference, its ephemeral
+// join/exist table, its resolved maintained index, or the Database lazily.
 type runCtx struct {
 	db   *Database
 	rels []*value.Relation // per step; nil slice = lazy mode
@@ -682,58 +615,6 @@ func (rc *runCtx) hasMatchAt(i int, st *step, key value.Tuple) bool {
 		return jt.hasMatch(key)
 	}
 	return len(rc.lookupAt(i, st, key)) > 0
-}
-
-// prepare resolves every relation and index the plan may touch, mutating the
-// database (index construction) on the calling goroutine so that the
-// returned context — shared read-only by the rule's workers — needs no
-// synchronization. Eagerly resolving a keyed step's index matches what the
-// lazy path's first probe would build.
-func (cr *compiledRule) prepare(db *Database) *runCtx {
-	rc := &runCtx{
-		db:   db,
-		rels: make([]*value.Relation, len(cr.steps)),
-		ixs:  make([]*hashIndex, len(cr.steps)),
-	}
-	for i := range cr.steps {
-		st := &cr.steps[i]
-		switch st.kind {
-		case stepScan:
-			rc.rels[i] = db.Rel(st.pred)
-			if len(st.keyPos) > 0 {
-				rc.ixs[i] = db.Index(st.pred, st.keyPos)
-			}
-		case stepNegAtom:
-			rc.rels[i] = db.Rel(st.pred)
-			if !st.fullKey {
-				rc.ixs[i] = db.Index(st.pred, st.keyPos)
-			}
-		}
-	}
-	return rc
-}
-
-// shardPlan decides how the rule's outer scan is partitioned across p
-// workers: the first scan step, when it is a full scan over a relation large
-// enough to amortize per-worker environments. Rules driven by keyed probes
-// or small relations (delta-driven incremental rules in particular) run as
-// a single task.
-func (cr *compiledRule) shardPlan(rc *runCtx, p int) (shardStep, nshards int) {
-	for i := range cr.steps {
-		st := &cr.steps[i]
-		if st.kind != stepScan {
-			continue
-		}
-		if len(st.keyPos) != 0 {
-			return -1, 1
-		}
-		rel := rc.rels[i]
-		if rel == nil || rel.Len() < shardMinTuples {
-			return -1, 1
-		}
-		return i, p
-	}
-	return -1, 1
 }
 
 // run executes the plan over db, calling emit for every derived head tuple.
@@ -857,15 +738,10 @@ func (cr *compiledRule) exec(rc *runCtx, en *env, i int, emit func(value.Tuple) 
 		if len(st.keyPos) == 0 {
 			var cont = true
 			var err error
-			iter := func(t value.Tuple) bool {
+			rel.EachUntil(func(t value.Tuple) bool {
 				cont, err = tryTuple(t)
 				return err == nil && cont
-			}
-			if en.shardStep == i {
-				rel.EachShardUntil(en.nshards, en.shard, iter)
-			} else {
-				rel.EachUntil(iter)
-			}
+			})
 			return cont, err
 		}
 		key := en.scratch[i]

@@ -544,3 +544,78 @@ ot2(T,N,U) :- tasks(T,N,U,0), users(U,_).
 		t.Errorf("users should be probed:\n%s", plan)
 	}
 }
+
+// TestEvalQueryCone verifies that EvalQuery evaluates only the goal's
+// dependency cone and leaves unrelated IDB predicates untouched.
+func TestEvalQueryCone(t *testing.T) {
+	prog := mustProg(t, `
+source r(a:int).
+source s(a:int).
+view v(a:int).
+a(X) :- r(X).
+b(X) :- a(X), s(X).
+unrelated(X) :- s(X), not r(X).
+`)
+	ev, err := New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase()
+	db.Set(datalog.Pred("r"), value.RelationOf(1, value.Tuple{value.Int(1)}, value.Tuple{value.Int(2)}))
+	db.Set(datalog.Pred("s"), value.RelationOf(1, value.Tuple{value.Int(2)}, value.Tuple{value.Int(3)}))
+
+	// Plant a stale relation for the unrelated predicate: a full Eval would
+	// replace it; a cone-restricted EvalQuery must not.
+	stale := value.RelationOf(1, value.Tuple{value.Int(99)})
+	db.Set(datalog.Pred("unrelated"), stale)
+
+	got, err := ev.EvalQuery(db, datalog.Pred("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := value.RelationOf(1, value.Tuple{value.Int(2)})
+	if !got.Equal(want) {
+		t.Fatalf("b = %v, want %v", got, want)
+	}
+	if a := db.Rel(datalog.Pred("a")); a == nil || a.Len() != 2 {
+		t.Fatalf("cone predicate a should be evaluated, got %v", a)
+	}
+	if u := db.Rel(datalog.Pred("unrelated")); u != stale {
+		t.Fatalf("unrelated predicate was touched: %v", u)
+	}
+	if !db.Rel(datalog.Pred("unrelated")).Contains(value.Tuple{value.Int(99)}) {
+		t.Fatal("stale contents of unrelated predicate were replaced")
+	}
+
+	// A full Eval still recomputes everything.
+	if err := ev.Eval(db); err != nil {
+		t.Fatal(err)
+	}
+	wantU := value.RelationOf(1, value.Tuple{value.Int(3)})
+	if u := db.Rel(datalog.Pred("unrelated")); !u.Equal(wantU) {
+		t.Fatalf("after full Eval, unrelated = %v, want %v", u, wantU)
+	}
+}
+
+// TestEvalQueryUnknownGoal keeps the pre-cone behavior for a goal with no
+// rules: an empty relation, no error.
+func TestEvalQueryUnknownGoal(t *testing.T) {
+	prog := mustProg(t, `
+source r(a:int).
+view v(a:int).
+a(X) :- r(X).
+`)
+	ev, err := New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase()
+	db.Set(datalog.Pred("r"), value.RelationOf(1, value.Tuple{value.Int(1)}))
+	got, err := ev.EvalQuery(db, datalog.Pred("nosuch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Empty() {
+		t.Fatalf("unknown goal should yield an empty relation, got %v", got)
+	}
+}

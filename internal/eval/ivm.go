@@ -2,8 +2,8 @@
 // evaluator. EvalDelta keeps every IDB relation materialized together with
 // per-tuple support counts (the number of derivations currently producing
 // the tuple) and, given net insert/delete deltas on the EDB relations,
-// propagates ±Δ through the rule DAG level by level instead of recomputing
-// any relation from scratch.
+// propagates ±Δ through the rule DAG in topological order instead of
+// recomputing any relation from scratch.
 //
 // For one rule H :- L1, ..., Ln the change of the derivation multiset under
 // a database change old → new telescopes into the classic delta expansion
@@ -111,47 +111,25 @@ func (e *Evaluator) EvalDelta(db *Database, edb map[datalog.PredSym]Delta) (map[
 		return out, nil
 	}
 	dc := &deltaCtx{db: db, changed: changed}
-	// Propagate level by level: predicates of one level are independent (a
-	// level's rules only read strictly lower levels), so a wide level whose
-	// coalesced delta is large enough can fan out across workers. Small
-	// deltas — the steady-state single-transaction case — stay on the
-	// sequential path and keep its allocation profile.
-	for _, level := range e.levels {
-		if e.parallelism > 1 && len(level) > 1 && e.levelDeltaWork(level, changed) >= parallelMinWork {
-			if err := e.evalDeltaLevelParallel(dc, level, out); err != nil {
-				e.ivm = nil // counts partially adjusted: state is unusable
-				return nil, err
-			}
-			continue
-		}
-		for _, sym := range level {
-			if err := e.evalDeltaPred(dc, sym, out); err != nil {
-				e.ivm = nil // counts partially adjusted: state is unusable
-				return nil, err
-			}
+	// Topological order: a predicate's rules only read predicates whose
+	// deltas are already applied and recorded in dc.changed.
+	for _, sym := range e.order {
+		if err := e.evalDeltaPred(dc, sym, out); err != nil {
+			e.ivm = nil // counts partially adjusted: state is unusable
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// evalDeltaPred runs every applicable delta rule of one predicate on the
-// calling goroutine, adjusts the support counts, applies the resulting net
-// delta to db and records it — the unit both the sequential path and the
-// parallel scheduler's small-level fallback run.
+// evalDeltaPred runs every applicable delta rule of one predicate, adjusts
+// its support counts, and installs the resulting net delta: the store is
+// adjusted in place (indexes maintained) and the delta joins the changed
+// set so later predicates propagate it further. Applying after the
+// predicate's own rules ran (its rules never read it — the program is
+// nonrecursive) keeps the old versions reconstructible through recorded
+// deltas.
 func (e *Evaluator) evalDeltaPred(dc *deltaCtx, sym datalog.PredSym, out map[datalog.PredSym]Delta) error {
-	ins, del, err := e.deltaForPred(dc, sym)
-	if err != nil {
-		return err
-	}
-	e.applyPredDelta(dc, sym, ins, del, out)
-	return nil
-}
-
-// deltaForPred computes (without applying) the net delta of one predicate
-// under the changed-set of dc, adjusting the predicate's support counts.
-// The returned relations are nil when no delta rule of the predicate was
-// driven by a changed relation.
-func (e *Evaluator) deltaForPred(dc *deltaCtx, sym datalog.PredSym) (*value.Relation, *value.Relation, error) {
 	cnt := e.ivm.counts[sym]
 	var ins, del *value.Relation
 	emit := func(t value.Tuple, sign int) {
@@ -179,46 +157,18 @@ func (e *Evaluator) deltaForPred(dc *deltaCtx, sym datalog.PredSym) (*value.Rela
 			del = value.NewRelation(e.arities[sym])
 		}
 		if err := dr.run(dc, d, emit); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
-	return ins, del, nil
-}
-
-// applyPredDelta installs a predicate's computed net delta: the store is
-// adjusted in place (indexes maintained) and the delta joins the changed
-// set so higher levels propagate it further. Applying after the predicate's
-// own rules ran (its rules never read it — the program is nonrecursive)
-// keeps this level's old versions reconstructible through recorded deltas.
-func (e *Evaluator) applyPredDelta(dc *deltaCtx, sym datalog.PredSym, ins, del *value.Relation, out map[datalog.PredSym]Delta) {
 	if ins == nil || (ins.Empty() && del.Empty()) {
-		return
+		return nil
 	}
 	del.Each(func(t value.Tuple) { dc.db.Delete(sym, t) })
 	ins.Each(func(t value.Tuple) { dc.db.Insert(sym, t) })
 	nd := Delta{Ins: ins, Del: del}
 	dc.changed[sym] = nd
 	out[sym] = nd
-}
-
-// levelDeltaWork estimates the propagation work of one level as the total
-// number of driver delta tuples across the level's applicable delta rules —
-// the delta analogue of outerWeight.
-func (e *Evaluator) levelDeltaWork(level []datalog.PredSym, changed map[datalog.PredSym]Delta) int {
-	work := 0
-	for _, sym := range level {
-		for _, dr := range e.deltaRules[sym] {
-			if d, ok := changed[dr.driver]; ok {
-				if d.Ins != nil {
-					work += d.Ins.Len()
-				}
-				if d.Del != nil {
-					work += d.Del.Len()
-				}
-			}
-		}
-	}
-	return work
+	return nil
 }
 
 // initIVM establishes the support counts with one full counted evaluation
@@ -226,9 +176,6 @@ func (e *Evaluator) levelDeltaWork(level []datalog.PredSym, changed map[datalog.
 // returns the net delta of every IDB relation against what db held before —
 // the one O(|DB|) step; all subsequent EvalDelta calls propagate deltas.
 func (e *Evaluator) initIVM(db *Database) (map[datalog.PredSym]Delta, error) {
-	if e.parallelism > 1 {
-		return e.initIVMParallel(db)
-	}
 	var ec *evalCtx
 	if e.mode == ExecStreaming {
 		ec = newEvalCtx()
@@ -306,43 +253,6 @@ type deltaRule struct {
 	head   []argSlot
 	en     *env
 	dnew   []int // scratch: env slots bound by the driver
-
-	// Prepared probe state for the parallel propagation path: per-step hash
-	// indexes (keyed steps only) and the negated driver's guard index,
-	// resolved serially by prepare before workers run so the parallel phase
-	// never builds an index (hashIndex.lookup is a pure read). All nil on
-	// the sequential path, which probes lazily through the Database.
-	ixs   []*hashIndex
-	drvIx *hashIndex
-}
-
-// prepare resolves every index this plan may probe, mutating the database
-// (index construction) on the calling goroutine; reset clears the prepared
-// state so later sequential runs go back to lazy probing.
-func (dr *deltaRule) prepare(db *Database) {
-	for i := range dr.steps {
-		st := &dr.steps[i]
-		switch st.kind {
-		case stepScan:
-			if len(st.keyPos) > 0 {
-				dr.ixs[i] = db.Index(st.pred, st.keyPos)
-			}
-		case stepNegAtom:
-			if !st.fullKey {
-				dr.ixs[i] = db.Index(st.pred, st.keyPos)
-			}
-		}
-	}
-	if dr.neg && len(dr.dkey) > 0 {
-		dr.drvIx = db.Index(dr.driver, dr.dkey)
-	}
-}
-
-func (dr *deltaRule) reset() {
-	for i := range dr.ixs {
-		dr.ixs[i] = nil
-	}
-	dr.drvIx = nil
 }
 
 // compileDeltaRules builds the delta plans for every rule: one plan per
@@ -407,7 +317,6 @@ func compileDeltaRule(r *datalog.Rule, di int) (*deltaRule, error) {
 	dr.nvars = len(vi.idx)
 	dr.en = newEnvFor(dr.steps, dr.nvars)
 	dr.dnew = make([]int, 0, len(dr.dargs))
-	dr.ixs = make([]*hashIndex, len(dr.steps))
 	return dr, nil
 }
 
@@ -449,29 +358,19 @@ func (dc *deltaCtx) oldEach(p datalog.PredSym, fn func(value.Tuple) bool) bool {
 	return true
 }
 
-// lookup probes the new version of p on positions: through the prepared
-// index ix when the parallel path resolved one (a pure read), lazily
-// through the database otherwise.
-func (dc *deltaCtx) lookup(ix *hashIndex, p datalog.PredSym, positions []int, key value.Tuple) []value.Tuple {
-	if ix != nil {
-		return ix.lookup(key)
-	}
-	return dc.db.Lookup(p, positions, key)
-}
-
 // oldProbe iterates the old-version tuples of p matching key on positions
 // until fn returns false; it reports whether the iteration completed.
-func (dc *deltaCtx) oldProbe(ix *hashIndex, p datalog.PredSym, positions []int, key value.Tuple, fn func(value.Tuple) bool) bool {
+func (dc *deltaCtx) oldProbe(p datalog.PredSym, positions []int, key value.Tuple, fn func(value.Tuple) bool) bool {
 	d, ok := dc.changed[p]
 	if !ok {
-		for _, t := range dc.lookup(ix, p, positions, key) {
+		for _, t := range dc.db.Lookup(p, positions, key) {
 			if !fn(t) {
 				return false
 			}
 		}
 		return true
 	}
-	for _, t := range dc.lookup(ix, p, positions, key) {
+	for _, t := range dc.db.Lookup(p, positions, key) {
 		if d.Ins != nil && d.Ins.Contains(t) {
 			continue
 		}
@@ -506,9 +405,9 @@ func (dc *deltaCtx) oldContains(p datalog.PredSym, t value.Tuple) bool {
 
 // oldHasMatch reports whether the old version of p holds any tuple matching
 // key on positions.
-func (dc *deltaCtx) oldHasMatch(ix *hashIndex, p datalog.PredSym, positions []int, key value.Tuple) bool {
+func (dc *deltaCtx) oldHasMatch(p datalog.PredSym, positions []int, key value.Tuple) bool {
 	found := false
-	dc.oldProbe(ix, p, positions, key, func(value.Tuple) bool {
+	dc.oldProbe(p, positions, key, func(value.Tuple) bool {
 		found = true
 		return false
 	})
@@ -629,12 +528,12 @@ func (dr *deltaRule) runNegated(dc *deltaCtx, en *env, d Delta, emit func(value.
 			}
 			if sign > 0 {
 				// q tuples left: flipped to true only if no match remains.
-				if len(dc.lookup(dr.drvIx, q, dr.dkey, key)) > 0 {
+				if len(dc.db.Lookup(q, dr.dkey, key)) > 0 {
 					return true
 				}
 			} else {
 				// q tuples arrived: flipped to false only if none matched before.
-				if dc.oldHasMatch(dr.drvIx, q, dr.dkey, key) {
+				if dc.oldHasMatch(q, dr.dkey, key) {
 					return true
 				}
 			}
@@ -758,9 +657,9 @@ func (dr *deltaRule) exec(dc *deltaCtx, en *env, i, sign int, emit func(value.Tu
 		}
 		var present bool
 		if st.old {
-			present = dc.oldHasMatch(dr.ixs[i], st.pred, st.keyPos, key)
+			present = dc.oldHasMatch(st.pred, st.keyPos, key)
 		} else {
-			present = len(dc.lookup(dr.ixs[i], st.pred, st.keyPos, key)) > 0
+			present = len(dc.db.Lookup(st.pred, st.keyPos, key)) > 0
 		}
 		if present {
 			return nil
@@ -822,13 +721,13 @@ func (dr *deltaRule) exec(dc *deltaCtx, en *env, i, sign int, emit func(value.Tu
 		}
 		if st.old {
 			var err error
-			dc.oldProbe(dr.ixs[i], st.pred, st.keyPos, key, func(t value.Tuple) bool {
+			dc.oldProbe(st.pred, st.keyPos, key, func(t value.Tuple) bool {
 				err = tryTuple(t)
 				return err == nil
 			})
 			return err
 		}
-		for _, t := range dc.lookup(dr.ixs[i], st.pred, st.keyPos, key) {
+		for _, t := range dc.db.Lookup(st.pred, st.keyPos, key) {
 			if err := tryTuple(t); err != nil {
 				return err
 			}

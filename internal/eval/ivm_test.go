@@ -3,7 +3,6 @@ package eval
 import (
 	"math/rand"
 	"os"
-	"sort"
 	"strconv"
 	"testing"
 
@@ -272,158 +271,5 @@ d(X) :- r(X), not s(X).
 	}
 	if !ev.IVMReady(db) {
 		t.Fatal("expected IVM state after re-init")
-	}
-}
-
-// TestEvalDeltaParallelMatchesSequential runs the IVM fuzz with a parallel
-// evaluator (thresholds forced down so the counted init shards and every
-// wide-enough level fans out) against a sequential one, asserting after
-// every step that the maintained IDB relations AND the reported deltas are
-// identical — the determinism contract of the parallel propagation path.
-// Run under -race: the serial-prepare / pure-probe discipline of the
-// parallel phase is part of what is tested.
-func TestEvalDeltaParallelMatchesSequential(t *testing.T) {
-	forceParallelPath(t)
-	rng := rand.New(rand.NewSource(int64(fuzzKnob("IVM_FUZZ_SEED", 77))))
-	trials := fuzzKnob("IVM_FUZZ_TRIALS", 3)
-	for pi, src := range ivmCorpus {
-		prog := mustProg(t, src)
-		evSeq, err := New(prog)
-		if err != nil {
-			t.Fatalf("program %d: %v", pi, err)
-		}
-		evPar, err := New(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		evPar.SetParallelism(4)
-
-		edb := map[string]int{}
-		for _, s := range prog.Sources {
-			edb[s.Name] = s.Arity()
-		}
-		edb[prog.View.Name] = prog.View.Arity()
-
-		for trial := 0; trial < trials; trial++ {
-			dbSeq, dbPar := NewDatabase(), NewDatabase()
-			for name, arity := range edb {
-				rel := value.NewRelation(arity)
-				for i := 0; i < rng.Intn(10); i++ {
-					tu := make(value.Tuple, arity)
-					for j := range tu {
-						tu[j] = value.Int(int64(rng.Intn(4)))
-					}
-					rel.Add(tu)
-				}
-				dbSeq.Set(datalog.Pred(name), rel)
-				dbPar.Set(datalog.Pred(name), rel.Clone())
-			}
-			// Init: sequential counted eval vs sharded parallel counted eval.
-			dSeq, err := evSeq.EvalDelta(dbSeq, nil)
-			if err != nil {
-				t.Fatalf("program %d: seq init: %v", pi, err)
-			}
-			dPar, err := evPar.EvalDelta(dbPar, nil)
-			if err != nil {
-				t.Fatalf("program %d: par init: %v", pi, err)
-			}
-			assertSameDeltas(t, dSeq, dPar, "init")
-			assertSameIDB(t, prog, dbSeq, dbPar, "init")
-
-			for step := 0; step < 20; step++ {
-				deltasSeq := make(map[datalog.PredSym]Delta)
-				deltasPar := make(map[datalog.PredSym]Delta)
-				nOps := 1 + rng.Intn(6)
-				for k := 0; k < nOps; k++ {
-					// Apply the same random DML to both databases.
-					names := make([]string, 0, len(edb))
-					for n := range edb {
-						names = append(names, n)
-					}
-					sort.Strings(names)
-					name := names[rng.Intn(len(names))]
-					arity := edb[name]
-					tu := make(value.Tuple, arity)
-					for j := range tu {
-						tu[j] = value.Int(int64(rng.Intn(4)))
-					}
-					ins := rng.Intn(2) == 0
-					applyDMLTo(dbSeq, deltasSeq, name, arity, tu, ins)
-					applyDMLTo(dbPar, deltasPar, name, arity, tu.Clone(), ins)
-				}
-				outSeq, err := evSeq.EvalDelta(dbSeq, deltasSeq)
-				if err != nil {
-					t.Fatalf("program %d step %d: seq: %v", pi, step, err)
-				}
-				outPar, err := evPar.EvalDelta(dbPar, deltasPar)
-				if err != nil {
-					t.Fatalf("program %d step %d: par: %v", pi, step, err)
-				}
-				assertSameDeltas(t, outSeq, outPar, "step")
-				assertSameIDB(t, prog, dbSeq, dbPar, "step")
-				// Support counts must agree too: they are the state future
-				// propagation correctness depends on.
-				for sym := range prog.IDBPreds() {
-					dbSeq.RelOrEmpty(sym, evSeq.arities[sym]).Each(func(tu value.Tuple) {
-						if cs, cp := evSeq.SupportCount(sym, tu), evPar.SupportCount(sym, tu); cs != cp {
-							t.Fatalf("program %d step %d: %s%v: support %d (seq) != %d (par)", pi, step, sym, tu, cs, cp)
-						}
-					})
-				}
-			}
-		}
-	}
-}
-
-// applyDMLTo applies one insert/delete to db, folding the net change into
-// deltas the way the engine's write path does.
-func applyDMLTo(db *Database, deltas map[datalog.PredSym]Delta, name string, arity int, tu value.Tuple, ins bool) {
-	p := datalog.Pred(name)
-	d, ok := deltas[p]
-	if !ok {
-		d = NewDelta(arity)
-		deltas[p] = d
-	}
-	if ins {
-		if db.Insert(p, tu) {
-			if !d.Del.Remove(tu) {
-				d.Ins.Add(tu)
-			}
-		}
-	} else {
-		if db.Delete(p, tu) {
-			if !d.Ins.Remove(tu) {
-				d.Del.Add(tu)
-			}
-		}
-	}
-}
-
-// assertSameDeltas fails unless the two reported delta maps are identical.
-func assertSameDeltas(t *testing.T, a, b map[datalog.PredSym]Delta, label string) {
-	t.Helper()
-	relEq := func(x, y *value.Relation) bool {
-		switch {
-		case x == nil:
-			return y == nil || y.Empty()
-		case y == nil:
-			return x.Empty()
-		default:
-			return x.Equal(y)
-		}
-	}
-	for sym, da := range a {
-		db, ok := b[sym]
-		if !ok {
-			t.Fatalf("%s: delta for %s reported sequentially but not in parallel (%v/%v)", label, sym, da.Ins, da.Del)
-		}
-		if !relEq(da.Ins, db.Ins) || !relEq(da.Del, db.Del) {
-			t.Fatalf("%s: delta for %s differs: seq %v/%v, par %v/%v", label, sym, da.Ins, da.Del, db.Ins, db.Del)
-		}
-	}
-	for sym := range b {
-		if _, ok := a[sym]; !ok {
-			t.Fatalf("%s: delta for %s reported in parallel but not sequentially", label, sym)
-		}
 	}
 }

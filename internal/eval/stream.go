@@ -210,8 +210,8 @@ type tabKey struct {
 }
 
 // evalCtx carries the ephemeral probe tables of one full evaluation.
-// Tables are shared across the rules (and parallel-level prepares) of that
-// evaluation and dropped when it returns.
+// Tables are shared across the rules of that evaluation and dropped when it
+// returns.
 type evalCtx struct {
 	tables map[tabKey]*joinTable
 	exists map[tabKey]*existTable
@@ -299,9 +299,8 @@ func (cr *compiledRule) pickVariant(db *Database) *compiledRule {
 // prepareStream resolves the plan's relations and probe structures for one
 // streaming run: maintained indexes that already exist are reused as pure
 // reads (never built, never marked hot); every other keyed step gets an
-// ephemeral table from the evaluation's cache. Like prepare, it does all
-// its work on the calling goroutine, so the returned context is a pure
-// read over db — safe to share across parallel workers.
+// ephemeral table from the evaluation's cache, so the run builds no
+// maintained index.
 func (cr *compiledRule) prepareStream(db *Database, ec *evalCtx) *runCtx {
 	rc := &runCtx{
 		db:   db,
@@ -318,8 +317,8 @@ func (cr *compiledRule) prepareStream(db *Database, ec *evalCtx) *runCtx {
 		rel := db.Rel(st.pred)
 		rc.rels[i] = rel
 		// A negation over anonymous arguments only (not r(_, _)) has no key
-		// positions but still probes, so it gets an exist table too: a
-		// worker must never build a maintained index on demand.
+		// positions but still probes, so it gets an exist table too rather
+		// than a maintained index built on demand.
 		if rel == nil || (len(st.keyPos) == 0 && (st.kind != stepNegAtom || st.fullKey)) {
 			continue
 		}
@@ -364,7 +363,7 @@ func runFull(db *Database, ec *evalCtx, cr *compiledRule, emit func(value.Tuple)
 
 // evalPredStreaming evaluates one IDB predicate's rules with the streaming
 // executor and installs the result — the streaming counterpart of
-// evalPredSequential.
+// evalPredMaterialized.
 func (e *Evaluator) evalPredStreaming(db *Database, ec *evalCtx, sym datalog.PredSym) error {
 	out := value.NewRelation(e.arities[sym])
 	for _, cr := range e.rules[sym] {

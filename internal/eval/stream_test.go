@@ -11,38 +11,32 @@ import (
 
 // Differential harness for the streaming executor (stream.go): streaming and
 // materialized execution must agree with each other and with the naive
-// reference evaluator over the random-program corpus, at parallelism 1, 2
-// and 8; the counted-IVM initialization must produce bit-identical support
-// counts in both modes; and the streaming path's per-output-tuple allocation
-// budget is pinned so lazy pipelines never regress into per-probe
-// allocations. Run with -race: prepared streaming contexts are shared
-// read-only by parallel workers, and that discipline is part of the test.
+// reference evaluator over the random-program corpus; the counted-IVM
+// initialization must produce bit-identical support counts in both modes;
+// and the streaming path's per-output-tuple allocation budget is pinned so
+// lazy pipelines never regress into per-probe allocations.
 
 var execModes = []ExecMode{ExecStreaming, ExecMaterialized}
 
-// streamEvaluators compiles prog once per (mode, parallelism) combination.
+// streamEvaluators compiles prog once per execution mode.
 func streamEvaluators(t *testing.T, prog *datalog.Program) map[string]*Evaluator {
 	t.Helper()
 	evs := make(map[string]*Evaluator)
 	for _, mode := range execModes {
-		for _, p := range []int{1, 2, 8} {
-			ev, err := New(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev.SetExecMode(mode)
-			ev.SetParallelism(p)
-			evs[fmt.Sprintf("%s/p%d", mode, p)] = ev
+		ev, err := New(prog)
+		if err != nil {
+			t.Fatal(err)
 		}
+		ev.SetExecMode(mode)
+		evs[mode.String()] = ev
 	}
 	return evs
 }
 
 // TestStreamingModesMatchReferenceFuzz generates random well-formed
 // programs and EDBs and asserts streaming ≡ materialized ≡ reference for
-// every (mode, parallelism) combination.
+// execution mode.
 func TestStreamingModesMatchReferenceFuzz(t *testing.T) {
-	forceParallelPath(t) // tiny EDBs must still exercise shard/merge
 	rng := rand.New(rand.NewSource(4321))
 	const programs, trials = 15, 3
 	for pi := 0; pi < programs; pi++ {
@@ -71,9 +65,8 @@ func TestStreamingModesMatchReferenceFuzz(t *testing.T) {
 
 // TestStreamingCorpusModesMatch runs the hand-shaped corpus (joins,
 // negation, constants, comparisons, equality binding, unions) through every
-// (mode, parallelism) combination against the reference.
+// execution mode against the reference.
 func TestStreamingCorpusModesMatch(t *testing.T) {
-	forceParallelPath(t)
 	rng := rand.New(rand.NewSource(55))
 	for pi, src := range referenceCorpus {
 		prog := mustProg(t, src)
@@ -140,9 +133,8 @@ func assertSameCounts(t *testing.T, prog *datalog.Program, a, b *Evaluator, labe
 // TestStreamingCountedInitCountsIdentical pins the counted-IVM
 // initialization: streaming and materialized init must produce the same
 // IDB relations, the same reported deltas, and bit-identical support
-// counts, at parallelism 1, 2 and 8.
+// counts.
 func TestStreamingCountedInitCountsIdentical(t *testing.T) {
-	forceParallelPath(t)
 	rng := rand.New(rand.NewSource(99177))
 	corpus := append([]string{}, referenceCorpus...)
 	for i := 0; i < 8; i++ {
@@ -169,44 +161,40 @@ func TestStreamingCountedInitCountsIdentical(t *testing.T) {
 			if db.Rel(datalog.Pred(prog.View.Name)) == nil {
 				db.Set(datalog.Pred(prog.View.Name), value.NewRelation(prog.View.Arity()))
 			}
-			for _, p := range []int{1, 2, 8} {
-				label := fmt.Sprintf("program %d trial %d p=%d", pi, trial, p)
-				evStream, err := New(prog)
-				if err != nil {
-					t.Fatal(err)
-				}
-				evStream.SetExecMode(ExecStreaming)
-				evStream.SetParallelism(p)
-				evMat, err := New(prog)
-				if err != nil {
-					t.Fatal(err)
-				}
-				evMat.SetExecMode(ExecMaterialized)
-				evMat.SetParallelism(p)
+			label := fmt.Sprintf("program %d trial %d", pi, trial)
+			evStream, err := New(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evStream.SetExecMode(ExecStreaming)
+			evMat, err := New(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evMat.SetExecMode(ExecMaterialized)
 
-				dbS, dbM := db.Clone(), db.Clone()
-				outS, err := evStream.EvalDelta(dbS, nil)
-				if err != nil {
-					t.Fatalf("%s: streaming init: %v\n%s", label, err, src)
+			dbS, dbM := db.Clone(), db.Clone()
+			outS, err := evStream.EvalDelta(dbS, nil)
+			if err != nil {
+				t.Fatalf("%s: streaming init: %v\n%s", label, err, src)
+			}
+			outM, err := evMat.EvalDelta(dbM, nil)
+			if err != nil {
+				t.Fatalf("%s: materialized init: %v\n%s", label, err, src)
+			}
+			assertSameIDB(t, prog, dbS, dbM, label)
+			assertSameCounts(t, prog, evStream, evMat, label)
+			if len(outS) != len(outM) {
+				t.Fatalf("%s: init deltas differ: %d vs %d predicates", label, len(outS), len(outM))
+			}
+			for sym, dS := range outS {
+				dM, ok := outM[sym]
+				if !ok {
+					t.Fatalf("%s: init delta for %s only in streaming", label, sym)
 				}
-				outM, err := evMat.EvalDelta(dbM, nil)
-				if err != nil {
-					t.Fatalf("%s: materialized init: %v\n%s", label, err, src)
-				}
-				assertSameIDB(t, prog, dbS, dbM, label)
-				assertSameCounts(t, prog, evStream, evMat, label)
-				if len(outS) != len(outM) {
-					t.Fatalf("%s: init deltas differ: %d vs %d predicates", label, len(outS), len(outM))
-				}
-				for sym, dS := range outS {
-					dM, ok := outM[sym]
-					if !ok {
-						t.Fatalf("%s: init delta for %s only in streaming", label, sym)
-					}
-					if !dS.Ins.Equal(dM.Ins) || !dS.Del.Equal(dM.Del) {
-						t.Fatalf("%s: init delta for %s differs\nstream=+%v -%v\nmat=+%v -%v",
-							label, sym, dS.Ins, dS.Del, dM.Ins, dM.Del)
-					}
+				if !dS.Ins.Equal(dM.Ins) || !dS.Del.Equal(dM.Del) {
+					t.Fatalf("%s: init delta for %s differs\nstream=+%v -%v\nmat=+%v -%v",
+						label, sym, dS.Ins, dS.Del, dM.Ins, dM.Del)
 				}
 			}
 		}
@@ -267,9 +255,8 @@ out(X,Z) :- dim(Y,Z), fact(X,Y).
 
 // TestStreamingKeylessNegationBuildsNoIndex: a negation over anonymous
 // arguments only (not s(_,_)) probes an ephemeral exist table like every
-// other streaming step, never a maintained index built on demand — that
-// writes the Database's index registry, which parallel workers running
-// the rule would do concurrently.
+// other streaming step, never a maintained index built on demand: a
+// one-shot full evaluation leaves the Database's index registry untouched.
 func TestStreamingKeylessNegationBuildsNoIndex(t *testing.T) {
 	ev := mustEval(t, `
 source r(a:int, b:int).

@@ -60,20 +60,6 @@ type Config struct {
 	ExhaustiveBudget int   // max instances enumerated exhaustively
 	GuideBudget      int   // max variable assignments tried in guided search
 	Seed             int64 // PRNG seed (deterministic by default)
-	// Parallelism is the number of worker goroutines the guided and random
-	// searches may use; values <= 1 search sequentially. Parallel search
-	// requires Problem.TestFactory (the Test closures of Algorithm 1 carry
-	// per-evaluator scratch state and are not goroutine-safe). Outcomes are
-	// deterministic for a fixed Config: the search space is split into
-	// index-ordered tasks and the lowest-indexed witness wins regardless of
-	// scheduling. The partition changes coverage, not just witness identity:
-	// each task explores its region under an equal share of the budget
-	// (total budget is never exceeded), so when the budget is the binding
-	// constraint a witness found at one Parallelism setting may be missed at
-	// another — the same caveat that already applies to changing the budget
-	// itself. A reported witness is always Test-verified regardless, so
-	// "unsatisfiable within bounds" remains the only soundness caveat.
-	Parallelism int
 }
 
 // DefaultConfig returns the bounds used by the validator.
@@ -96,11 +82,6 @@ type Problem struct {
 	// relations (e.g. by running an evaluator) but must not change the
 	// EDB relations named in Rels.
 	Test func(db *eval.Database) bool
-	// TestFactory, when set, builds an independent Test instance (with its
-	// own compiled evaluators) for one search worker. It enables parallel
-	// search under Config.Parallelism > 1; without it the oracle searches
-	// sequentially with Test.
-	TestFactory func() func(db *eval.Database) bool
 }
 
 // Oracle runs witness searches under a fixed configuration.
@@ -115,24 +96,13 @@ func New(cfg Config) *Oracle { return &Oracle{cfg: cfg} }
 // within the budget.
 func (o *Oracle) Find(p Problem) *eval.Database {
 	pools := buildPools(p.ExtraConsts)
-	workers := o.cfg.Parallelism
-	if p.TestFactory == nil {
-		workers = 1
-	}
 	if p.Guide != nil {
-		if workers > 1 {
-			if db := o.guidedParallel(p, pools, workers); db != nil {
-				return db
-			}
-		} else if db := o.guided(p, pools); db != nil {
+		if db := o.guided(p, pools); db != nil {
 			return db
 		}
 	}
 	if db := o.exhaustive(p, pools); db != nil {
 		return db
-	}
-	if workers > 1 {
-		return o.randomParallel(p, pools, workers)
 	}
 	return o.random(p, pools)
 }
@@ -321,18 +291,6 @@ func planDisjunct(dj fol.Conjunct, specByName map[string]RelSpec, pl *pools) (pl
 	return plan, true
 }
 
-// search bundles the per-worker state of one witness search: the relation
-// specs, the Test instance to call, and an optional cancellation probe
-// (parallel workers abandon a task when a lower-indexed task has found a
-// witness, which cannot change the chosen result).
-type search struct {
-	rels   []RelSpec
-	test   func(db *eval.Database) bool
-	cancel func() bool
-}
-
-func (s *search) cancelled() bool { return s.cancel != nil && s.cancel() }
-
 // guided instantiates each disjunct of the guide sentence as a minimal
 // candidate model: exactly the positive atoms of the disjunct, with
 // variables enumerated over typed pools.
@@ -342,7 +300,6 @@ func (o *Oracle) guided(p Problem, pl *pools) *eval.Database {
 		specByName[r.Name] = r
 	}
 	budget := o.cfg.GuideBudget
-	s := &search{rels: p.Rels, test: p.Test}
 
 	for _, dj := range fol.DisjunctiveForm(p.Guide) {
 		plan, ok := planDisjunct(dj, specByName, pl)
@@ -350,7 +307,7 @@ func (o *Oracle) guided(p Problem, pl *pools) *eval.Database {
 			continue
 		}
 		env := make(map[string]value.Value, len(plan.vars))
-		if db := o.assignDFS(s, &plan, env, 0, &budget); db != nil {
+		if db := o.assignDFS(p, &plan, env, 0, &budget); db != nil {
 			return db
 		}
 		if budget <= 0 {
@@ -362,14 +319,14 @@ func (o *Oracle) guided(p Problem, pl *pools) *eval.Database {
 
 // assignDFS enumerates assignments for plan.vars[i:], pruning on ground
 // comparisons, and tests the minimal model of each full assignment.
-func (o *Oracle) assignDFS(s *search, plan *disjunctPlan,
+func (o *Oracle) assignDFS(p Problem, plan *disjunctPlan,
 	env map[string]value.Value, i int, budget *int) *eval.Database {
-	if *budget <= 0 || s.cancelled() {
+	if *budget <= 0 {
 		return nil
 	}
 	if i == len(plan.vars) {
 		*budget--
-		db := emptyInstance(s.rels)
+		db := emptyInstance(p.Rels)
 		for _, a := range plan.atoms {
 			t := make(value.Tuple, len(a.Args))
 			for j, arg := range a.Args {
@@ -381,7 +338,7 @@ func (o *Oracle) assignDFS(s *search, plan *disjunctPlan,
 			}
 			db.Insert(predSym(a.Pred), t)
 		}
-		if s.test(db) {
+		if p.Test(db) {
 			return db
 		}
 		return nil
@@ -392,10 +349,10 @@ func (o *Oracle) assignDFS(s *search, plan *disjunctPlan,
 		if !cmpsConsistent(plan.cmps, env) {
 			continue
 		}
-		if db := o.assignDFS(s, plan, env, i+1, budget); db != nil {
+		if db := o.assignDFS(p, plan, env, i+1, budget); db != nil {
 			return db
 		}
-		if *budget <= 0 || s.cancelled() {
+		if *budget <= 0 {
 			break
 		}
 	}

@@ -4,16 +4,16 @@ import "iter"
 
 // Lazy tuple iteration over a relation's flat storage. The streaming
 // evaluator composes rule pipelines from these: a pipeline's root walks the
-// dense tuple slice of one relation (or one hash shard of it) without
-// copying a tuple or materializing an intermediate slice, and downstream
-// operators (probes, filters, projections) consume tuples one at a time.
-// Both forms are exposed:
+// dense tuple slice of one relation without copying a tuple or
+// materializing an intermediate slice, and downstream operators (probes,
+// filters, projections) consume tuples one at a time. Both forms are
+// exposed:
 //
-//   - All/ShardSeq are push-style iter.Seq sequences (zero allocation,
-//     compose with range-over-func) — the form the hot evaluation loops use;
-//   - Iterator/ShardIterator are pull-style cursors built on iter.Pull for
-//     consumers that must interleave several streams or hold their place
-//     across calls (e.g. merging two relations without a callback tower).
+//   - All is a push-style iter.Seq sequence (zero allocation, composes
+//     with range-over-func) — the form the hot evaluation loops use;
+//   - Iterator is a pull-style cursor built on iter.Pull for consumers
+//     that must interleave several streams or hold their place across
+//     calls (e.g. merging two relations without a callback tower).
 //
 // Every iterator observes the storage at the time it is created.
 // Like Each, iteration must not run concurrently with mutation of the
@@ -28,24 +28,6 @@ func (r *Relation) All() iter.Seq[Tuple] {
 	return func(yield func(Tuple) bool) {
 		for _, t := range tuples {
 			if !yield(t) {
-				return
-			}
-		}
-	}
-}
-
-// ShardSeq returns a push-style sequence over the tuples of shard s out of
-// n, partitioned by tuple hash exactly as EachShard partitions them: the n
-// shards are disjoint, their union is the relation, and tuples that Equal
-// each other land in the same shard.
-func (r *Relation) ShardSeq(n, s int) iter.Seq[Tuple] {
-	if n <= 1 {
-		return r.All()
-	}
-	tuples, hashes := r.tuples, r.hashes
-	return func(yield func(Tuple) bool) {
-		for i, h := range hashes {
-			if h%uint64(n) == uint64(s) && !yield(tuples[i]) {
 				return
 			}
 		}
@@ -71,13 +53,5 @@ func (it *Iterator) Stop() { it.stop() }
 // The caller must either drain it or call Stop.
 func (r *Relation) Iterator() *Iterator {
 	next, stop := iter.Pull(r.All())
-	return &Iterator{next: next, stop: stop}
-}
-
-// ShardIterator returns a pull-style cursor over the tuples of shard s out
-// of n (the EachShard partitioning). The caller must either drain it or
-// call Stop.
-func (r *Relation) ShardIterator(n, s int) *Iterator {
-	next, stop := iter.Pull(r.ShardSeq(n, s))
 	return &Iterator{next: next, stop: stop}
 }

@@ -36,34 +36,6 @@ func TestAllSeq(t *testing.T) {
 	}
 }
 
-// Shards must be disjoint with union equal to the relation, matching the
-// EachShard partitioning exactly.
-func TestShardSeqPartition(t *testing.T) {
-	r := iterTestRelation(500)
-	for _, n := range []int{1, 2, 3, 8} {
-		union := NewRelation(2)
-		for s := 0; s < n; s++ {
-			fromEach := NewRelation(2)
-			r.EachShard(n, s, func(tu Tuple) { fromEach.Add(tu) })
-			fromSeq := NewRelation(2)
-			for tu := range r.ShardSeq(n, s) {
-				if !fromSeq.Add(tu) {
-					t.Fatalf("n=%d s=%d: tuple %v yielded twice", n, s, tu)
-				}
-				if !union.Add(tu) {
-					t.Fatalf("n=%d: shards overlap on %v", n, tu)
-				}
-			}
-			if !fromSeq.Equal(fromEach) {
-				t.Fatalf("n=%d s=%d: ShardSeq disagrees with EachShard", n, s)
-			}
-		}
-		if !union.Equal(r) {
-			t.Fatalf("n=%d: shard union has %d tuples, want %d", n, union.Len(), r.Len())
-		}
-	}
-}
-
 // The pull cursor must yield the same set as push iteration, tolerate an
 // early Stop, and be idempotent on Stop.
 func TestPullIterator(t *testing.T) {
@@ -92,32 +64,6 @@ func TestPullIterator(t *testing.T) {
 	it.Stop()
 	if _, ok := it.Next(); ok {
 		t.Fatal("Next after Stop must report exhaustion")
-	}
-}
-
-// Two pull cursors interleaved (the merge shape pull iteration exists for)
-// must jointly cover a sharded relation.
-func TestShardIteratorInterleaved(t *testing.T) {
-	r := iterTestRelation(300)
-	a, b := r.ShardIterator(2, 0), r.ShardIterator(2, 1)
-	defer a.Stop()
-	defer b.Stop()
-	seen := NewRelation(2)
-	for {
-		ta, oka := a.Next()
-		tb, okb := b.Next()
-		if oka {
-			seen.Add(ta)
-		}
-		if okb {
-			seen.Add(tb)
-		}
-		if !oka && !okb {
-			break
-		}
-	}
-	if !seen.Equal(r) {
-		t.Fatalf("interleaved shard pull covered %d tuples, want %d", seen.Len(), r.Len())
 	}
 }
 

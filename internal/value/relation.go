@@ -271,31 +271,6 @@ func (r *Relation) EachUntil(fn func(Tuple) bool) bool {
 	return true
 }
 
-// EachShard calls fn for every tuple of shard s out of n. Shards partition
-// the relation by tuple hash (a tuple belongs to shard h mod n), reusing
-// the stored hashes: no tuples are moved or copied, and the n shards of a
-// relation are disjoint with union equal to the whole relation. Tuples
-// that Equal each other share a hash, hence a shard, so set-semantic
-// deduplication is shard-local. Concurrent EachShard calls for distinct
-// shards are safe as long as no goroutine mutates the relation.
-func (r *Relation) EachShard(n, s int, fn func(Tuple)) {
-	r.EachShardUntil(n, s, func(t Tuple) bool { fn(t); return true })
-}
-
-// EachShardUntil is EachShard with early termination: it stops when fn
-// returns false and reports whether the iteration ran to completion.
-func (r *Relation) EachShardUntil(n, s int, fn func(Tuple) bool) bool {
-	if n <= 1 {
-		return r.EachUntil(fn)
-	}
-	for i, h := range r.hashes {
-		if h%uint64(n) == uint64(s) && !fn(r.tuples[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Tuples returns the tuples in an unspecified order.
 func (r *Relation) Tuples() []Tuple {
 	return slices.Clone(r.tuples)

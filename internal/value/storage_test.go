@@ -114,19 +114,6 @@ func checkRelation(t *testing.T, r *Relation, m modelSet) {
 			t.Fatalf("relation lost %v", tu)
 		}
 	}
-	const shards = 3
-	n := 0
-	for s := 0; s < shards; s++ {
-		for tu := range r.ShardSeq(shards, s) {
-			if int(tu.Hash()%shards) != s {
-				t.Fatalf("%v in shard %d", tu, s)
-			}
-			n++
-		}
-	}
-	if n != len(m) {
-		t.Fatalf("shards cover %d tuples, want %d", n, len(m))
-	}
 }
 
 // Relation against the map model under random operations, on a pool of

@@ -18,7 +18,7 @@ import (
 // with their validated get rules), the durability options and the full
 // contents of every base table, stamped with the LSN of the last log
 // record whose effects it includes. A process's own settings (group-commit
-// handles, evaluator parallelism) are not durable state and are not
+// handles, evaluator execution mode) are not durable state and are not
 // recorded. Materialized views and their support counts are deliberately
 // absent: recovery re-derives them from base state through the counted
 // initialization, proving the IVM layer a pure function of the base tables
