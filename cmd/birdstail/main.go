@@ -8,9 +8,9 @@
 //	delta    seq=21 +1 -0 (mirror: 4 rows, lag 0)
 //	resync   seq=40 rows=9 (fell behind, restarted from snapshot)
 //
-// The lag printed with each line is how many sequence numbers the stream
-// is behind the hub (0 = fully caught up); idle heartbeat pings keep it
-// fresh even when the tailed view is quiet.
+// The lag printed with each line is how many commits the stream is
+// behind (0 = fully caught up); idle heartbeat pings keep it fresh even
+// when the tailed view is quiet.
 package main
 
 import (

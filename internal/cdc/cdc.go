@@ -11,11 +11,14 @@
 //     lock that defines its sequence number. Folding every subsequent
 //     event into that snapshot (ApplyEvent) reproduces the live relation
 //     exactly as of each event's sequence number.
-//   - Events arrive in strictly increasing Seq order. One visibility
-//     point is one sequence number: a group-commit batch that changes
-//     several subscribed relations publishes all of their deltas under a
-//     single Seq, so a batch is observed all-or-nothing. Gaps in Seq are
-//     normal (other relations changed).
+//   - Events arrive in strictly increasing Seq order. Seq is the engine's
+//     commit sequence: every visibility point takes the next number, and
+//     on a durable engine that number is also the LSN of the point's WAL
+//     record, so "mirror at seq N" and "recovered at LSN N" are one
+//     claim. A group-commit batch that changes several subscribed
+//     relations publishes all of their deltas under its single Seq, so a
+//     batch is observed all-or-nothing. Gaps in a subscription's Seq are
+//     normal: other relations changed at the commits in between.
 //   - Buffers are bounded. A subscriber that falls behind either delays
 //     the publisher briefly (BlockWithDeadline) or loses events — and
 //     loss is never silent: the subscription is marked lost, and the next
@@ -26,8 +29,10 @@
 //     source), subscribers of that view are marked lost the same way, so
 //     a mirror never silently diverges.
 //
-// The hub costs nothing when no subscriber exists: the engine skips the
-// publish hook entirely (nil hub, zero allocations on the write path).
+// The hub costs nothing when no subscriber exists: the engine renders no
+// delta and skips the publish hook entirely, whether the hub is nil (never
+// subscribed) or quiet (every subscription closed) — the write path makes
+// the same allocations either way.
 package cdc
 
 import (
@@ -96,15 +101,6 @@ type Event struct {
 	Snapshot *value.Relation // resync events only
 	Inserts  []value.Tuple   // delta events only
 	Deletes  []value.Tuple
-}
-
-// Update is one relation's net delta at a visibility point, as handed to
-// Hub.Publish by the engine. Tuple slices are owned by the hub from then
-// on (the engine reports freshly built delta relations).
-type Update struct {
-	View    string
-	Inserts []value.Tuple
-	Deletes []value.Tuple
 }
 
 // ErrClosed is returned by Recv once the subscription is closed and its

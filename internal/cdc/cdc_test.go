@@ -14,12 +14,14 @@ import (
 
 	"birds/internal/cdc"
 	"birds/internal/value"
+	"birds/internal/wal"
 )
 
 // fakeEngine is the minimal publisher side of the CDC protocol.
 type fakeEngine struct {
 	mu   sync.Mutex // the "engine write lock"
 	hub  *cdc.Hub
+	seq  uint64 // the commit sequence, advanced by publish
 	view string
 	live *value.Relation
 }
@@ -37,11 +39,10 @@ func (e *fakeEngine) subscribe(opts cdc.SubOptions) *cdc.Subscription {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		snap := e.live.Snapshot()
-		seq := e.hub.Seq()
-		sub.Rearm(seq)
-		return snap, seq, nil
+		sub.Rearm(e.seq)
+		return snap, e.seq, nil
 	}
-	sub = e.hub.Subscribe(e.view, e.live.Snapshot(), opts, resnap)
+	sub = e.hub.Subscribe(e.view, e.seq, e.live.Snapshot(), opts, resnap)
 	return sub
 }
 
@@ -55,7 +56,8 @@ func (e *fakeEngine) publish(ins, del []value.Tuple) {
 	for _, t := range ins {
 		e.live.Add(t)
 	}
-	e.hub.Publish([]cdc.Update{{View: e.view, Inserts: ins, Deletes: del}}, nil)
+	e.seq++
+	e.hub.Publish(&wal.Changeset{Seq: e.seq, Tables: []wal.TableDelta{{Name: e.view, Ins: ins, Del: del}}}, nil)
 }
 
 func row(i int) value.Tuple { return value.Tuple{value.Int(int64(i))} }
@@ -113,16 +115,16 @@ func TestSnapshotThenOrderedDeltas(t *testing.T) {
 
 func TestBatchIsOneSeqAcrossViews(t *testing.T) {
 	h := cdc.NewHub()
-	subA := h.Subscribe("a", value.NewRelation(1).Snapshot(), cdc.SubOptions{}, nil)
+	subA := h.Subscribe("a", 0, value.NewRelation(1).Snapshot(), cdc.SubOptions{}, nil)
 	defer subA.Close()
-	subB := h.Subscribe("b", value.NewRelation(1).Snapshot(), cdc.SubOptions{}, nil)
+	subB := h.Subscribe("b", 0, value.NewRelation(1).Snapshot(), cdc.SubOptions{}, nil)
 	defer subB.Close()
 
 	// One visibility point touching both relations: one Publish call.
-	h.Publish([]cdc.Update{
-		{View: "a", Inserts: []value.Tuple{row(1)}},
-		{View: "b", Inserts: []value.Tuple{row(2)}},
-	}, nil)
+	h.Publish(&wal.Changeset{Seq: 1, Tables: []wal.TableDelta{
+		{Name: "a", Ins: []value.Tuple{row(1)}},
+		{Name: "b", Ins: []value.Tuple{row(2)}},
+	}}, nil)
 
 	recvOne(t, subA) // initial snapshots
 	recvOne(t, subB)
@@ -277,7 +279,7 @@ func TestMarkAllLostForcesResyncEverywhere(t *testing.T) {
 
 	e.mu.Lock()
 	e.live.Add(row(42)) // state changed with no event — e.g. state swap
-	e.hub.MarkAllLost()
+	e.hub.MarkAllLost(e.seq)
 	e.mu.Unlock()
 
 	for _, sub := range []*cdc.Subscription{s1, s2} {

@@ -5,15 +5,17 @@ import (
 	"sync/atomic"
 
 	"birds/internal/value"
+	"birds/internal/wal"
 )
 
 // Hub fans per-relation deltas out to subscriptions. The engine owns the
-// hub and calls Subscribe, Publish and MarkAllLost under its write lock,
-// which is what serializes publishers and makes the sequence number a
-// total order identical to commit order. Consumers (Recv, Close, Stats)
-// synchronize only on hub and subscription mutexes, never on the engine
-// lock — except the resync pull, which re-enters the engine through the
-// closure the engine installed at Subscribe time.
+// hub and the sequence number: it calls Subscribe, Publish and MarkAllLost
+// under its write lock, handing each the current commit seq, which is
+// what serializes publishers and makes event order commit order.
+// Consumers (Recv, Close, Stats) synchronize only on hub and subscription
+// mutexes, never on the engine lock — except the resync pull, which
+// re-enters the engine through the closure the engine installed at
+// Subscribe time.
 //
 // Lock order: engine lock → Hub.mu → Subscription.mu. Events are handed
 // to subscriptions outside Hub.mu, so a publisher delayed by a
@@ -21,9 +23,8 @@ import (
 type Hub struct {
 	mu   sync.RWMutex
 	subs map[string][]*Subscription
-	seq  uint64 // advances once per Publish call (= per visibility point)
 
-	published uint64 // Publish calls that carried at least one update or loss
+	published uint64 // Publish calls that delivered an event or a loss
 	// Counters of closed subscriptions, folded in by remove so hub totals
 	// are monotonic across subscriber churn.
 	retiredDelivered uint64
@@ -45,14 +46,6 @@ func NewHub() *Hub {
 // allocation-free.
 func (h *Hub) Quiet() bool { return h.active.Load() == 0 }
 
-// Seq returns the current sequence number — the seq of the most recent
-// visibility point that published anything.
-func (h *Hub) Seq() uint64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.seq
-}
-
 // Subscribed reports whether any live subscription watches the relation.
 func (h *Hub) Subscribed(view string) bool {
 	h.mu.RLock()
@@ -61,13 +54,14 @@ func (h *Hub) Subscribed(view string) bool {
 }
 
 // Subscribe registers a subscription whose stream opens with a Resync
-// event carrying snap. Must be called under the engine write lock, with
-// snap taken under that same lock: the snapshot then corresponds exactly
-// to the current sequence number, which is what makes snapshot ⊕ replayed
-// deltas ≡ live view. resnap is the engine-provided resync pull: it must
-// re-acquire the engine lock, produce a fresh snapshot plus its sequence
-// number, and re-arm the subscription (Rearm) before releasing the lock.
-func (h *Hub) Subscribe(view string, snap *value.Relation, opts SubOptions, resnap func() (*value.Relation, uint64, error)) *Subscription {
+// event carrying snap at seq. Must be called under the engine write lock,
+// with snap and seq taken under that same lock: the snapshot then
+// corresponds exactly to the sequence number, which is what makes
+// snapshot ⊕ replayed deltas ≡ live view. resnap is the engine-provided
+// resync pull: it must re-acquire the engine lock, produce a fresh
+// snapshot plus its sequence number, and re-arm the subscription (Rearm)
+// before releasing the lock.
+func (h *Hub) Subscribe(view string, seq uint64, snap *value.Relation, opts SubOptions, resnap func() (*value.Relation, uint64, error)) *Subscription {
 	if opts.Buffer <= 0 {
 		opts.Buffer = DefaultBuffer
 	}
@@ -84,7 +78,6 @@ func (h *Hub) Subscribe(view string, snap *value.Relation, opts SubOptions, resn
 		space:  make(chan struct{}, 1),
 	}
 	h.mu.Lock()
-	seq := h.seq
 	s.ring[0] = Event{Seq: seq, View: view, Resync: true, Snapshot: snap}
 	s.count = 1
 	s.lastEnq, s.lastDeq = seq, seq
@@ -101,51 +94,46 @@ type delivery struct {
 	ev  Event
 }
 
-// Publish records one visibility point: every update is offered to the
-// relation's subscribers under a single new sequence number, and every
+// Publish records one visibility point: every entry of cs (base table or
+// view) is offered to the relation's subscribers under cs.Seq, and every
 // subscription of a relation in lost (a view the engine could only mark
-// dirty — no delta exists) is marked lost so its consumer resyncs. Must
-// run under the engine write lock; callers should skip the call entirely
-// when Quiet() (and may skip updates for relations not Subscribed).
-func (h *Hub) Publish(updates []Update, lost []string) {
-	if len(updates) == 0 && len(lost) == 0 {
-		return
-	}
+// dirty — no delta exists) is marked lost so its consumer resyncs. Entries
+// nobody watches are ignored. The hub owns the entries' tuple slices from
+// then on. Must run under the engine write lock; callers should skip the
+// call entirely when Quiet().
+func (h *Hub) Publish(cs *wal.Changeset, lost []string) {
 	h.mu.Lock()
-	h.seq++
-	seq := h.seq
-	h.published++
 	var dels []delivery
-	for _, u := range updates {
-		subs := h.subs[u.View]
-		if len(subs) == 0 {
-			continue
-		}
-		ev := Event{Seq: seq, View: u.View, Inserts: u.Inserts, Deletes: u.Deletes}
-		for _, s := range subs {
-			dels = append(dels, delivery{s, ev})
+	for _, entries := range [2][]wal.TableDelta{cs.Tables, cs.Views} {
+		for _, td := range entries {
+			ev := Event{Seq: cs.Seq, View: td.Name, Inserts: td.Ins, Deletes: td.Del}
+			for _, s := range h.subs[td.Name] {
+				dels = append(dels, delivery{s, ev})
+			}
 		}
 	}
 	var lostSubs []*Subscription
 	for _, name := range lost {
 		lostSubs = append(lostSubs, h.subs[name]...)
 	}
+	if len(dels) > 0 || len(lostSubs) > 0 {
+		h.published++
+	}
 	h.mu.Unlock()
 	for _, d := range dels {
 		d.sub.offer(d.ev)
 	}
 	for _, s := range lostSubs {
-		s.markLost(seq)
+		s.markLost(cs.Seq)
 	}
 }
 
-// MarkAllLost marks every live subscription lost — used when the engine
-// state is replaced wholesale (Reopen after degraded mode), where no delta
-// relates the old state to the new. Every consumer then resyncs against
-// the recovered state. Must run under the engine write lock.
-func (h *Hub) MarkAllLost() {
+// MarkAllLost marks every live subscription lost at seq — used when the
+// engine state is replaced wholesale (Reopen after degraded mode), where no
+// delta relates the old state to the new. Every consumer then resyncs
+// against the recovered state. Must run under the engine write lock.
+func (h *Hub) MarkAllLost(seq uint64) {
 	h.mu.Lock()
-	seq := h.seq
 	var all []*Subscription
 	for _, subs := range h.subs {
 		all = append(all, subs...)
@@ -181,13 +169,17 @@ func (h *Hub) remove(sub *Subscription) {
 // HubStats is a point-in-time aggregate over the hub and its live
 // subscriptions (plus totals of already-closed ones).
 type HubStats struct {
-	Subscribers int    `json:"subscribers"`
-	Seq         uint64 `json:"seq"`
-	Published   uint64 `json:"published"`
-	Delivered   uint64 `json:"delivered"`
-	Dropped     uint64 `json:"dropped"`
-	Resyncs     uint64 `json:"resyncs"`
-	MaxLagSeqs  uint64 `json:"max_lag_seqs"`
+	Subscribers int `json:"subscribers"`
+	// Seq is the engine's commit sequence number, which the hub does not
+	// keep: the engine fills it in (Hub.Stats leaves it zero).
+	Seq       uint64 `json:"seq"`
+	Published uint64 `json:"published"`
+	Delivered uint64 `json:"delivered"`
+	Dropped   uint64 `json:"dropped"`
+	Resyncs   uint64 `json:"resyncs"`
+	// MaxLagSeqs is the largest LagSeqs over live subscriptions: how many
+	// commits the furthest-behind consumer trails by.
+	MaxLagSeqs uint64 `json:"max_lag_seqs"`
 }
 
 // Stats aggregates hub counters.
@@ -195,7 +187,6 @@ func (h *Hub) Stats() HubStats {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	st := HubStats{
-		Seq:       h.seq,
 		Published: h.published,
 		Delivered: h.retiredDelivered,
 		Dropped:   h.retiredDropped,

@@ -206,9 +206,12 @@ type SubStats struct {
 	Delivered uint64 `json:"delivered"`
 	Dropped   uint64 `json:"dropped"`
 	Resyncs   uint64 `json:"resyncs"`
-	LagSeqs   uint64 `json:"lag_seqs"` // last offered seq minus last received seq
-	Buffered  int    `json:"buffered"`
-	Lost      bool   `json:"lost"`
+	// LagSeqs is the last offered seq minus the last received seq: the
+	// commits the consumer is behind, counting commits that did not
+	// change its relation.
+	LagSeqs  uint64 `json:"lag_seqs"`
+	Buffered int    `json:"buffered"`
+	Lost     bool   `json:"lost"`
 }
 
 // Stats returns the subscription's counters.

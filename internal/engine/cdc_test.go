@@ -332,3 +332,36 @@ func TestSubscribeUnknownRelation(t *testing.T) {
 		t.Fatalf("failed subscribe leaked state: %+v", st)
 	}
 }
+
+// TestQuietHubAllocatesLikeNoHub pins the cdc package's zero-subscriber
+// claim: once its only subscription is closed, a database's write path
+// allocates exactly what it does on a database that never subscribed.
+func TestQuietHubAllocatesLikeNoHub(t *testing.T) {
+	allocs := func(subscribe bool) float64 {
+		db := NewDB()
+		if err := db.CreateTable(mustDecl(t, "t(a:int).")); err != nil {
+			t.Fatal(err)
+		}
+		if subscribe {
+			sub, err := db.Subscribe("t", cdc.SubOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub.Close()
+		}
+		ins, del := Insert("t", value.Int(1)), Delete("t", Eq("a", value.Int(1)))
+		n := 0
+		return testing.AllocsPerRun(200, func() {
+			s := ins
+			if n++; n%2 == 0 {
+				s = del
+			}
+			if err := db.Exec(s); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if never, quiet := allocs(false), allocs(true); never != quiet {
+		t.Fatalf("allocs per one-row Exec: %v with no hub, %v with a quiet hub", never, quiet)
+	}
+}

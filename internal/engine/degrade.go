@@ -66,7 +66,7 @@ func (db *DB) Reopen() error {
 		return fmt.Errorf("engine: reopen already in progress")
 	}
 	db.reopening = true
-	d := db.dur
+	d, seq := db.dur, db.seq
 	db.mu.Unlock()
 
 	fail := func(err error) error {
@@ -82,7 +82,7 @@ func (db *DB) Reopen() error {
 
 	d.log.Close() // poisoned: Close skips the sync, just releases the fd
 
-	db2, _, err := RecoverFS(d.opts.FS, d.opts.Dir)
+	db2, _, err := recoverFS(d.opts.FS, d.opts.Dir, seq)
 	if err != nil {
 		return fail(fmt.Errorf("engine: reopen: %w", err))
 	}
@@ -97,13 +97,14 @@ func (db *DB) Reopen() error {
 		v.setExecMode(db.execMode)
 	}
 	db.dur = db2.dur
+	db.seq = db2.seq
 	db.ro = nil
 	db.reopening = false
 	// The hub survives the swap (subscriptions are handles into this DB,
 	// not its state), but no delta relates the old state to the recovered
 	// one: every subscriber must resync against it.
 	if db.hub != nil {
-		db.hub.MarkAllLost()
+		db.hub.MarkAllLost(db.seq)
 	}
 	db.mu.Unlock()
 	return nil

@@ -15,13 +15,14 @@ import (
 // write paths, giving the in-memory database crash-consistent durability:
 //
 //   - every point at which writes become visible appends one WAL record
-//     BEFORE the write is acknowledged. commitLocked is that point for
-//     every delta-driven write: a direct transaction (execTable), a
-//     view-targeted transaction (applyPlan; the record holds the
-//     base-table deltas its putback cascade produced) and a group-commit
-//     batch (Batcher.flushLocked; ONE record per batch, so the fsync is
-//     amortized across the batch exactly like the maintenance pass).
-//     LoadTable writes a bulk-load record through the same logWrite;
+//     BEFORE the write is acknowledged: the base-table entries of the
+//     point's wal.Changeset, at the LSN that is the point's commit seq.
+//     commitLocked is that point for every delta-driven write: a direct
+//     transaction (execTable), a view-targeted transaction (applyPlan; the
+//     record holds the base-table deltas its putback cascade produced) and
+//     a group-commit batch (Batcher.flushLocked; ONE record per batch, so
+//     the fsync is amortized across the batch exactly like the maintenance
+//     pass). LoadTable writes a bulk-load record through the same logLocked;
 //   - a failed append undoes the write in the store and the write reports
 //     an error — the WAL never acknowledges a write the store didn't take,
 //     and the store never keeps a write the WAL didn't take. The failed
@@ -112,7 +113,7 @@ func (db *DB) EnableDurability(opts DurabilityOptions) error {
 	if hasDurableState(opts.FS, opts.Dir) {
 		return fmt.Errorf("engine: %s already holds durable state; use Recover", opts.Dir)
 	}
-	log, err := wal.Open(opts.FS, opts.Dir, 1, opts.SegmentBytes)
+	log, err := wal.Open(opts.FS, opts.Dir, db.seq+1, opts.SegmentBytes)
 	if err != nil {
 		return err
 	}
@@ -214,9 +215,9 @@ func (db *DB) Checkpoint() error {
 
 // ckptSnap is a checkpoint cut captured under the write lock: the catalog
 // and an O(1) copy-on-write snapshot of every base table, stamped at the
-// last LSN, plus the first LSN of the active segment after the cut's
-// rotation — every sealed segment below it is garbage once the snapshot
-// is durable. Encoding and persisting a ckptSnap needs no engine lock.
+// commit seq (the last LSN), plus the first LSN of the active segment
+// after the cut's rotation — every sealed segment below it is garbage once
+// the snapshot is durable. Encoding and persisting a ckptSnap needs no engine lock.
 type ckptSnap struct {
 	ck     *wal.Checkpoint
 	rels   []*value.Relation // per-table COW snapshots, parallel to ck.Tables
@@ -236,7 +237,7 @@ func (db *DB) snapshotLocked() (*ckptSnap, error) {
 		return nil, err
 	}
 	ck := &wal.Checkpoint{
-		LSN:             d.log.LastLSN(),
+		LSN:             db.seq,
 		Sync:            d.opts.Sync,
 		CheckpointEvery: d.opts.CheckpointEvery,
 		SegmentBytes:    d.opts.SegmentBytes,
@@ -314,10 +315,11 @@ func (db *DB) checkpointLocked() error {
 // caller has already applied changed — the write's exact net deltas — to
 // the store; views in keep were updated exactly by the caller. In order:
 // a write whose deltas are all empty is no visibility point and returns at
-// once; one WAL record is appended (rendered only when durable), and a
-// failed append undoes changed, view rows included; then the dependent
-// views are maintained, every delta is published under one hub seq, and
-// the checkpoint trigger runs. Must run under the write lock.
+// once; the point's changeset takes the next seq and is logged, a failed
+// append undoing changed, view rows included; then the dependent views are
+// maintained, the changeset is published and the checkpoint trigger runs.
+// Entries are rendered only for a reader: base tables when durable,
+// watched relations when subscribed. Must run under the write lock.
 func (db *DB) commitLocked(kind wal.Kind, changed map[string]eval.Delta, keep map[string]bool) error {
 	empty := true
 	for _, d := range changed {
@@ -329,14 +331,45 @@ func (db *DB) commitLocked(kind wal.Kind, changed map[string]eval.Delta, keep ma
 	if empty {
 		return nil
 	}
-	if err := db.logWrite(kind, func() []wal.TableDelta { return db.walTableDeltas(changed) }); err != nil {
+	cs := wal.Changeset{Kind: kind, Seq: db.seq + 1}
+	durable, pub := db.dur != nil, db.hub != nil && !db.hub.Quiet()
+	if durable || pub {
+		cs.Tables = db.renderLocked(changed, func(n string) bool {
+			return db.tables[n] != nil && (durable || db.hub.Subscribed(n))
+		})
+	}
+	if err := db.logLocked(&cs); err != nil {
 		db.undoLocked(changed)
 		return err
 	}
 	db.maintainViews(changed, keep)
-	db.publishLocked(changed)
+	if pub {
+		cs.Views = db.renderLocked(changed, func(n string) bool {
+			return db.views[n] != nil && db.hub.Subscribed(n)
+		})
+	}
+	db.publishLocked(&cs)
 	db.autoCheckpointLocked()
 	return nil
+}
+
+// renderLocked renders the non-empty deltas in changed of the relations
+// want selects as changeset entries, sorted by name. Must run under the
+// write lock.
+func (db *DB) renderLocked(changed map[string]eval.Delta, want func(string) bool) []wal.TableDelta {
+	names := make([]string, 0, len(changed))
+	for n, d := range changed {
+		if !d.Empty() && want(n) {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	out := make([]wal.TableDelta, len(names))
+	for i, n := range names {
+		d := changed[n]
+		out[i] = wal.TableDelta{Name: n, Arity: db.relDecl(n).Arity(), Ins: d.Ins.Tuples(), Del: d.Del.Tuples()}
+	}
+	return out
 }
 
 // applyLocked applies exact net deltas to the store: every deletion and
@@ -359,38 +392,33 @@ func (db *DB) undoLocked(changed map[string]eval.Delta) {
 	}
 }
 
-// logWrite appends one WAL record for a write that has just been applied
-// to the store, fsyncing per the configured mode. body renders the record
-// and is called only when durability is on. It must run under the engine
-// write lock. On error nothing was acknowledged; the caller must roll its
-// store changes back and fail the write — and the engine has transitioned
-// to read-only degraded mode, because the log is poisoned (see
-// degrade.go).
-func (db *DB) logWrite(kind wal.Kind, body func() []wal.TableDelta) error {
+// logLocked makes cs the latest visibility point of a write that has just
+// been applied to the store: when durable it appends cs's record, fsyncing
+// per the configured mode, and then it advances the commit seq to cs.Seq.
+// It must run under the engine write lock. On error nothing was
+// acknowledged and no seq consumed; the caller must roll its store changes
+// back and fail the write — and the engine has transitioned to read-only
+// degraded mode, because the log is poisoned (see degrade.go).
+func (db *DB) logLocked(cs *wal.Changeset) error {
 	if db.ro != nil {
 		return db.readOnlyErrLocked()
 	}
-	d := db.dur
-	if d == nil {
-		return nil
+	if d := db.dur; d != nil {
+		sync := false
+		switch d.opts.Sync {
+		case wal.SyncOnCommit:
+			sync = true
+		case wal.SyncOnFlush:
+			sync = cs.Kind == wal.KindBatch
+		}
+		if err := d.log.Append(cs, sync); err != nil {
+			// The log poisoned itself; fail all further writes until Reopen.
+			db.ro = err
+			return fmt.Errorf("engine: wal append: %w", err)
+		}
+		d.sinceCkpt++
 	}
-	tables := body()
-	if len(tables) == 0 {
-		return nil
-	}
-	sync := false
-	switch d.opts.Sync {
-	case wal.SyncOnCommit:
-		sync = true
-	case wal.SyncOnFlush:
-		sync = kind == wal.KindBatch
-	}
-	if _, err := d.log.Append(kind, tables, sync); err != nil {
-		// The log poisoned itself; fail all further writes until Reopen.
-		db.ro = err
-		return fmt.Errorf("engine: wal append: %w", err)
-	}
-	d.sinceCkpt++
+	db.seq = cs.Seq
 	return nil
 }
 
@@ -449,31 +477,6 @@ func (db *DB) ddlCheckpointLocked() error {
 	return db.checkpointLocked()
 }
 
-// walTableDeltas renders the base-table subset of a changed-relations map
-// as a WAL record body, sorted by table name for determinism. View deltas
-// are excluded: views are derived state, rebuilt from base tables on
-// recovery.
-func (db *DB) walTableDeltas(changed map[string]eval.Delta) []wal.TableDelta {
-	names := make([]string, 0, len(changed))
-	for n := range changed {
-		if _, ok := db.tables[n]; ok {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	out := make([]wal.TableDelta, 0, len(names))
-	for _, n := range names {
-		d := changed[n]
-		out = append(out, wal.TableDelta{
-			Name:  n,
-			Arity: db.tables[n].Arity(),
-			Ins:   d.Ins.Tuples(),
-			Del:   d.Del.Tuples(),
-		})
-	}
-	return out
-}
-
 // --- recovery -------------------------------------------------------------
 
 // RecoverStats summarizes a recovery.
@@ -507,7 +510,12 @@ func Recover(dir string) (*DB, RecoverStats, error) { return RecoverFS(nil, dir)
 
 // RecoverFS is Recover through an injected filesystem (nil = the process
 // filesystem); the recovered engine keeps using it for all durable I/O.
-func RecoverFS(fsys wal.FS, dir string) (*DB, RecoverStats, error) {
+func RecoverFS(fsys wal.FS, dir string) (*DB, RecoverStats, error) { return recoverFS(fsys, dir, 0) }
+
+// recoverFS is RecoverFS whose commit seq resumes at no less than floor:
+// Reopen passes the seq it already published, so its seq never goes
+// backwards even when the log lost acknowledged records.
+func recoverFS(fsys wal.FS, dir string, floor uint64) (*DB, RecoverStats, error) {
 	var stats RecoverStats
 	ck, err := wal.LatestCheckpoint(fsys, dir)
 	if err != nil {
@@ -542,15 +550,15 @@ func RecoverFS(fsys wal.FS, dir string) (*DB, RecoverStats, error) {
 	}
 
 	// WAL tail: net row deltas on top of the checkpointed base state.
-	res, err := wal.Replay(fsys, dir, ck.LSN, func(rec *wal.Record) error {
+	res, err := wal.Replay(fsys, dir, ck.LSN, func(rec *wal.Changeset) error {
 		for _, td := range rec.Tables {
 			decl, ok := db.tables[td.Name]
 			if !ok {
-				return fmt.Errorf("engine: wal record %d targets unknown table %q", rec.LSN, td.Name)
+				return fmt.Errorf("engine: wal record %d targets unknown table %q", rec.Seq, td.Name)
 			}
 			if decl.Arity() != td.Arity {
 				return fmt.Errorf("engine: wal record %d: table %q arity %d, catalog says %d",
-					rec.LSN, td.Name, td.Arity, decl.Arity())
+					rec.Seq, td.Name, td.Arity, decl.Arity())
 			}
 			p := datalog.Pred(td.Name)
 			for _, t := range td.Del {
@@ -608,9 +616,10 @@ func RecoverFS(fsys wal.FS, dir string) (*DB, RecoverStats, error) {
 		}
 	}
 
-	// Re-attach the log where the replay ended and take a fresh
-	// checkpoint: the torn tail (if any) is discarded for good, and the
-	// next crash recovers from here.
+	// Re-attach the log where the replay ended (or at the floor, above it)
+	// and take a fresh checkpoint there: the torn tail (if any) is
+	// discarded for good, the next record follows the cut contiguously, and
+	// the next crash recovers from here.
 	opts := DurabilityOptions{
 		Dir:             dir,
 		Sync:            ck.Sync,
@@ -621,11 +630,13 @@ func RecoverFS(fsys wal.FS, dir string) (*DB, RecoverStats, error) {
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = DefaultCheckpointEvery
 	}
-	log, err := wal.Open(fsys, dir, res.Last+1, ck.SegmentBytes)
+	seq := max(res.Last, floor)
+	log, err := wal.Open(fsys, dir, seq+1, ck.SegmentBytes)
 	if err != nil {
 		return nil, stats, err
 	}
 	db.mu.Lock()
+	db.seq = seq
 	db.dur = &durability{log: log, opts: opts, cutLSN: ck.LSN, cutGens: ck.Gen + 1}
 	if err := db.checkpointLocked(); err != nil {
 		db.dur = nil

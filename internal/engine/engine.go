@@ -50,8 +50,14 @@ type DB struct {
 	// (subscribe.go). Created lazily by the first Subscribe and kept for
 	// the life of the DB (it survives Reopen — subscriptions outlive a
 	// state swap by resyncing). Guarded by mu; every publish site holds
-	// the write lock, so hub sequence order is commit order.
+	// the write lock, so event order is commit order.
 	hub *cdc.Hub
+
+	// seq is the commit sequence: the number of the latest visibility
+	// point, advanced by one per point (logLocked). It is the WAL LSN of
+	// the point's record when durable and the Seq of its CDC events, and
+	// it never goes backwards, Reopen included. Guarded by mu.
+	seq uint64
 
 	// ro, when non-nil, is the storage failure that forced read-only
 	// degraded mode (degrade.go): every write path fails fast with
@@ -575,8 +581,9 @@ func (db *DB) markDependentsDirty(changed map[string]bool, keep map[string]bool)
 // views dirty instead of running counted IVM, and it has no delta relation
 // — building one would nearly double its cost (on a 2-vCPU Intel Xeon, a
 // 10k-row load takes ~3.9 ms and an eval.Delta of the same rows another
-// ~2.7 ms). It keeps commitLocked's empty rule and shares logWrite,
-// publishLocked and autoCheckpointLocked.
+// ~2.7 ms). Its changeset holds the inserted rows as they are. It keeps
+// commitLocked's empty rule and shares logLocked, publishLocked and
+// autoCheckpointLocked.
 func (db *DB) LoadTable(name string, rows []value.Tuple) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -604,12 +611,12 @@ func (db *DB) LoadTable(name string, rows []value.Tuple) error {
 	if len(inserted) == 0 {
 		return nil
 	}
-	// One bulk-load WAL record holding only the new rows. The stale-view
+	// One bulk-load changeset holding only the new rows. The stale-view
 	// fallback and the WAL cannot disagree: recovery likewise rebuilds
 	// every view from the recovered base state.
-	if err := db.logWrite(wal.KindBulkLoad, func() []wal.TableDelta {
-		return []wal.TableDelta{{Name: name, Arity: decl.Arity(), Ins: inserted}}
-	}); err != nil {
+	cs := wal.Changeset{Kind: wal.KindBulkLoad, Seq: db.seq + 1,
+		Tables: []wal.TableDelta{{Name: name, Arity: decl.Arity(), Ins: inserted}}}
+	if err := db.logLocked(&cs); err != nil {
 		for _, r := range inserted {
 			db.store.Delete(p, r)
 		}
@@ -620,15 +627,7 @@ func (db *DB) LoadTable(name string, rows []value.Tuple) error {
 	// of the views just marked dirty are marked lost by publishLocked's
 	// dirty scan (no view delta exists on this path) and resync instead of
 	// silently diverging.
-	var changed map[string]eval.Delta
-	if db.hub != nil && db.hub.Subscribed(name) {
-		d := eval.NewDelta(decl.Arity())
-		for _, r := range inserted {
-			d.Ins.Add(r)
-		}
-		changed = map[string]eval.Delta{name: d}
-	}
-	db.publishLocked(changed)
+	db.publishLocked(&cs)
 	db.autoCheckpointLocked()
 	return nil
 }

@@ -2,30 +2,31 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"birds/internal/cdc"
 	"birds/internal/datalog"
-	"birds/internal/eval"
 	"birds/internal/value"
+	"birds/internal/wal"
 )
 
 // Live view subscriptions (change-data-capture).
 //
 // The counting IVM computes the exact net delta of every maintained view
-// at every visibility point and used to throw it away after maintainViews.
-// Subscribe exposes it: each visibility point that publishes a WAL record
-// also publishes its per-relation deltas to the cdc.Hub, under the same
-// write lock — so hub sequence order is commit order, and a batch's deltas
-// share one sequence number (all-or-nothing visibility, same as readers).
-// That point is commitLocked (durable.go) for direct, view-targeted and
-// group-commit transactions, and LoadTable for bulk loads. Both apply the
-// empty rule: a write that changed nothing publishes nothing — no seq, no
-// event, no resync — just as it appends no WAL record.
+// at every visibility point. Subscribe exposes it: each visibility point
+// builds one wal.Changeset under the write lock, numbered by the engine's
+// commit seq, whose base-table entries the WAL logs and whose watched
+// entries the cdc.Hub publishes — so event order is commit order, an
+// event's Seq is its record's LSN, and a batch's deltas share one sequence
+// number (all-or-nothing visibility, same as readers). That point is
+// commitLocked (durable.go) for direct, view-targeted and group-commit
+// transactions, and LoadTable for bulk loads. Both apply the empty rule: a
+// write that changed nothing is no visibility point — no seq, no event, no
+// resync, no WAL record.
 //
-// The hub is nil until the first Subscribe, and publish hooks bail on a
-// nil or quiet hub before allocating anything: the steady-state write path
-// with zero subscribers is unchanged.
+// The hub is nil until the first Subscribe. With no live subscription
+// (nil or quiet hub) and no WAL, a commit renders nothing and only
+// advances the seq: the steady-state write path with zero subscribers is
+// unchanged.
 
 // Subscribe opens a change-data-capture subscription on a table or view.
 // The returned subscription's first event is a Resync carrying an O(1)
@@ -75,60 +76,53 @@ func (db *DB) Subscribe(name string, opts cdc.SubOptions) (*cdc.Subscription, er
 			}
 		}
 		s := db.store.RelOrEmpty(datalog.Pred(name), d.Arity()).Snapshot()
-		seq := h.Seq()
-		sub.Rearm(seq)
-		return s, seq, nil
+		sub.Rearm(db.seq)
+		return s, db.seq, nil
 	}
-	sub = h.Subscribe(name, snap, opts, resnap)
+	sub = h.Subscribe(name, db.seq, snap, opts, resnap)
 	return sub, nil
 }
 
-// publishLocked fans one visibility point's net deltas out to the
+// publishLocked fans one visibility point's changeset out to the
 // subscription hub: one Publish call, one sequence number, all changed
 // relations together. Views the maintenance pass could only mark dirty
 // (fallback: bulk load, dirty source, maintenance error) have no delta —
 // their subscribers are marked lost instead, surfacing as an explicit
 // Resync rather than silent divergence. Must run under the write lock,
 // after maintainViews; with no subscribers it returns before allocating.
-func (db *DB) publishLocked(changed map[string]eval.Delta) {
+func (db *DB) publishLocked(cs *wal.Changeset) {
 	h := db.hub
 	if h == nil || h.Quiet() {
 		return
 	}
-	var ups []cdc.Update
-	for name, d := range changed {
-		if d.Empty() || !h.Subscribed(name) {
-			continue
-		}
-		ups = append(ups, cdc.Update{View: name, Inserts: d.Ins.Tuples(), Deletes: d.Del.Tuples()})
-	}
-	sort.Slice(ups, func(i, j int) bool { return ups[i].View < ups[j].View })
 	var lost []string
 	for _, name := range db.viewOrder {
 		if db.dirty[name] && h.Subscribed(name) {
 			lost = append(lost, name)
 		}
 	}
-	h.Publish(ups, lost)
+	h.Publish(cs, lost)
 }
 
 // CDCStats returns the subscription hub's aggregate counters (zero when
-// nothing ever subscribed).
+// nothing ever subscribed) and the engine's commit seq.
 func (db *DB) CDCStats() cdc.HubStats {
 	db.mu.RLock()
-	h := db.hub
+	h, seq := db.hub, db.seq
 	db.mu.RUnlock()
-	if h == nil {
-		return cdc.HubStats{}
+	var st cdc.HubStats
+	if h != nil {
+		st = h.Stats()
 	}
-	return h.Stats()
+	st.Seq = seq
+	return st
 }
 
 // SnapshotAt returns an O(1) copy-on-write snapshot of a relation together
-// with the hub sequence number it corresponds to, taken under one write
-// lock acquisition (a stale view is refreshed first). The mirror harness
-// uses it to compare a subscriber's reconstruction against the live view
-// at a known sequence number; with no hub the sequence is 0.
+// with the commit seq it corresponds to, taken under one write lock
+// acquisition (a stale view is refreshed first). The mirror harness uses
+// it to compare a subscriber's reconstruction against the live view at a
+// known sequence number.
 func (db *DB) SnapshotAt(name string) (*value.Relation, uint64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -141,9 +135,5 @@ func (db *DB) SnapshotAt(name string) (*value.Relation, uint64, error) {
 			return nil, 0, err
 		}
 	}
-	var seq uint64
-	if db.hub != nil {
-		seq = db.hub.Seq()
-	}
-	return db.store.RelOrEmpty(datalog.Pred(name), decl.Arity()).Snapshot(), seq, nil
+	return db.store.RelOrEmpty(datalog.Pred(name), decl.Arity()).Snapshot(), db.seq, nil
 }

@@ -21,7 +21,7 @@ import (
 // "delete" rows at one visibility point — a whole group-commit batch is
 // one seq), a resync (the subscriber fell behind or the engine fell back
 // to a full refresh: the line carries a fresh full snapshot to restart
-// the mirror from), or a ping (heartbeat, carrying the hub's current seq
+// the mirror from), or a ping (heartbeat, carrying the current commit seq
 // so clients can compute their lag even when idle).
 //
 // Query parameters: buffer (events, default cdc.DefaultBuffer), policy
@@ -188,7 +188,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			first = false
 			flusher.Flush()
 		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
-			// Idle: heartbeat with the hub's current seq and this
+			// Idle: heartbeat with the current commit seq and this
 			// subscription's lag, so a client can detect it is behind
 			// even when its own view is quiet.
 			line := streamEvent{Type: "ping", Seq: s.db.CDCStats().Seq, Lag: sub.Stats().LagSeqs}

@@ -25,7 +25,7 @@ func FuzzReplay(f *testing.F) {
 			f.Fatal(err)
 		}
 		for i := 1; i <= n; i++ {
-			if _, err := l.Append(KindTxn, oneRow(int64(i)), false); err != nil {
+			if _, err := appendNext(l, KindTxn, oneRow(int64(i)), false); err != nil {
 				f.Fatal(err)
 			}
 		}
@@ -67,8 +67,8 @@ func FuzzReplay(f *testing.F) {
 		}
 
 		var lsns []uint64
-		res, err := Replay(nil, dir, 0, func(r *Record) error {
-			lsns = append(lsns, r.LSN)
+		res, err := Replay(nil, dir, 0, func(r *Changeset) error {
+			lsns = append(lsns, r.Seq)
 			return nil
 		})
 		for i, lsn := range lsns {
@@ -96,13 +96,13 @@ func FuzzReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("open after clean replay (torn=%v): %v", res.TornTail, err)
 		}
-		if _, err := l.Append(KindTxn, oneRow(99), true); err != nil {
+		if _, err := appendNext(l, KindTxn, oneRow(99), true); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		res2, err := Replay(nil, dir, 0, func(r *Record) error { return nil })
+		res2, err := Replay(nil, dir, 0, func(r *Changeset) error { return nil })
 		if err != nil {
 			t.Fatalf("replay after append: %v", err)
 		}

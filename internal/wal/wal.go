@@ -140,7 +140,7 @@ func (k Kind) String() string {
 	}
 }
 
-// TableDelta is the net row delta of one base table inside a record. For
+// TableDelta is the net row delta of one relation inside a changeset. For
 // KindBulkLoad, Del is empty.
 type TableDelta struct {
 	Name  string
@@ -149,11 +149,15 @@ type TableDelta struct {
 	Del   []value.Tuple
 }
 
-// Record is one decoded log record.
-type Record struct {
+// Changeset is one visibility point: the net row deltas a commit made
+// visible, under the one number that is both its LSN and its CDC seq. A
+// record encodes Kind, Seq and Tables; Views are never logged (recovery
+// re-derives views from base tables), so a replayed changeset has none.
+type Changeset struct {
 	Kind   Kind
-	LSN    uint64
-	Tables []TableDelta
+	Seq    uint64
+	Tables []TableDelta // base tables
+	Views  []TableDelta // derived relations with a subscriber
 }
 
 const (
@@ -239,7 +243,7 @@ type Log struct {
 	fsys     FS
 	f        File
 	dir      string
-	nextLSN  uint64
+	last     uint64 // LSN of the last record; the next append must carry last+1
 	segStart uint64 // first LSN the active segment holds (or will hold)
 	segBytes int64  // rotation threshold; < 0 disables rotation
 	size     int64  // bytes in the active segment
@@ -249,7 +253,7 @@ type Log struct {
 }
 
 // Open opens the log inside dir, positioned to append. nextLSN is the LSN
-// the next appended record receives; callers derive it from the
+// the next appended record must carry; callers derive it from the
 // checkpoint/replay they performed before opening. fsys nil means the
 // process filesystem; segBytes is the rotation threshold (0 = default,
 // negative = never rotate).
@@ -269,7 +273,7 @@ func Open(fsys FS, dir string, nextLSN uint64, segBytes int64) (*Log, error) {
 	}
 	sweepTemp(fsys, dir)
 
-	l := &Log{fsys: fsys, dir: dir, nextLSN: nextLSN, segBytes: segBytes}
+	l := &Log{fsys: fsys, dir: dir, last: nextLSN - 1, segBytes: segBytes}
 	segs := Segments(fsys, dir)
 	// Drop empty trailing segments (leftovers of an interrupted rotation):
 	// they hold no records, and appending into one would strand a torn
@@ -367,19 +371,12 @@ func (l *Log) createSegmentLocked(lsn uint64) error {
 // Dir returns the durability directory the log lives in.
 func (l *Log) Dir() string { return l.dir }
 
-// NextLSN returns the LSN the next appended record will receive.
-func (l *Log) NextLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextLSN
-}
-
-// LastLSN returns the LSN of the most recently appended record (0 if none
-// since the log was opened at LSN 1).
+// LastLSN returns the LSN of the most recently appended record (Open's
+// nextLSN-1 if none was appended since).
 func (l *Log) LastLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.nextLSN - 1
+	return l.last
 }
 
 // Poisoned returns nil while the log is healthy, or an ErrPoisoned-wrapped
@@ -403,27 +400,30 @@ func (l *Log) poisonedErrLocked() error {
 	return fmt.Errorf("%w: %w", ErrPoisoned, l.poisoned)
 }
 
-// Append encodes one record, assigns it the next LSN, writes its frame and
-// — when sync is true — fsyncs the log. The record is acknowledged (and the
-// LSN consumed) only on success: a failed append leaves no acknowledged
-// state behind, so the caller rolls its in-memory state back and reports
-// the write as failed. A write or sync failure additionally poisons the
-// log (see ErrPoisoned): any bytes a partial write left behind become a
-// permanent torn tail that recovery skips, because nothing is ever
-// appended after them.
-func (l *Log) Append(kind Kind, tables []TableDelta, sync bool) (uint64, error) {
+// Append encodes cs as one record at LSN cs.Seq, writes its frame and —
+// when sync is true — fsyncs the log. The caller numbers the record: a
+// Seq other than LastLSN()+1 is refused before a byte is written, and the
+// log stays healthy. The record is acknowledged only on success: a failed
+// append leaves no acknowledged state behind, so the caller rolls its
+// in-memory state back and reports the write as failed. A write or sync
+// failure additionally poisons the log (see ErrPoisoned): any bytes a
+// partial write left behind become a permanent torn tail that recovery
+// skips, because nothing is ever appended after them.
+func (l *Log) Append(cs *Changeset, sync bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.poisoned != nil {
-		return 0, l.poisonedErrLocked()
+		return l.poisonedErrLocked()
+	}
+	if cs.Seq != l.last+1 {
+		return fmt.Errorf("wal: append at LSN %d after LSN %d", cs.Seq, l.last)
 	}
 	if l.segBytes > 0 && l.size >= l.segBytes {
 		if err := l.rotateLocked(); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	lsn := l.nextLSN
-	payload := encodeRecord(l.buf[:0], kind, lsn, tables)
+	payload := encodeRecord(l.buf[:0], cs)
 	l.buf = payload[:0] // keep the (possibly grown) scratch buffer
 
 	var hdr [frameHeader]byte
@@ -440,17 +440,15 @@ func (l *Log) Append(kind Kind, tables []TableDelta, sync bool) (uint64, error) 
 		// The partial write left a torn (unacknowledged) tail; poisoning
 		// guarantees no later append lands after it, so recovery skips it.
 		l.poisonLocked(err)
-		return 0, err
+		return err
 	}
 	l.size += int64(len(frame))
 	l.dirty = true
-	l.nextLSN++
+	l.last = cs.Seq
 	if sync {
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
+		return l.syncLocked()
 	}
-	return lsn, nil
+	return nil
 }
 
 // rotateLocked seals the active segment (fsyncing its tail) and starts a
@@ -464,7 +462,7 @@ func (l *Log) rotateLocked() error {
 	}
 	old := l.f
 	oldStart, oldSize := l.segStart, l.size
-	if err := l.createSegmentLocked(l.nextLSN); err != nil {
+	if err := l.createSegmentLocked(l.last + 1); err != nil {
 		// Keep writing the oversized segment; availability beats rotation.
 		l.f, l.segStart, l.size = old, oldStart, oldSize
 		return nil
@@ -597,7 +595,7 @@ type ReplayResult struct {
 // newest non-empty segment or nowhere; empty trailing segments from an
 // interrupted rotation are fine.) A missing or empty log replays as
 // empty. fsys nil means the process filesystem.
-func Replay(fsys FS, dir string, afterLSN uint64, fn func(*Record) error) (ReplayResult, error) {
+func Replay(fsys FS, dir string, afterLSN uint64, fn func(*Changeset) error) (ReplayResult, error) {
 	fsys = realFS(fsys)
 	res := ReplayResult{Last: afterLSN}
 	torn := false
@@ -630,17 +628,17 @@ func Replay(fsys FS, dir string, afterLSN uint64, fn func(*Record) error) (Repla
 				break
 			}
 			off += frameLen
-			if rec.LSN <= afterLSN {
+			if rec.Seq <= afterLSN {
 				res.Skipped++
 				continue
 			}
-			if rec.LSN != res.Last+1 {
-				return res, fmt.Errorf("%w: record LSN %d after LSN %d (gap)", ErrCorrupt, rec.LSN, res.Last)
+			if rec.Seq != res.Last+1 {
+				return res, fmt.Errorf("%w: record LSN %d after LSN %d (gap)", ErrCorrupt, rec.Seq, res.Last)
 			}
 			if err := fn(rec); err != nil {
 				return res, err
 			}
-			res.Last = rec.LSN
+			res.Last = rec.Seq
 			res.Replayed++
 		}
 	}
@@ -652,7 +650,7 @@ func Replay(fsys FS, dir string, afterLSN uint64, fn func(*Record) error) (Repla
 // non-zero only for a COMPLETE frame (its bytes are all present, so a
 // caller can resync past it); an incomplete frame extends to end-of-data
 // and nothing can follow it.
-func decodeFrame(data []byte) (rec *Record, frameLen int, ok bool) {
+func decodeFrame(data []byte) (rec *Changeset, frameLen int, ok bool) {
 	if len(data) < frameHeader {
 		return nil, 0, false
 	}
@@ -695,11 +693,13 @@ func anyValidFrame(data []byte) bool {
 
 // --- record encoding ------------------------------------------------------
 
-func encodeRecord(buf []byte, kind Kind, lsn uint64, tables []TableDelta) []byte {
-	buf = append(buf, byte(kind))
-	buf = binary.AppendUvarint(buf, lsn)
-	buf = binary.AppendUvarint(buf, uint64(len(tables)))
-	for _, t := range tables {
+// encodeRecord renders a changeset's record payload; its Views are not
+// part of the record.
+func encodeRecord(buf []byte, cs *Changeset) []byte {
+	buf = append(buf, byte(cs.Kind))
+	buf = binary.AppendUvarint(buf, cs.Seq)
+	buf = binary.AppendUvarint(buf, uint64(len(cs.Tables)))
+	for _, t := range cs.Tables {
 		buf = appendString(buf, t.Name)
 		buf = binary.AppendUvarint(buf, uint64(t.Arity))
 		buf = appendTuples(buf, t.Ins)
@@ -708,10 +708,10 @@ func encodeRecord(buf []byte, kind Kind, lsn uint64, tables []TableDelta) []byte
 	return buf
 }
 
-func decodeRecord(payload []byte) (*Record, error) {
+func decodeRecord(payload []byte) (*Changeset, error) {
 	d := &decoder{data: payload}
-	rec := &Record{Kind: Kind(d.byte())}
-	rec.LSN = d.uvarint()
+	rec := &Changeset{Kind: Kind(d.byte())}
+	rec.Seq = d.uvarint()
 	nt := int(d.uvarint())
 	if d.err == nil && nt > len(payload) { // arity-free sanity bound
 		return nil, fmt.Errorf("wal: implausible table count %d", nt)

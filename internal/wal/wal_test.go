@@ -41,7 +41,7 @@ func appendAll(t *testing.T) string {
 	}
 	kinds := []Kind{KindTxn, KindBatch, KindBulkLoad}
 	for i, tables := range testRecords() {
-		lsn, err := l.Append(kinds[i%len(kinds)], tables, true)
+		lsn, err := appendNext(l, kinds[i%len(kinds)], tables, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,10 +55,10 @@ func appendAll(t *testing.T) string {
 	return dir
 }
 
-func replayAll(t *testing.T, dir string, afterLSN uint64) ([]*Record, ReplayResult, error) {
+func replayAll(t *testing.T, dir string, afterLSN uint64) ([]*Changeset, ReplayResult, error) {
 	t.Helper()
-	var recs []*Record
-	res, err := Replay(nil, dir, afterLSN, func(r *Record) error {
+	var recs []*Changeset
+	res, err := Replay(nil, dir, afterLSN, func(r *Changeset) error {
 		recs = append(recs, r)
 		return nil
 	})
@@ -76,8 +76,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	want := testRecords()
 	for i, rec := range recs {
-		if rec.LSN != uint64(i+1) {
-			t.Fatalf("record %d: LSN %d", i, rec.LSN)
+		if rec.Seq != uint64(i+1) {
+			t.Fatalf("record %d: LSN %d", i, rec.Seq)
 		}
 		if len(rec.Tables) != len(want[i]) {
 			t.Fatalf("record %d: %d tables, want %d", i, len(rec.Tables), len(want[i]))
@@ -105,7 +105,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].LSN != 3 || res.Skipped != 2 {
+	if len(recs) != 1 || recs[0].Seq != 3 || res.Skipped != 2 {
 		t.Fatalf("afterLSN=2: got %d records, result %+v", len(recs), res)
 	}
 }
@@ -223,7 +223,7 @@ func TestAppendAfterReopenContinuesLSN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := l.Append(KindTxn, []TableDelta{{Name: "items", Arity: 1, Ins: []value.Tuple{tup(value.Int(9))}}}, false)
+	lsn, err := appendNext(l, KindTxn, []TableDelta{{Name: "items", Arity: 1, Ins: []value.Tuple{tup(value.Int(9))}}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +244,57 @@ func oneRow(v int64) []TableDelta {
 	return []TableDelta{{Name: "items", Arity: 1, Ins: []value.Tuple{tup(value.Int(v))}}}
 }
 
+// appendNext appends tables as the log's next record and returns its LSN.
+func appendNext(l *Log, kind Kind, tables []TableDelta, sync bool) (uint64, error) {
+	cs := &Changeset{Kind: kind, Seq: l.LastLSN() + 1, Tables: tables}
+	return cs.Seq, l.Append(cs, sync)
+}
+
+// TestAppendRejectsNonContiguousLSN: the caller numbers records, and the
+// log refuses a number other than LastLSN()+1 — a repeat or a gap — before
+// writing a byte (not even rotating, with a threshold the next append
+// crosses) and without poisoning itself.
+func TestAppendRejectsNonContiguousLSN(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFaultFS(nil, 1)
+	l, err := Open(ffs, dir, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := int64(1); i <= 2; i++ {
+		if _, err := appendNext(l, KindTxn, oneRow(i), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, writes := Segments(nil, dir), ffs.OpCount(OpWrite)
+	size, _ := l.Size()
+	for _, seq := range []uint64{2, 4} {
+		if err := l.Append(&Changeset{Kind: KindTxn, Seq: seq, Tables: oneRow(9)}, true); err == nil {
+			t.Fatalf("append at LSN %d after LSN 2 succeeded", seq)
+		}
+		if err := l.Poisoned(); err != nil {
+			t.Fatalf("refused append at LSN %d poisoned the log: %v", seq, err)
+		}
+	}
+	if got, _ := l.Size(); got != size || ffs.OpCount(OpWrite) != writes || len(Segments(nil, dir)) != len(segs) {
+		t.Fatalf("refused appends wrote: size %d -> %d, writes %d -> %d, segments %v -> %v",
+			size, got, writes, ffs.OpCount(OpWrite), segs, Segments(nil, dir))
+	}
+	if _, err := appendNext(l, KindTxn, oneRow(3), true); err != nil {
+		t.Fatalf("append at LSN 3 after the refusals: %v", err)
+	}
+	recs, res, err := replayAll(t, dir, 0)
+	if err != nil || res.Last != 3 || len(recs) != 3 {
+		t.Fatalf("replay: %d records, result %+v, err %v; want LSNs 1..3", len(recs), res, err)
+	}
+	for i, rec := range recs {
+		if !rec.Tables[0].Ins[0].Equal(oneRow(int64(i + 1))[0].Ins[0]) {
+			t.Fatalf("record %d holds %v; a refused append reached the log", rec.Seq, rec.Tables[0].Ins)
+		}
+	}
+}
+
 // TestAppendErrorPoisonsLog injects a clean write failure: the append must
 // surface it, and every later append or sync must fail with ErrPoisoned —
 // the log never retries a file whose page-cache state is unknown.
@@ -255,16 +306,16 @@ func TestAppendErrorPoisonsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append(KindTxn, oneRow(1), true); err != nil {
+	if _, err := appendNext(l, KindTxn, oneRow(1), true); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
 	ffs.Inject(&Rule{Op: OpWrite, Err: boom, Once: true})
-	if _, err := l.Append(KindTxn, oneRow(2), true); !errors.Is(err, boom) {
+	if _, err := appendNext(l, KindTxn, oneRow(2), true); !errors.Is(err, boom) {
 		t.Fatalf("want injected error, got %v", err)
 	}
 	// The fault is gone, but the log must stay poisoned anyway.
-	if _, err := l.Append(KindTxn, oneRow(3), true); !errors.Is(err, ErrPoisoned) {
+	if _, err := appendNext(l, KindTxn, oneRow(3), true); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("append after failure: want ErrPoisoned, got %v", err)
 	}
 	if err := l.Sync(); !errors.Is(err, ErrPoisoned) {
@@ -288,14 +339,14 @@ func TestShortWritePoisonsAndRecoveryTrims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(KindTxn, oneRow(1), true); err != nil {
+	if _, err := appendNext(l, KindTxn, oneRow(1), true); err != nil {
 		t.Fatal(err)
 	}
 	ffs.Inject(&Rule{Op: OpWrite, ShortWrite: true, Once: true})
-	if _, err := l.Append(KindTxn, oneRow(2), false); err == nil {
+	if _, err := appendNext(l, KindTxn, oneRow(2), false); err == nil {
 		t.Fatal("short write did not error")
 	}
-	if _, err := l.Append(KindTxn, oneRow(3), false); !errors.Is(err, ErrPoisoned) {
+	if _, err := appendNext(l, KindTxn, oneRow(3), false); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("want ErrPoisoned, got %v", err)
 	}
 	l.Close()
@@ -311,7 +362,7 @@ func TestShortWritePoisonsAndRecoveryTrims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l2.Append(KindTxn, oneRow(2), true); err != nil {
+	if _, err := appendNext(l2, KindTxn, oneRow(2), true); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
@@ -331,10 +382,10 @@ func TestSyncErrorPoisonsLog(t *testing.T) {
 	}
 	defer l.Close()
 	ffs.Inject(&Rule{Op: OpSync, Err: ErrNoSpace, Path: segPrefix, Once: true})
-	if _, err := l.Append(KindTxn, oneRow(1), true); !errors.Is(err, ErrNoSpace) {
+	if _, err := appendNext(l, KindTxn, oneRow(1), true); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("want ENOSPC, got %v", err)
 	}
-	if _, err := l.Append(KindTxn, oneRow(2), true); !errors.Is(err, ErrPoisoned) {
+	if _, err := appendNext(l, KindTxn, oneRow(2), true); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("want ErrPoisoned, got %v", err)
 	}
 }
@@ -349,7 +400,7 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	const n = 20
 	for i := 1; i <= n; i++ {
-		if _, err := l.Append(KindTxn, oneRow(int64(i)), false); err != nil {
+		if _, err := appendNext(l, KindTxn, oneRow(int64(i)), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -363,8 +414,8 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatalf("recs=%d res=%+v err=%v", len(recs), res, err)
 	}
 	for i, rec := range recs {
-		if rec.LSN != uint64(i+1) {
-			t.Fatalf("record %d has LSN %d", i, rec.LSN)
+		if rec.Seq != uint64(i+1) {
+			t.Fatalf("record %d has LSN %d", i, rec.Seq)
 		}
 	}
 	// RotateForCheckpoint seals the active segment; removing below the
@@ -383,7 +434,7 @@ func TestSegmentRotation(t *testing.T) {
 	if len(recs) != n-int(watermark)+1 {
 		t.Fatalf("after GC: %d records from LSN %d, want %d", len(recs), watermark, n-int(watermark)+1)
 	}
-	if _, err := l.Append(KindTxn, oneRow(99), true); err != nil {
+	if _, err := appendNext(l, KindTxn, oneRow(99), true); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -402,7 +453,7 @@ func TestRotationCreateFailureDegradesGracefully(t *testing.T) {
 	defer l.Close()
 	ffs.Inject(&Rule{Op: OpOpen, Path: segPrefix}) // every segment create fails
 	for i := 1; i <= 10; i++ {
-		if _, err := l.Append(KindTxn, oneRow(int64(i)), false); err != nil {
+		if _, err := appendNext(l, KindTxn, oneRow(int64(i)), false); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -426,7 +477,7 @@ func TestReplayCorruptionAcrossSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if _, err := l.Append(KindTxn, oneRow(int64(i)), false); err != nil {
+		if _, err := appendNext(l, KindTxn, oneRow(int64(i)), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -679,7 +730,7 @@ func TestTornTailInOlderSegmentIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if _, err := l.Append(KindTxn, oneRow(int64(i)), false); err != nil {
+		if _, err := appendNext(l, KindTxn, oneRow(int64(i)), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -697,7 +748,7 @@ func TestTornTailInOlderSegmentIsCorrupt(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segName(4)), []byte{0xbe, 0xef}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(nil, dir, 0, func(*Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	if _, err := Replay(nil, dir, 0, func(*Changeset) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay: %v, want ErrCorrupt", err)
 	}
 
@@ -706,7 +757,7 @@ func TestTornTailInOlderSegmentIsCorrupt(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segName(4)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Replay(nil, dir, 0, func(*Record) error { return nil })
+	res, err := Replay(nil, dir, 0, func(*Changeset) error { return nil })
 	if err != nil || !res.TornTail || res.Last != 3 {
 		t.Fatalf("replay with empty trailing segment: res=%+v err=%v", res, err)
 	}
@@ -722,7 +773,7 @@ func TestOpenDropsTrailingEmptySegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if _, err := l.Append(KindTxn, oneRow(int64(i)), false); err != nil {
+		if _, err := appendNext(l, KindTxn, oneRow(int64(i)), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -745,14 +796,14 @@ func TestOpenDropsTrailingEmptySegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(KindTxn, oneRow(4), true); err != nil {
+	if _, err := appendNext(l, KindTxn, oneRow(4), true); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var lsns []uint64
-	res, err := Replay(nil, dir, 0, func(r *Record) error { lsns = append(lsns, r.LSN); return nil })
+	res, err := Replay(nil, dir, 0, func(r *Changeset) error { lsns = append(lsns, r.Seq); return nil })
 	if err != nil || res.TornTail {
 		t.Fatalf("replay after recovery append: res=%+v err=%v", res, err)
 	}
