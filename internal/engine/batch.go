@@ -158,15 +158,16 @@ func (b *Batcher) Stats() BatcherStats {
 }
 
 // flushTicket is the shared commit handle of one batch: done closes when the
-// batch's flush completes, with err set write-once before the close.
+// batch's flush completes, with seq and err set write-once before the close.
 type flushTicket struct {
 	done chan struct{}
+	seq  uint64
 	err  error
 }
 
-// resolvedTicket builds an already-resolved ticket carrying err.
-func resolvedTicket(err error) *flushTicket {
-	t := &flushTicket{done: make(chan struct{}), err: err}
+// resolvedTicket builds an already-resolved ticket carrying seq and err.
+func resolvedTicket(seq uint64, err error) *flushTicket {
+	t := &flushTicket{done: make(chan struct{}), seq: seq, err: err}
 	close(t.done)
 	return t
 }
@@ -186,6 +187,16 @@ func (c Commit) Done() <-chan struct{} { return c.t.done }
 // Err reports the flush outcome; call it only after Done is closed.
 func (c Commit) Err() error { return c.t.err }
 
+// Seq reports the commit seq of the visibility point that made the
+// transaction visible: the engine's one sequence number, which is also the
+// WAL LSN of its record and the CDC seq subscribers see. When the flush's
+// net delta was empty (the transaction's rows cancelled or were already
+// present) no new visibility point was created and Seq is the latest
+// earlier one. It is 0 when Err is non-nil or the transaction was empty;
+// call it only after Done is closed. Unlike the admission seq ExecAsync
+// returns, it survives a restart: recovery resumes the numbering.
+func (c Commit) Seq() uint64 { return c.t.seq }
+
 // Wait blocks until the transaction's batch is flushed and returns the
 // flush outcome.
 func (c Commit) Wait() error {
@@ -195,10 +206,11 @@ func (c Commit) Wait() error {
 
 // resolveTicketLocked resolves the current batch's commit handle, if any
 // transaction is waiting on it. Must be called with b.mu held.
-func (b *Batcher) resolveTicketLocked(err error) {
+func (b *Batcher) resolveTicketLocked(seq uint64, err error) {
 	if b.ticket == nil {
 		return
 	}
+	b.ticket.seq = seq
 	b.ticket.err = err
 	close(b.ticket.done)
 	b.ticket = nil
@@ -266,10 +278,10 @@ func (b *Batcher) ExecWait(stmts ...Statement) (uint64, error) {
 // on return.
 func (b *Batcher) ExecAsync(stmts ...Statement) (seq uint64, c Commit, err error) {
 	fail := func(err error) (uint64, Commit, error) {
-		return 0, Commit{t: resolvedTicket(err)}, err
+		return 0, Commit{t: resolvedTicket(0, err)}, err
 	}
 	if len(stmts) == 0 {
-		return 0, Commit{t: resolvedTicket(nil)}, nil
+		return 0, Commit{t: resolvedTicket(0, nil)}, nil
 	}
 	if err := oneTarget(stmts); err != nil {
 		return fail(err)
@@ -304,12 +316,13 @@ func (b *Batcher) ExecAsync(stmts ...Statement) (seq uint64, c Commit, err error
 		if err := b.flushLocked(); err != nil {
 			return fail(err)
 		}
-		if err := db.Exec(stmts...); err != nil {
+		commitSeq, err := db.execSeq(stmts)
+		if err != nil {
 			return fail(err)
 		}
 		b.seq++
 		b.direct++
-		return b.seq, Commit{t: resolvedTicket(nil)}, nil
+		return b.seq, Commit{t: resolvedTicket(commitSeq, nil)}, nil
 	default:
 		return fail(fmt.Errorf("engine: unknown relation %q", target))
 	}
@@ -384,9 +397,9 @@ func (b *Batcher) Discard(cause error) {
 		if cause == nil {
 			cause = errBatcherClosed
 		}
-		b.resolveTicketLocked(fmt.Errorf("engine: batch discarded before flush: %w", cause))
+		b.resolveTicketLocked(0, fmt.Errorf("engine: batch discarded before flush: %w", cause))
 	} else {
-		b.resolveTicketLocked(nil)
+		b.resolveTicketLocked(0, nil)
 	}
 	b.stage = eval.NewDatabase()
 	b.staged = make(map[string]int)
@@ -405,7 +418,7 @@ func (b *Batcher) Discard(cause error) {
 func (b *Batcher) flushLocked() error {
 	b.disarmTimerLocked()
 	if b.txns == 0 {
-		b.resolveTicketLocked(nil)
+		b.resolveTicketLocked(0, nil)
 		return nil
 	}
 	names := make([]string, 0, len(b.staged))
@@ -464,7 +477,7 @@ func (b *Batcher) flushLocked() error {
 	}
 	db.applyLocked(changed)
 	if err := db.commitLocked(wal.KindBatch, changed, nil); err != nil {
-		b.resolveTicketLocked(err)
+		b.resolveTicketLocked(0, err)
 		return err
 	}
 
@@ -483,7 +496,7 @@ func (b *Batcher) flushLocked() error {
 	b.coalescedRows += b.stagedRows - net
 	b.stagedRows = 0
 	b.txns = 0
-	b.resolveTicketLocked(nil)
+	b.resolveTicketLocked(db.seq, nil)
 	return nil
 }
 

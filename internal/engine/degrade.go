@@ -44,8 +44,9 @@ func (db *DB) readOnlyErrLocked() error {
 // Reopen recovers the engine from its own durability directory after a
 // storage failure forced read-only degraded mode: it waits out any
 // background checkpoint, discards the in-memory state and the poisoned
-// log, re-runs recovery from disk (checkpoint + WAL tail — exactly the
-// acknowledged writes), and swaps the recovered state in, re-arming
+// log, re-runs recovery from disk (checkpoint + WAL tail — the
+// acknowledged writes, plus a write reported as wal.ErrOutcomeUnknown,
+// whose complete record replays), and swaps the recovered state in, re-arming
 // durability and clearing degraded mode. The engine's evaluator setting
 // (SetExecMode) carries over to the recovered views. Group-commit handles
 // are not the engine's: their owner discards them before Reopen (nothing

@@ -78,25 +78,38 @@ func Eq(col string, v value.Value) Condition {
 // sources. On any error nothing is applied. Exec always commits directly;
 // group commit is the explicit Batcher handle (DB.Batch).
 func (db *DB) Exec(stmts ...Statement) error {
+	_, err := db.execSeq(stmts)
+	return err
+}
+
+// execSeq is Exec that also reports the commit seq current when the
+// transaction released the write lock: its own visibility point, or the
+// latest earlier one when it changed nothing.
+func (db *DB) execSeq(stmts []Statement) (uint64, error) {
 	if len(stmts) == 0 {
-		return nil
+		return 0, nil
 	}
 	if err := oneTarget(stmts); err != nil {
-		return err
+		return 0, err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.ro != nil {
-		return db.readOnlyErrLocked()
+		return 0, db.readOnlyErrLocked()
 	}
 	target := stmts[0].Target
+	var err error
 	if _, ok := db.tables[target]; ok {
-		return db.execTable(target, stmts)
+		err = db.execTable(target, stmts)
+	} else if _, ok := db.views[target]; ok {
+		err = db.execView(target, stmts)
+	} else {
+		err = fmt.Errorf("engine: unknown relation %q", target)
 	}
-	if _, ok := db.views[target]; ok {
-		return db.execView(target, stmts)
+	if err != nil {
+		return 0, err
 	}
-	return fmt.Errorf("engine: unknown relation %q", target)
+	return db.seq, nil
 }
 
 // oneTarget checks the transaction's statements share a single target.

@@ -396,3 +396,52 @@ func TestExplicitCheckpointTornRenameKeepsLiveGeneration(t *testing.T) {
 	}
 	assertSameEngineState(t, rec, want, "recovered")
 }
+
+// An fsync that fails after the record's frame was written in full leaves a
+// complete frame in the segment. The write is not acknowledged and the
+// engine degrades as for any storage failure, but the error must say the
+// outcome is unknown (wal.ErrOutcomeUnknown), not that the write failed:
+// recovery replays the frame, and the row reappears at seq 1.
+func TestFaultSyncAfterFullWriteOutcomeUnknown(t *testing.T) {
+	dir := t.TempDir()
+	ffs := wal.NewFaultFS(nil, 1)
+	db := maintainDB(t)
+	if err := db.EnableDurability(DurabilityOptions{Dir: dir, Sync: wal.SyncOnCommit, FS: ffs}); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Inject(&wal.Rule{Op: wal.OpSync, Path: "wal-", Once: true})
+	err := db.Exec(Insert("r1", value.Int(1), value.Int(1)))
+	if !errors.Is(err, wal.ErrOutcomeUnknown) {
+		t.Fatalf("Exec with a failed fsync after a full frame write: got %v, want wal.ErrOutcomeUnknown", err)
+	}
+	if ffs.Fired() != 1 {
+		t.Fatalf("fault fired %d times, want 1", ffs.Fired())
+	}
+	if db.ReadOnly() == nil {
+		t.Fatal("engine not degraded after a failed fsync")
+	}
+	if r1, err := db.Get("r1"); err != nil || !r1.Empty() {
+		t.Fatalf("unacknowledged write visible before recovery: r1 = %v, %v", r1, err)
+	}
+	if seq := db.CDCStats().Seq; seq != 0 {
+		t.Fatalf("commit seq %d after an unacknowledged write, want 0", seq)
+	}
+
+	ffs.Clear()
+	if err := db.Reopen(); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	r1, err := db.Get("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r1.Equal(value.RelationOf(2, tup(1, 1))) {
+		t.Fatalf("after Reopen r1 = %v, want the replayed {(1, 1)}", r1)
+	}
+	if seq := db.CDCStats().Seq; seq != 1 {
+		t.Fatalf("after Reopen commit seq = %d, want 1", seq)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -232,3 +232,47 @@ func TestReopenNeverRewindsSeq(t *testing.T) {
 	}
 	assertSameDurableState(t, rec, db, "cold recovery")
 }
+
+// Commit.Seq is the commit seq of the visibility point that made a
+// transaction visible: shared by every transaction of one flush, the
+// direct path's own seq for a view-targeted transaction, and the latest
+// earlier seq when the flush's net delta was empty.
+func TestCommitSeqIsVisibilityPoint(t *testing.T) {
+	db := maintainDB(t)
+	defer db.Close()
+	if err := db.Exec(Insert("r2", value.Int(1), value.Int(5))); err != nil {
+		t.Fatal(err)
+	}
+	bt := db.Batch(BatchOptions{MaxTxns: 2})
+	defer bt.Close()
+	wait := func(label string, c Commit, want uint64) {
+		t.Helper()
+		if err := c.Wait(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if c.Seq() != want {
+			t.Fatalf("%s: Commit.Seq = %d, want %d", label, c.Seq(), want)
+		}
+		if got := db.CDCStats().Seq; got != want {
+			t.Fatalf("%s: engine commit seq = %d, want %d", label, got, want)
+		}
+	}
+	exec := func(s Statement) Commit {
+		t.Helper()
+		_, c, err := bt.ExecAsync(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c1 := exec(Insert("r1", value.Int(1), value.Int(1)))
+	c2 := exec(Insert("r1", value.Int(2), value.Int(2))) // the size trigger flushes both
+	wait("first of one flush", c1, 2)
+	wait("second of one flush", c2, 2)
+	wait("view-targeted", exec(Delete("j", Eq("a", value.Int(1)))), 3)
+	c := exec(Insert("r2", value.Int(1), value.Int(5))) // already present
+	if err := bt.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	wait("empty net delta", c, 3)
+}

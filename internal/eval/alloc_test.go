@@ -183,3 +183,50 @@ neg(X) :- r(X,_), not s(X).
 		t.Errorf("steady-state EvalDelta allocates %v objects per run, budget %d", allocs, budget)
 	}
 }
+
+// A warm streaming Eval over a tiny database — the satisfiability oracle's
+// per-instance call — allocates only what it derives: one head tuple per
+// emitted tuple, the output relations holding them, and the probe tables
+// the run builds. The plans' run contexts and the probe-table cache are
+// owned by the evaluator, so no allocation is paid per rule or per
+// evaluation, and a predicate that derives nothing keeps its installed
+// empty relation instead of allocating a new one.
+func TestAllocsStreamingEvalWarm(t *testing.T) {
+	ev := mustEval(t, `
+source r(a:int, b:int).
+source s(b:int).
+view v(a:int).
+j(X,Y) :- r(X,Y), s(Y).
+n(X) :- r(X,_), not s(X).
+e(X) :- r(X,Y), s(Y), X = 99.
+`)
+	db := NewDatabase()
+	db.Set(datalog.Pred("r"), pairs([2]int64{1, 2}, [2]int64{2, 3}))
+	db.Set(datalog.Pred("s"), ints(2))
+	if err := ev.Eval(db); err != nil { // warm plans, envs and caches
+		t.Fatal(err)
+	}
+	if got := db.Rel(datalog.Pred("j")); !got.Equal(pairs([2]int64{1, 2})) {
+		t.Fatalf("j = %v, want {(1,2)}", got)
+	}
+	if got := db.Rel(datalog.Pred("n")); !got.Equal(ints(1)) {
+		t.Fatalf("n = %v, want {(1)}", got)
+	}
+	if got := db.Rel(datalog.Pred("e")); got == nil || !got.Empty() {
+		t.Fatalf("e = %v, want an installed empty relation", got)
+	}
+	// Derived: j(1,2) and n(1), one head tuple each. Output storage: per
+	// non-empty output, the relation plus its tuple and hash slices. Probe
+	// tables: j and e share one small join table on s (struct and tuple
+	// slice). The slack absorbs runtime map bookkeeping; one allocation per
+	// rule or per evaluation would exceed it.
+	const derived, outputs, tables, slack = 2, 2 * 3, 2, 2
+	const budget = derived + outputs + tables + slack
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := ev.Eval(db); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > budget {
+		t.Errorf("warm streaming Eval allocates %v objects per run, budget %d", allocs, budget)
+	}
+}

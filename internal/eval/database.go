@@ -54,7 +54,8 @@ type indexGroup struct {
 	tuples []value.Tuple
 }
 
-// maskOf renders key positions as "0,2" for diagnostics (IndexStats).
+// maskOf renders key positions as "0,2": the diagnostics form
+// (IndexStats) and the streaming table-cache key (step.mask).
 func maskOf(positions []int) string {
 	var b strings.Builder
 	for i, p := range positions {
@@ -259,11 +260,9 @@ func (db *Database) Delete(p datalog.PredSym, t value.Tuple) bool {
 // Index returns (building if needed) a maintained hash index on p keyed by
 // the given positions.
 func (db *Database) Index(p datalog.PredSym, positions []int) *hashIndex {
-	for _, ix := range db.indexes[p] {
-		if slices.Equal(ix.positions, positions) {
-			ix.hot = true
-			return ix
-		}
+	if ix := db.existingIndex(p, positions); ix != nil {
+		ix.hot = true
+		return ix
 	}
 	ix := &hashIndex{positions: positions, buckets: make(map[uint64][]indexGroup), hot: true}
 	if r := db.rels[p]; r != nil {
@@ -274,11 +273,14 @@ func (db *Database) Index(p datalog.PredSym, positions []int) *hashIndex {
 }
 
 // existingIndex returns the maintained index on p for exactly the given
-// positions, or nil, without building one and without marking it hot — the
-// streaming evaluator's way of reusing an index somebody else already pays
-// for, while never causing the Database to build or keep one.
+// positions, or nil, without building one and without marking it hot.
 func (db *Database) existingIndex(p datalog.PredSym, positions []int) *hashIndex {
-	for _, ix := range db.indexes[p] {
+	return findIndex(db.indexes[p], positions)
+}
+
+// findIndex returns the index of ixs keyed on exactly positions, or nil.
+func findIndex(ixs []*hashIndex, positions []int) *hashIndex {
+	for _, ix := range ixs {
 		if slices.Equal(ix.positions, positions) {
 			return ix
 		}
@@ -303,10 +305,8 @@ func (db *Database) Lookup(p datalog.PredSym, positions []int, key value.Tuple) 
 // subsequent Update of the relation may drop it; base-table relations,
 // which are maintained by Insert/Delete rather than replaced, keep it.
 func (db *Database) LookupExisting(p datalog.PredSym, positions []int, key value.Tuple) (tuples []value.Tuple, ok bool) {
-	for _, ix := range db.indexes[p] {
-		if slices.Equal(ix.positions, positions) {
-			return ix.lookup(key), true
-		}
+	if ix := db.existingIndex(p, positions); ix != nil {
+		return ix.lookup(key), true
 	}
 	return nil, false
 }

@@ -16,11 +16,20 @@ import (
 type Evaluator struct {
 	prog        *datalog.Program
 	order       []datalog.PredSym
+	plan        []predPlan // order resolved to rules and arities
 	deps        map[datalog.PredSym][]datalog.PredSym
 	rules       map[datalog.PredSym][]*compiledRule
 	constraints []*compiledRule
 	arities     map[datalog.PredSym]int
 	mode        ExecMode // full-eval execution mode; zero value = ExecStreaming
+
+	// Full-evaluation scratch, owned so that a warm Eval allocates only
+	// what it derives: the streaming probe-table cache (emptied when each
+	// evaluation returns) and the sink collecting one predicate's output,
+	// with its emit callback bound once.
+	ec      evalCtx
+	out     sink
+	emitOut func(value.Tuple) bool
 
 	// Counting-based incremental view maintenance state (ivm.go): the
 	// per-IDB support counts EvalDelta keeps, and the compiled delta plans
@@ -47,6 +56,7 @@ func New(prog *datalog.Program) (*Evaluator, error) {
 		rules:   make(map[datalog.PredSym][]*compiledRule),
 		arities: make(map[datalog.PredSym]int),
 	}
+	e.emitOut = e.out.add
 	for _, r := range prog.Rules {
 		cr, err := compileRule(r)
 		if err != nil {
@@ -63,6 +73,12 @@ func New(prog *datalog.Program) (*Evaluator, error) {
 		e.arities[h] = r.Head.Arity()
 		e.rules[h] = append(e.rules[h], cr)
 	}
+
+	e.plan = make([]predPlan, len(order))
+	for i, sym := range order {
+		e.plan[i] = predPlan{sym: sym, arity: e.arities[sym], rules: e.rules[sym]}
+	}
+	e.assignSlots()
 
 	// Restrict the dependency graph to IDB predicates (EvalQuery's cone).
 	idb := prog.IDBPreds()
@@ -90,30 +106,118 @@ func (e *Evaluator) Eval(db *Database) error {
 	return e.evalPreds(db, nil)
 }
 
+// predPlan is one IDB predicate of the evaluation order with its rules and
+// arity resolved at compile time.
+type predPlan struct {
+	sym   datalog.PredSym
+	arity int
+	rules []*compiledRule
+}
+
+// assignSlots numbers every predicate the rule plans read with a
+// program-local relation slot (step.slot), so that a streaming evaluation
+// resolves each relation once instead of hashing its symbol at every step
+// of every variant. IDB predicate i of the evaluation order has slot i,
+// resolved when the evaluation installs it; the EDB predicates follow,
+// resolved when the evaluation starts (evalCtx.bind). The slots live in
+// the evaluator's own context: two evaluators sharing a Database never
+// share slots.
+func (e *Evaluator) assignSlots() {
+	slot := make(map[datalog.PredSym]int, len(e.order))
+	syms := append([]datalog.PredSym(nil), e.order...)
+	for i, sym := range syms {
+		slot[sym] = i
+	}
+	number := func(plan *compiledRule) {
+		for j := range plan.steps {
+			st := &plan.steps[j]
+			if st.kind == stepBuiltin {
+				continue
+			}
+			k, ok := slot[st.pred]
+			if !ok {
+				k = len(syms)
+				slot[st.pred] = k
+				syms = append(syms, st.pred)
+			}
+			st.slot = k
+		}
+	}
+	for _, p := range e.plan {
+		for _, cr := range p.rules {
+			number(cr)
+			for _, v := range cr.variants {
+				number(v)
+			}
+		}
+	}
+	e.ec = newEvalCtx(syms, len(e.order))
+}
+
+// sink collects one predicate's derived tuples during a full evaluation.
+// The relation is allocated on the first tuple, so a predicate deriving
+// nothing allocates nothing.
+type sink struct {
+	arity int
+	rel   *value.Relation
+}
+
+func (s *sink) add(t value.Tuple) bool {
+	if s.rel == nil {
+		s.rel = value.NewRelation(s.arity)
+	}
+	s.rel.Add(t)
+	return true
+}
+
 // evalPreds evaluates the IDB predicates for which include returns true (a
 // nil include evaluates all), in topological order. In streaming mode (the
 // default) each rule runs its cheapest driver variant over ephemeral probe
-// tables shared through one per-evaluation context; materialized mode keeps
-// the compile-time join order and maintained indexes.
+// tables shared through the evaluator's context, which is emptied when the
+// evaluation returns; materialized mode keeps the compile-time join order
+// and maintained indexes.
 func (e *Evaluator) evalPreds(db *Database, include map[datalog.PredSym]bool) error {
 	var ec *evalCtx
 	if e.mode == ExecStreaming {
-		ec = newEvalCtx()
+		ec = &e.ec
+		ec.bind(db)
+		defer ec.reset()
 	}
-	for _, sym := range e.order {
-		if include != nil && !include[sym] {
+	for i := range e.plan {
+		p := &e.plan[i]
+		if include != nil && !include[p.sym] {
 			continue
 		}
-		var err error
-		if ec != nil {
-			err = e.evalPredStreaming(db, ec, sym)
-		} else {
-			err = e.evalPredMaterialized(db, sym)
+		if err := e.evalPred(db, ec, p); err != nil {
+			return err
 		}
-		if err != nil {
+		if ec != nil {
+			ec.refresh(db, i)
+		}
+	}
+	return nil
+}
+
+// evalPred evaluates one IDB predicate's rules (streaming when ec is
+// non-nil, materialized otherwise) and installs the result. A predicate
+// that derives nothing keeps an installed relation that is already empty.
+func (e *Evaluator) evalPred(db *Database, ec *evalCtx, p *predPlan) error {
+	e.out = sink{arity: p.arity}
+	for _, cr := range p.rules {
+		if err := runFull(db, ec, cr, e.emitOut); err != nil {
+			e.out.rel = nil
 			return err
 		}
 	}
+	out := e.out.rel
+	e.out.rel = nil
+	if out == nil {
+		if old := db.Rel(p.sym); old != nil && old.Empty() {
+			return nil
+		}
+		out = value.NewRelation(p.arity)
+	}
+	e.installEval(db, p.sym, out)
 	return nil
 }
 
@@ -139,22 +243,6 @@ func (e *Evaluator) installEval(db *Database, sym datalog.PredSym, out *value.Re
 	// rebuilt from the fresh relation, instead of dropping them to be
 	// lazily reconstructed on the next evaluation.
 	db.Update(sym, out)
-}
-
-// evalPredMaterialized evaluates one IDB predicate's rules with the
-// materialized executor and installs the result.
-func (e *Evaluator) evalPredMaterialized(db *Database, sym datalog.PredSym) error {
-	out := value.NewRelation(e.arities[sym])
-	for _, cr := range e.rules[sym] {
-		if err := cr.run(db, func(t value.Tuple) bool {
-			out.Add(t)
-			return true
-		}); err != nil {
-			return err
-		}
-	}
-	e.installEval(db, sym, out)
-	return nil
 }
 
 // cone returns the goal's dependency cone: the IDB predicates transitively
@@ -236,10 +324,12 @@ type step struct {
 	kind stepKind
 	// scan / negated atom:
 	pred    datalog.PredSym
+	slot    int // full plans: program-local relation slot of pred (assignSlots)
 	args    []argSlot
-	keyPos  []int // positions bound at entry (probe key); nil = full scan
-	fullKey bool  // negation with every position bound: direct Contains
-	old     bool  // delta plans only: read the pre-delta version of pred
+	keyPos  []int  // positions bound at entry (probe key); nil = full scan
+	mask    string // keyPos rendered once, for ephemeral-table cache keys
+	fullKey bool   // negation with every position bound: direct Contains
+	old     bool   // delta plans only: read the pre-delta version of pred
 	// builtin:
 	neg    bool
 	op     datalog.CmpOp
@@ -250,15 +340,16 @@ type step struct {
 }
 
 // compiledRule is an executable plan for one rule. The plan owns a runtime
-// environment (variable bindings plus per-step scratch buffers) allocated
-// once at compile time and reused across runs.
+// environment (variable bindings plus per-step scratch buffers) and a run
+// context (per-step resolution slots), both allocated once at compile time
+// and reused across runs.
 type compiledRule struct {
 	rule  *datalog.Rule
 	nvars int
 	steps []step
 	head  []argSlot // nil for constraints
 	en    *env
-	rc    runCtx // reusable lazy-probe context for materialized runs
+	rc    runCtx
 
 	// variants are alternative plans for the streaming executor, one per
 	// positive body atom forced first as the streamed outer scan (stream.go);
@@ -356,8 +447,12 @@ func compilePlan(r *datalog.Rule, driver int) (*compiledRule, error) {
 			cr.head = append(cr.head, termSlot(vi, t))
 		}
 	}
+	for i := range cr.steps {
+		cr.steps[i].mask = maskOf(cr.steps[i].keyPos)
+	}
 	cr.nvars = len(vi.idx)
 	cr.en = newEnvFor(cr.steps, cr.nvars)
+	cr.rc.res = make([]stepRes, len(cr.steps))
 	return cr, nil
 }
 
@@ -565,23 +660,39 @@ func (e *env) get(s argSlot) value.Value {
 }
 
 // runCtx resolves a plan's relation reads and index probes. In lazy mode
-// (rels == nil) it goes through the Database, building maintained indexes on
-// demand — the materialized path. In prepared mode (prepareStream, the
-// streaming path) every step's relation and probe structure was resolved up
-// front. A keyed step probes, in order of preference, its ephemeral
-// join/exist table, its resolved maintained index, or the Database lazily.
+// (prepared false) it goes through the Database, building maintained
+// indexes on demand — the materialized path. In prepared mode
+// (prepareStream, the streaming path) every step's relation and probe
+// structure was resolved up front into res. A keyed step probes, in order
+// of preference, its ephemeral join/exist table, its resolved maintained
+// index, or the Database lazily. Each plan owns one runCtx; a run leaves
+// it holding no database, relation or table.
 type runCtx struct {
-	db   *Database
-	rels []*value.Relation // per step; nil slice = lazy mode
-	ixs  []*hashIndex      // per step; non-nil for keyed steps resolved to a maintained index
-	tabs []*joinTable      // per step; streaming mode: ephemeral full join table
-	exts []*existTable     // per step; streaming mode: ephemeral distinct-key table (negation)
+	db       *Database
+	prepared bool
+	res      []stepRes // per step; all zero outside a prepared run
+}
+
+// stepRes is one step's resolution for a prepared run.
+type stepRes struct {
+	rel *value.Relation
+	ix  *hashIndex  // keyed step resolved to a maintained index
+	tab *joinTable  // ephemeral full join table
+	ext *existTable // ephemeral distinct-key table (negation)
+}
+
+// release drops everything a run resolved, so no relation or table
+// outlives it.
+func (rc *runCtx) release() {
+	rc.db = nil
+	rc.prepared = false
+	clear(rc.res)
 }
 
 // relAt returns the relation read by step i.
 func (rc *runCtx) relAt(i int, p datalog.PredSym) *value.Relation {
-	if rc.rels != nil {
-		return rc.rels[i]
+	if rc.prepared {
+		return rc.res[i].rel
 	}
 	return rc.db.Rel(p)
 }
@@ -591,25 +702,22 @@ func (rc *runCtx) relAt(i int, p datalog.PredSym) *value.Relation {
 // tables are probed through tabAt/cursor instead — a value-type cursor, so
 // the per-outer-tuple probe stays allocation-free.
 func (rc *runCtx) lookupAt(i int, st *step, key value.Tuple) []value.Tuple {
-	if rc.ixs != nil && rc.ixs[i] != nil {
-		return rc.ixs[i].lookup(key)
+	if ix := rc.res[i].ix; ix != nil {
+		return ix.lookup(key)
 	}
 	return rc.db.Lookup(st.pred, st.keyPos, key)
 }
 
 // tabAt returns the ephemeral join table of keyed step i, or nil.
 func (rc *runCtx) tabAt(i int) *joinTable {
-	if rc.tabs == nil {
-		return nil
-	}
-	return rc.tabs[i]
+	return rc.res[i].tab
 }
 
 // hasMatchAt reports whether keyed step i has any tuple matching key — the
 // existence probe negated atoms need.
 func (rc *runCtx) hasMatchAt(i int, st *step, key value.Tuple) bool {
-	if rc.exts != nil && rc.exts[i] != nil {
-		return rc.exts[i].has(key)
+	if et := rc.res[i].ext; et != nil {
+		return et.has(key)
 	}
 	if jt := rc.tabAt(i); jt != nil {
 		return jt.hasMatch(key)
@@ -628,6 +736,7 @@ func (cr *compiledRule) run(db *Database, emit func(value.Tuple) bool) error {
 	}
 	cr.rc.db = db
 	_, err := cr.exec(&cr.rc, en, 0, emit)
+	cr.rc.release()
 	return err
 }
 

@@ -178,14 +178,17 @@ func (e *Evaluator) evalDeltaPred(dc *deltaCtx, sym datalog.PredSym, out map[dat
 func (e *Evaluator) initIVM(db *Database) (map[datalog.PredSym]Delta, error) {
 	var ec *evalCtx
 	if e.mode == ExecStreaming {
-		ec = newEvalCtx()
+		ec = &e.ec
+		ec.bind(db)
+		defer ec.reset()
 	}
 	counts := make(map[datalog.PredSym]*value.CountedRelation, len(e.order))
 	out := make(map[datalog.PredSym]Delta)
-	for _, sym := range e.order {
-		cnt := value.NewCounted(e.arities[sym])
-		rel := value.NewRelation(e.arities[sym])
-		for _, cr := range e.rules[sym] {
+	for i := range e.plan {
+		p := &e.plan[i]
+		cnt := value.NewCounted(p.arity)
+		rel := value.NewRelation(p.arity)
+		for _, cr := range p.rules {
 			if err := runFull(db, ec, cr, func(t value.Tuple) bool {
 				if appeared, _ := cnt.Adjust(t, 1); appeared {
 					rel.Add(t)
@@ -195,8 +198,11 @@ func (e *Evaluator) initIVM(db *Database) (map[datalog.PredSym]Delta, error) {
 				return nil, err
 			}
 		}
-		e.installCounted(db, sym, rel, out)
-		counts[sym] = cnt
+		e.installCounted(db, p.sym, rel, out)
+		if ec != nil {
+			ec.refresh(db, i)
+		}
+		counts[p.sym] = cnt
 	}
 	e.ivm = &ivmState{db: db, counts: counts}
 	return out, nil

@@ -20,10 +20,15 @@
 //     atom's existence probe needs, O(distinct keys) instead of O(tuples).
 //     Neither is registered on the Database; both die with the evaluation.
 //
-//   - The per-evaluation cache (evalCtx): tables are keyed by (relation
+//   - The probe-table cache (evalCtx): tables are keyed by (relation
 //     pointer, key positions), so two rules probing the same relation the
 //     same way share one table, and a relation replaced by db.Update (new
-//     pointer) can never be observed through a stale table.
+//     pointer) can never be observed through a stale table. The Evaluator
+//     owns one context and empties it when each Eval (or counted-IVM
+//     initialization) returns, so no table outlives its evaluation; each
+//     plan likewise owns its run context, filled by prepareStream and
+//     cleared when the run returns. A warm evaluation therefore allocates
+//     only the tables it builds and the tuples and relations it derives.
 //
 // Maintained indexes that already exist are still used — as pure reads,
 // without marking them hot, so the streaming path never causes the Database
@@ -79,39 +84,48 @@ func (e *Evaluator) ExecModeOf() ExecMode { return e.mode }
 // Compared to the maintained hashIndex it has no per-key group structs and
 // no per-key tuple slices — a fraction of the heap per tuple — at the cost
 // of re-checking the key projection while walking a chain (hash collisions
-// are rare).
+// are rare). Like value.Relation, a table of at most tableIndexMinLen
+// tuples builds no chain index: a probe scans the flat slice, in the same
+// (reverse insertion) order a chain would walk.
 type joinTable struct {
 	positions []int
-	heads     map[uint64]int32
+	heads     map[uint64]int32 // nil for a small table
 	next      []int32
 	tuples    []value.Tuple
 }
+
+// tableIndexMinLen is the largest relation an ephemeral table holds
+// without a hash index: up to that size a linear scan beats hashing, as
+// for value.Relation's own index threshold.
+const tableIndexMinLen = 8
 
 // buildJoinTable hashes every tuple of rel on positions. Chains are int32;
 // relations at the 2³¹-tuple scale must use a maintained index instead
 // (prepareStream guards this).
 func buildJoinTable(rel *value.Relation, positions []int) *joinTable {
 	n := rel.Len()
-	jt := &joinTable{
-		positions: positions,
-		heads:     make(map[uint64]int32, n),
-		next:      make([]int32, 0, n),
-		tuples:    make([]value.Tuple, 0, n),
+	jt := &joinTable{positions: positions, tuples: make([]value.Tuple, 0, n)}
+	if n > tableIndexMinLen {
+		jt.heads = make(map[uint64]int32, n)
+		jt.next = make([]int32, 0, n)
 	}
-	for t := range rel.All() {
+	rel.Each(func(t value.Tuple) {
+		i := int32(len(jt.tuples))
+		jt.tuples = append(jt.tuples, t)
+		if jt.heads == nil {
+			return
+		}
 		h := value.HashSeed
 		for _, p := range positions {
 			h = value.HashMix(h, t[p])
 		}
-		i := int32(len(jt.tuples))
-		jt.tuples = append(jt.tuples, t)
 		prev, ok := jt.heads[h]
 		if !ok {
 			prev = -1
 		}
 		jt.next = append(jt.next, prev)
 		jt.heads[h] = i
-	}
+	})
 	return jt
 }
 
@@ -125,6 +139,9 @@ type tabCursor struct {
 
 // cursor starts a probe for key (the projection values, in positions order).
 func (jt *joinTable) cursor(key value.Tuple) tabCursor {
+	if jt.heads == nil {
+		return tabCursor{jt: jt, i: int32(len(jt.tuples)) - 1, key: key}
+	}
 	h := value.HashSeed
 	for _, v := range key {
 		h = value.HashMix(h, v)
@@ -140,7 +157,11 @@ func (jt *joinTable) cursor(key value.Tuple) tabCursor {
 func (c *tabCursor) next() (value.Tuple, bool) {
 	for c.i >= 0 {
 		t := c.jt.tuples[c.i]
-		c.i = c.jt.next[c.i]
+		if c.jt.heads != nil {
+			c.i = c.jt.next[c.i]
+		} else {
+			c.i--
+		}
 		if projMatches(t, c.jt.positions, c.key) {
 			return t, true
 		}
@@ -157,41 +178,59 @@ func (jt *joinTable) hasMatch(key value.Tuple) bool {
 
 // existTable answers existence probes (negated atoms) with one
 // representative tuple per distinct key projection — O(distinct keys)
-// heap, however many tuples share a key.
+// heap, however many tuples share a key. A table built from at most
+// tableIndexMinLen tuples keeps its representatives in one slice and
+// probes by scanning it.
 type existTable struct {
 	positions []int
-	buckets   map[uint64][]value.Tuple // one representative per distinct projection
+	reps      []value.Tuple            // small table: one representative per distinct projection
+	buckets   map[uint64][]value.Tuple // otherwise, the same, bucketed by projection hash
 }
 
 func buildExistTable(rel *value.Relation, positions []int) *existTable {
-	et := &existTable{positions: positions, buckets: make(map[uint64][]value.Tuple)}
-	for t := range rel.All() {
+	et := &existTable{positions: positions}
+	if rel.Len() <= tableIndexMinLen {
+		rel.Each(func(t value.Tuple) {
+			if !hasProj(et.reps, t, positions) {
+				et.reps = append(et.reps, t)
+			}
+		})
+		return et
+	}
+	et.buckets = make(map[uint64][]value.Tuple)
+	rel.Each(func(t value.Tuple) {
 		h := value.HashSeed
 		for _, p := range positions {
 			h = value.HashMix(h, t[p])
 		}
-		reps := et.buckets[h]
-		seen := false
-		for _, r := range reps {
-			if projEqual(r, t, positions) {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if reps := et.buckets[h]; !hasProj(reps, t, positions) {
 			et.buckets[h] = append(reps, t)
 		}
-	}
+	})
 	return et
+}
+
+// hasProj reports whether some tuple of reps agrees with t on positions.
+func hasProj(reps []value.Tuple, t value.Tuple, positions []int) bool {
+	for _, r := range reps {
+		if projEqual(r, t, positions) {
+			return true
+		}
+	}
+	return false
 }
 
 // has reports whether any tuple's projection equals key.
 func (et *existTable) has(key value.Tuple) bool {
-	h := value.HashSeed
-	for _, v := range key {
-		h = value.HashMix(h, v)
+	reps := et.reps
+	if et.buckets != nil {
+		h := value.HashSeed
+		for _, v := range key {
+			h = value.HashMix(h, v)
+		}
+		reps = et.buckets[h]
 	}
-	for _, r := range et.buckets[h] {
+	for _, r := range reps {
 		if projMatches(r, et.positions, key) {
 			return true
 		}
@@ -203,43 +242,86 @@ func (et *existTable) has(key value.Tuple) bool {
 
 // tabKey identifies an ephemeral table: the relation (by pointer, so a
 // relation replaced via db.Update can never hit a stale entry) and the key
-// positions rendered as a mask.
+// positions rendered as a mask (step.mask, computed at compile time).
 type tabKey struct {
 	rel  *value.Relation
 	mask string
 }
 
 // evalCtx carries the ephemeral probe tables of one full evaluation.
-// Tables are shared across the rules of that evaluation and dropped when it
-// returns.
+// Tables are shared across the rules of that evaluation; reset drops them
+// when it returns, keeping the maps for the next evaluation. It also holds
+// the relation and maintained indexes of every predicate the plans read,
+// one program-local slot per predicate (step.slot, assignSlots): bind
+// resolves the EDB slots when the evaluation starts, and refresh resolves
+// an IDB slot once the evaluation has installed the predicate — always
+// before any rule reads it, since rules run in topological order.
 type evalCtx struct {
 	tables map[tabKey]*joinTable
 	exists map[tabKey]*existTable
+	syms   []datalog.PredSym // slot → predicate
+	nidb   int               // slots [0, nidb) are the IDB predicates
+	rels   []*value.Relation
+	ixs    [][]*hashIndex
 }
 
-func newEvalCtx() *evalCtx {
-	return &evalCtx{
+func newEvalCtx(syms []datalog.PredSym, nidb int) evalCtx {
+	return evalCtx{
 		tables: make(map[tabKey]*joinTable),
 		exists: make(map[tabKey]*existTable),
+		syms:   syms,
+		nidb:   nidb,
+		rels:   make([]*value.Relation, len(syms)),
+		ixs:    make([][]*hashIndex, len(syms)),
 	}
 }
 
-func (ec *evalCtx) joinTab(rel *value.Relation, positions []int) *joinTable {
-	k := tabKey{rel: rel, mask: maskOf(positions)}
+// bind resolves the EDB slots against db.
+func (ec *evalCtx) bind(db *Database) {
+	for k := ec.nidb; k < len(ec.syms); k++ {
+		ec.refresh(db, k)
+	}
+}
+
+// refresh re-resolves slot k after db installed its relation or changed
+// its indexes.
+func (ec *evalCtx) refresh(db *Database, k int) {
+	ec.rels[k] = db.rels[ec.syms[k]]
+	ec.ixs[k] = db.indexes[ec.syms[k]]
+}
+
+// existingIndex returns the maintained index on step st's relation keyed
+// exactly on its key positions, or nil — reused as a pure read, never built
+// and never marked hot.
+func (ec *evalCtx) existingIndex(st *step) *hashIndex {
+	return findIndex(ec.ixs[st.slot], st.keyPos)
+}
+
+// reset empties the cache and the slots, releasing every table and
+// relation they hold.
+func (ec *evalCtx) reset() {
+	clear(ec.tables)
+	clear(ec.exists)
+	clear(ec.rels)
+	clear(ec.ixs)
+}
+
+func (ec *evalCtx) joinTab(rel *value.Relation, st *step) *joinTable {
+	k := tabKey{rel: rel, mask: st.mask}
 	if jt, ok := ec.tables[k]; ok {
 		return jt
 	}
-	jt := buildJoinTable(rel, positions)
+	jt := buildJoinTable(rel, st.keyPos)
 	ec.tables[k] = jt
 	return jt
 }
 
-func (ec *evalCtx) existTab(rel *value.Relation, positions []int) *existTable {
-	k := tabKey{rel: rel, mask: maskOf(positions)}
+func (ec *evalCtx) existTab(rel *value.Relation, st *step) *existTable {
+	k := tabKey{rel: rel, mask: st.mask}
 	if et, ok := ec.exists[k]; ok {
 		return et
 	}
-	et := buildExistTable(rel, positions)
+	et := buildExistTable(rel, st.keyPos)
 	ec.exists[k] = et
 	return et
 }
@@ -256,9 +338,10 @@ const maxJoinTableLen = 1<<31 - 1
 // step whose relation already has a maintained index on exactly its key
 // positions costs nothing (the index is reused as a pure read); a full-key
 // negation probes the relation directly and costs nothing. The score
-// deliberately ignores the evalCtx cache so that variant choice depends
-// only on the database state, not on the order rules happened to run in.
-func streamCost(db *Database, plan *compiledRule) int {
+// deliberately ignores the evalCtx table cache so that variant choice
+// depends only on the database state, not on the order rules happened to
+// run in.
+func streamCost(ec *evalCtx, plan *compiledRule) int {
 	cost := 0
 	for i := range plan.steps {
 		st := &plan.steps[i]
@@ -268,11 +351,11 @@ func streamCost(db *Database, plan *compiledRule) int {
 		if st.kind == stepNegAtom && st.fullKey {
 			continue
 		}
-		rel := db.Rel(st.pred)
+		rel := ec.rels[st.slot]
 		if rel == nil {
 			continue
 		}
-		if db.existingIndex(st.pred, st.keyPos) != nil {
+		if ec.existingIndex(st) != nil {
 			continue
 		}
 		cost += rel.Len()
@@ -283,13 +366,13 @@ func streamCost(db *Database, plan *compiledRule) int {
 // pickVariant returns the cheapest driver variant of the rule for the
 // current database (ties break toward the earliest body atom, so the choice
 // is deterministic). Rules without positive atoms keep their compiled plan.
-func (cr *compiledRule) pickVariant(db *Database) *compiledRule {
+func (cr *compiledRule) pickVariant(ec *evalCtx) *compiledRule {
 	if len(cr.variants) == 0 {
 		return cr
 	}
-	best, bestCost := cr.variants[0], streamCost(db, cr.variants[0])
+	best, bestCost := cr.variants[0], streamCost(ec, cr.variants[0])
 	for _, v := range cr.variants[1:] {
-		if c := streamCost(db, v); c < bestCost {
+		if c := streamCost(ec, v); c < bestCost {
 			best, bestCost = v, c
 		}
 	}
@@ -297,42 +380,40 @@ func (cr *compiledRule) pickVariant(db *Database) *compiledRule {
 }
 
 // prepareStream resolves the plan's relations and probe structures for one
-// streaming run: maintained indexes that already exist are reused as pure
-// reads (never built, never marked hot); every other keyed step gets an
-// ephemeral table from the evaluation's cache, so the run builds no
-// maintained index.
+// streaming run into the plan's own run context: maintained indexes that
+// already exist are reused as pure reads (never built, never marked hot);
+// every other keyed step gets an ephemeral table from the evaluation's
+// cache, so the run builds no maintained index.
 func (cr *compiledRule) prepareStream(db *Database, ec *evalCtx) *runCtx {
-	rc := &runCtx{
-		db:   db,
-		rels: make([]*value.Relation, len(cr.steps)),
-		ixs:  make([]*hashIndex, len(cr.steps)),
-		tabs: make([]*joinTable, len(cr.steps)),
-		exts: make([]*existTable, len(cr.steps)),
-	}
+	rc := &cr.rc
+	rc.db = db
+	rc.prepared = true
 	for i := range cr.steps {
 		st := &cr.steps[i]
 		if st.kind == stepBuiltin {
 			continue
 		}
-		rel := db.Rel(st.pred)
-		rc.rels[i] = rel
+		r := &rc.res[i]
+		rel := ec.rels[st.slot]
+		r.rel = rel
 		// A negation over anonymous arguments only (not r(_, _)) has no key
 		// positions but still probes, so it gets an exist table too rather
 		// than a maintained index built on demand.
 		if rel == nil || (len(st.keyPos) == 0 && (st.kind != stepNegAtom || st.fullKey)) {
 			continue
 		}
-		if ix := db.existingIndex(st.pred, st.keyPos); ix != nil {
-			rc.ixs[i] = ix
+		if ix := ec.existingIndex(st); ix != nil {
+			r.ix = ix
 			continue
 		}
 		switch {
 		case st.kind == stepNegAtom:
-			rc.exts[i] = ec.existTab(rel, st.keyPos)
+			r.ext = ec.existTab(rel, st)
 		case rel.Len() > maxJoinTableLen:
-			rc.ixs[i] = db.Index(st.pred, st.keyPos)
+			r.ix = db.Index(st.pred, st.keyPos)
+			ec.refresh(db, st.slot)
 		default:
-			rc.tabs[i] = ec.joinTab(rel, st.keyPos)
+			r.tab = ec.joinTab(rel, st)
 		}
 	}
 	return rc
@@ -340,15 +421,16 @@ func (cr *compiledRule) prepareStream(db *Database, ec *evalCtx) *runCtx {
 
 // runStreaming executes the rule's cheapest variant over db with ephemeral
 // probe tables, emitting every derived head tuple — the streaming analogue
-// of compiledRule.run.
+// of compiledRule.run. The variant's run context is released on return.
 func runStreaming(db *Database, ec *evalCtx, cr *compiledRule, emit func(value.Tuple) bool) error {
-	v := cr.pickVariant(db)
+	v := cr.pickVariant(ec)
 	rc := v.prepareStream(db, ec)
 	en := v.en
 	for i := range en.set {
 		en.set[i] = false
 	}
 	_, err := v.exec(rc, en, 0, emit)
+	rc.release()
 	return err
 }
 
@@ -359,21 +441,4 @@ func runFull(db *Database, ec *evalCtx, cr *compiledRule, emit func(value.Tuple)
 		return runStreaming(db, ec, cr, emit)
 	}
 	return cr.run(db, emit)
-}
-
-// evalPredStreaming evaluates one IDB predicate's rules with the streaming
-// executor and installs the result — the streaming counterpart of
-// evalPredMaterialized.
-func (e *Evaluator) evalPredStreaming(db *Database, ec *evalCtx, sym datalog.PredSym) error {
-	out := value.NewRelation(e.arities[sym])
-	for _, cr := range e.rules[sym] {
-		if err := runStreaming(db, ec, cr, func(t value.Tuple) bool {
-			out.Add(t)
-			return true
-		}); err != nil {
-			return err
-		}
-	}
-	e.installEval(db, sym, out)
-	return nil
 }

@@ -279,3 +279,145 @@ h(X) :- r(X,_), not s(_,_).
 		t.Fatal("streaming evaluation built a maintained index for a keyless negation")
 	}
 }
+
+// TestStreamingReuseMatchesReference follows the satisfiability oracle's
+// access pattern: one Database mutated by single-tuple Insert/Delete
+// between evaluations, and two evaluators alternating on it, the second
+// reading the first's outputs (as Validate's PutGet check runs the putback
+// evaluator and then the get evaluator on each instance). The sizes of r
+// and s cross during the run, so pickVariant switches the driver of j's
+// join; maintained indexes appear on a base and a derived relation part
+// way, so prepared runs mix index reuse, ephemeral tables and slots
+// re-resolved after an install. Every Eval must equal the reference, and
+// must leave the evaluator holding no table, relation or database.
+func TestStreamingReuseMatchesReference(t *testing.T) {
+	putProg := mustProg(t, `
+source r(a:int, b:int).
+source s(b:int, c:int).
+source t(a:int).
+view v(a:int).
+j(X,Z) :- r(X,Y), s(Y,Z).
+n(X) :- r(X,_), not t(X).
+k(X) :- j(X,_), not s(X,_).
+p(X) :- t(X), j(X,_).
+e(X) :- t(X), X = 99.
+`)
+	getProg := mustProg(t, `
+source j(a:int, c:int).
+source n(a:int).
+source s(b:int, c:int).
+view w(a:int).
+m(X) :- n(X), j(X,Z), s(Z,_).
+q(X) :- n(X), not j(X,_).
+`)
+	putEv, err := New(putProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	getEv, err := New(getProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(77))
+	db := NewDatabase()
+	arity := map[string]int{"r": 2, "s": 2, "t": 1}
+	insert := func(name string) {
+		tu := make(value.Tuple, arity[name])
+		for i := range tu {
+			tu[i] = value.Int(int64(rng.Intn(4)))
+		}
+		db.Insert(datalog.Pred(name), tu)
+	}
+	remove := func(name string) {
+		if rel := db.Rel(datalog.Pred(name)); rel != nil && !rel.Empty() {
+			ts := rel.Sorted()
+			db.Delete(datalog.Pred(name), ts[rng.Intn(len(ts))])
+		}
+	}
+	insert("r")
+	for i := 0; i < 12; i++ {
+		insert("s")
+	}
+	insert("t")
+
+	jRule := putEv.rules[datalog.Pred("j")][0]
+	drivers := make(map[*compiledRule]bool)
+	const steps = 120
+	for step := 0; step < steps; step++ {
+		grow, shrink := "r", "s"
+		if step >= steps/2 {
+			grow, shrink = "s", "r"
+		}
+		switch x := rng.Intn(10); {
+		case x < 4:
+			insert(grow)
+		case x < 8:
+			remove(shrink)
+		case x < 9:
+			insert("t")
+		default:
+			remove("t")
+		}
+		if step%25 == 10 {
+			db.Index(datalog.Pred("s"), []int{0})
+			db.Index(datalog.Pred("j"), []int{0})
+		}
+
+		putEv.ec.bind(db)
+		drivers[jRule.pickVariant(&putEv.ec)] = true
+		putEv.ec.reset()
+
+		label := fmt.Sprintf("step %d", step)
+		for _, c := range []struct {
+			ev   *Evaluator
+			prog *datalog.Program
+		}{{putEv, putProg}, {getEv, getProg}} {
+			want := refEval(t, c.prog, db)
+			if err := c.ev.Eval(db); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertSameIDB(t, c.prog, db, want, label)
+			assertReleased(t, c.ev, label)
+		}
+	}
+	if len(drivers) < 2 {
+		t.Fatalf("j's join ran with %d driver variant(s); the schedule must make r and s cross", len(drivers))
+	}
+}
+
+// assertReleased fails unless ev holds nothing from its last evaluation:
+// an empty probe-table cache, no resolved relation slot, and no plan's run
+// context holding a database, relation or table.
+func assertReleased(t *testing.T, ev *Evaluator, label string) {
+	t.Helper()
+	if len(ev.ec.tables) != 0 || len(ev.ec.exists) != 0 {
+		t.Fatalf("%s: evalCtx keeps %d join and %d exist tables after Eval", label, len(ev.ec.tables), len(ev.ec.exists))
+	}
+	for k := range ev.ec.syms {
+		if ev.ec.rels[k] != nil || ev.ec.ixs[k] != nil {
+			t.Fatalf("%s: evalCtx slot %s still resolved after Eval", label, ev.ec.syms[k])
+		}
+	}
+	check := func(cr *compiledRule) {
+		if cr.rc.db != nil || cr.rc.prepared {
+			t.Fatalf("%s: run context of %q still prepared after Eval", label, cr.rule)
+		}
+		for i, r := range cr.rc.res {
+			if r != (stepRes{}) {
+				t.Fatalf("%s: run context of %q step %d still holds %+v", label, cr.rule, i, r)
+			}
+		}
+	}
+	for _, p := range ev.plan {
+		for _, cr := range p.rules {
+			check(cr)
+			for _, v := range cr.variants {
+				check(v)
+			}
+		}
+	}
+	for _, cr := range ev.constraints {
+		check(cr)
+	}
+}

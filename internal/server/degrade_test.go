@@ -197,7 +197,7 @@ func postGet(t *testing.T, client *http.Client, url string) (int, []byte) {
 func TestServeOverloadShedding(t *testing.T) {
 	// One admission slot, no count trigger, no timer in range: the first
 	// exec parks in its flush wait holding the slot until /flush runs.
-	_, ts := startServer(t, Config{
+	srv, ts := startServer(t, Config{
 		BatchSize:      -1,
 		FlushInterval:  time.Hour,
 		RequestTimeout: 30 * time.Second,
@@ -216,11 +216,14 @@ func TestServeOverloadShedding(t *testing.T) {
 	}()
 
 	// The blocked exec occupies the slot; /stats is never shed, so it can
-	// watch the queue fill.
+	// watch the queue fill. The slot is taken before the handler decodes
+	// the request, so wait until the transaction is also staged in the
+	// batch: a /flush that ran before the admission would flush nothing
+	// and leave the exec parked until its request timeout.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := fetchStats(t, httpc, ts.URL)
-		if st.QueueDepth == 1 {
+		if st.QueueDepth == 1 && srv.bt.Load().Pending() == 1 {
 			if st.MaxInflight != 1 {
 				t.Fatalf("stats: max_inflight = %d, want 1", st.MaxInflight)
 			}
@@ -273,4 +276,98 @@ func TestServeOverloadShedding(t *testing.T) {
 	if r.code != http.StatusOK {
 		t.Fatalf("parked exec after flush: HTTP %d: %s", r.code, r.data)
 	}
+}
+
+// The lsn of an /exec or /flush reply is the engine's commit seq — the
+// number /stats reports as cdc.seq and wal.last_lsn — and it continues
+// across a restart, while the reply's seq is the group-commit handle's
+// admission order and starts again at 1 in the new process.
+func TestServeLSNMatchesCommitSeqAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{BatchSize: 1, FlushInterval: time.Millisecond}
+	boot := func(db *engine.DB) (*Server, *httptest.Server) {
+		srv := New(db, cfg)
+		return srv, httptest.NewServer(srv.Handler())
+	}
+	type reply struct {
+		Seq uint64 `json:"seq"`
+		LSN uint64 `json:"lsn"`
+	}
+	post := func(ts *httptest.Server, path string, body any) reply {
+		t.Helper()
+		code, data := postJSON(t, ts.Client(), ts.URL+path, "", body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", path, code, data)
+		}
+		var r reply
+		if err := json.Unmarshal(data, &r); err != nil {
+			t.Fatalf("decode %s reply %q: %v", path, data, err)
+		}
+		return r
+	}
+	commitSeq := func(ts *httptest.Server) (cdcSeq, walLSN uint64) {
+		t.Helper()
+		code, data := postGet(t, ts.Client(), ts.URL+"/stats")
+		if code != http.StatusOK {
+			t.Fatalf("stats: HTTP %d: %s", code, data)
+		}
+		var st struct {
+			CDC struct {
+				Seq uint64 `json:"seq"`
+			} `json:"cdc"`
+			WAL struct {
+				LastLSN uint64 `json:"last_lsn"`
+			} `json:"wal"`
+		}
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatalf("decode stats %q: %v", data, err)
+		}
+		return st.CDC.Seq, st.WAL.LastLSN
+	}
+	check := func(ts *httptest.Server, label string, r reply, wantLSN uint64) {
+		t.Helper()
+		cdcSeq, walLSN := commitSeq(ts)
+		if r.LSN != wantLSN || cdcSeq != wantLSN || walLSN != wantLSN {
+			t.Fatalf("%s: reply lsn %d, /stats cdc.seq %d, wal.last_lsn %d; want all %d", label, r.LSN, cdcSeq, walLSN, wantLSN)
+		}
+	}
+
+	db := serveFixture(t)
+	if err := db.EnableDurability(engine.DurabilityOptions{Dir: dir, Sync: wal.SyncOnCommit}); err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := boot(db)
+	for i := 1; i <= 3; i++ {
+		r := post(ts, "/exec", itemTxn(t, i, 500*i).body)
+		if r.Seq != uint64(i) {
+			t.Fatalf("exec %d: admission seq %d, want %d", i, r.Seq, i)
+		}
+		check(ts, fmt.Sprintf("exec %d", i), r, uint64(i))
+	}
+	check(ts, "flush", post(ts, "/flush", map[string]any{}), 3)
+	ts.Close()
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, _, err := engine.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts = boot(rec)
+	defer func() {
+		ts.Close()
+		if err := srv.Drain(); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		rec.Close()
+	}()
+	r := post(ts, "/exec", itemTxn(t, 4, 2000).body)
+	if r.Seq != 1 {
+		t.Fatalf("exec after restart: admission seq %d, want 1 (admission order restarts with the process)", r.Seq)
+	}
+	check(ts, "exec after restart", r, 4)
 }

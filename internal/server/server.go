@@ -26,7 +26,16 @@
 // ever sees a torn batch, and a view in a response always agrees exactly
 // with the base tables in the same response. A 5xx (flush failure, timeout)
 // means the transaction is INDETERMINATE: it was not acknowledged, but it
-// may still commit with a later flush retry.
+// may still commit with a later flush retry, or — when its WAL record was
+// written but not synced — be recovered on restart.
+//
+// Two sequence numbers appear in replies. "lsn" (on /exec and /flush) is
+// the engine's commit seq: one number per visibility point, equal to the
+// WAL LSN, the CDC seq of /stats and stream events, and /checkpoint's lsn;
+// recovery resumes it across restarts. "seq" (on /exec and /flush) is the
+// group-commit handle's admission order: replaying acknowledged
+// transactions in seq order reproduces the state, but it restarts at 1
+// with every process.
 package server
 
 import (
@@ -44,6 +53,7 @@ import (
 	"birds/internal/cdc"
 	"birds/internal/datalog"
 	"birds/internal/engine"
+	"birds/internal/wal"
 )
 
 // Config configures a Server.
@@ -341,14 +351,16 @@ type execRequest struct {
 
 type execResponse struct {
 	OK      bool   `json:"ok"`
-	Seq     uint64 `json:"seq"`
+	Seq     uint64 `json:"seq"` // admission order (restarts with the process)
+	LSN     uint64 `json:"lsn"` // commit seq of the visibility point (engine.Commit.Seq)
 	Pending int    `json:"pending"`
 }
 
 // handleExec runs one DML transaction through the group-commit pipeline
 // and acknowledges it only after its batch has flushed (see the package
 // consistency contract). The response's seq is the transaction's position
-// in the server's serialization order.
+// in the server's serialization (admission) order; its lsn is the commit
+// seq of the flush that made it visible.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	s.execs.Add(1)
 	var req execRequest
@@ -406,8 +418,15 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-commit.Done():
 		if cerr := commit.Err(); cerr != nil {
-			// The flush failed (WAL append error); the engine is now in
-			// read-only degraded mode and the transaction did not commit.
+			// The flush failed (WAL append error) and the engine is now in
+			// read-only degraded mode. When the batch's record never reached
+			// the log whole, the transaction did not commit. When it was
+			// written in full and only its fsync failed, recovery (a
+			// restart or POST /reopen) may replay it: the outcome is unknown.
+			if errors.Is(cerr, wal.ErrOutcomeUnknown) {
+				s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server: commit outcome unknown: %w", cerr))
+				return
+			}
 			s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server: commit failed: %w", cerr))
 			return
 		}
@@ -415,7 +434,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusGatewayTimeout, fmt.Errorf("server: timed out waiting for the batch flush (transaction admitted; it may still commit)"))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, execResponse{OK: true, Seq: seq, Pending: bt.Pending()})
+	s.writeJSON(w, http.StatusOK, execResponse{OK: true, Seq: seq, LSN: commit.Seq(), Pending: bt.Pending()})
 }
 
 // --- /query and /views/{name} ----------------------------------------------
@@ -573,7 +592,8 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 type flushResponse struct {
 	OK      bool   `json:"ok"`
 	Flushed int    `json:"flushed"`
-	Seq     uint64 `json:"seq"`
+	Seq     uint64 `json:"seq"` // admission order of the last admitted transaction
+	LSN     uint64 `json:"lsn"` // commit seq after the flush (= /stats cdc.seq)
 }
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
@@ -583,7 +603,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, flushResponse{OK: true, Flushed: pending, Seq: bt.Stats().Seq})
+	s.writeJSON(w, http.StatusOK, flushResponse{OK: true, Flushed: pending, Seq: bt.Stats().Seq, LSN: s.db.CDCStats().Seq})
 }
 
 type checkpointResponse struct {

@@ -40,6 +40,10 @@
 // real error (the caller rolls back its in-memory state exactly as for any
 // failed append) and every later Append/Sync fails fast with ErrPoisoned
 // until the log is discarded and the directory re-opened through recovery.
+// One failure is different in kind: an fsync that fails after the frame was
+// written in full (ErrOutcomeUnknown). The complete, checksummed frame was
+// handed to the file, so recovery replays it whenever its pages reached the
+// disk, although the append was not acknowledged.
 //
 // Record frame layout (little-endian):
 //
@@ -235,6 +239,13 @@ var ErrCorrupt = errors.New("wal: mid-log corruption")
 // retry against a file whose page-cache state you cannot trust).
 var ErrPoisoned = errors.New("wal: log poisoned by earlier storage failure")
 
+// ErrOutcomeUnknown reports an Append whose frame was written in full but
+// whose fsync failed. The write was not acknowledged, yet its record is a
+// complete frame in the log: recovery (a restart or a re-open) may replay
+// it. Callers must report such a write as of unknown outcome, never as
+// failed.
+var ErrOutcomeUnknown = errors.New("wal: record written but not synced; outcome unknown, the write may be recovered on restart")
+
 // Log is an open write-ahead log. Append/Sync serialize on an internal
 // mutex; the engine additionally calls them under its own write lock,
 // which is what orders records identically to execution order.
@@ -403,12 +414,14 @@ func (l *Log) poisonedErrLocked() error {
 // Append encodes cs as one record at LSN cs.Seq, writes its frame and —
 // when sync is true — fsyncs the log. The caller numbers the record: a
 // Seq other than LastLSN()+1 is refused before a byte is written, and the
-// log stays healthy. The record is acknowledged only on success: a failed
-// append leaves no acknowledged state behind, so the caller rolls its
-// in-memory state back and reports the write as failed. A write or sync
-// failure additionally poisons the log (see ErrPoisoned): any bytes a
-// partial write left behind become a permanent torn tail that recovery
-// skips, because nothing is ever appended after them.
+// log stays healthy. The record is acknowledged only on success, so on any
+// error the caller rolls its in-memory state back. A write or sync failure
+// additionally poisons the log (see ErrPoisoned). When the write failed,
+// any bytes it left behind become a permanent torn tail that recovery
+// skips, because nothing is ever appended after them: the write failed.
+// When the frame was written in full and only its fsync failed, the error
+// wraps ErrOutcomeUnknown: the frame stays in the segment and recovery
+// may replay it, so the write's outcome is unknown, not failed.
 func (l *Log) Append(cs *Changeset, sync bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -446,7 +459,9 @@ func (l *Log) Append(cs *Changeset, sync bool) error {
 	l.dirty = true
 	l.last = cs.Seq
 	if sync {
-		return l.syncLocked()
+		if err := l.syncLocked(); err != nil {
+			return fmt.Errorf("%w: %w", ErrOutcomeUnknown, err)
+		}
 	}
 	return nil
 }
