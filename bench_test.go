@@ -6,9 +6,10 @@
 //     original strategy vs the incrementalized one across base-table sizes.
 //     The original grows linearly with the base size; the incremental one
 //     stays flat — the paper's headline result.
-//   - BenchmarkAblation* — design-choice ablations called out in DESIGN.md:
-//     delta-rule unfolding inside ∂put, expected-get vs derivation in the
-//     validator, and Algorithm 2 transaction merging.
+//   - BenchmarkAblation* — design-choice ablations, each explained in its
+//     own comment below: delta-rule unfolding inside ∂put, the Lemma 5.2
+//     substitution vs the general pipeline, expected-get vs derivation in
+//     the validator, and Algorithm 2 transaction merging.
 //
 // go test -bench=. -benchmem runs everything; cmd/table1 and cmd/fig6 print
 // the paper-shaped tables instead.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"birds/internal/analysis"
@@ -130,6 +131,10 @@ type validator struct {
 	consts   []value.Value
 	srcSpecs []sat.RelSpec
 	allSpecs []sat.RelSpec // sources + view
+	// srcPre and allPre are the constraints over srcSpecs and allSpecs as
+	// oracle preconditions.
+	srcPre []sat.Precondition
+	allPre []sat.Precondition
 }
 
 func newValidator(pb *Putback, oracle *sat.Oracle) *validator {
@@ -141,8 +146,52 @@ func newValidator(pb *Putback, oracle *sat.Oracle) *validator {
 	}
 	v.allSpecs = append(append([]sat.RelSpec{}, v.srcSpecs...),
 		sat.SpecsFromDecls(pb.Prog.View)...)
+	v.srcPre = constraintPreconditions(pb.Prog, v.srcSpecs)
+	v.allPre = constraintPreconditions(pb.Prog, v.allSpecs)
 	v.consts = programConstants(pb.Prog)
 	return v
+}
+
+// constraintPreconditions turns each constraint of prog whose body atoms,
+// positive and negated, all name relations of rels into an oracle
+// precondition. Every witness a check accepts satisfies Σ, so it satisfies
+// such a constraint, and deciding one reads only the relations it names —
+// the oracle can reject a partial instance that violates it. Each is
+// decided by an evaluator of its own; an evaluation error decides nothing
+// (the precondition holds) and is left to the check's Test.
+func constraintPreconditions(prog *datalog.Program, rels []sat.RelSpec) []sat.Precondition {
+	var out []sat.Precondition
+	for _, c := range prog.Constraints() {
+		reads, ok := constraintReads(c, rels)
+		if !ok {
+			continue
+		}
+		ev, err := eval.New(&datalog.Program{Sources: prog.Sources, View: prog.View, Rules: []*datalog.Rule{c}})
+		if err != nil {
+			continue
+		}
+		out = append(out, sat.Precondition{Reads: reads, Holds: func(db *eval.Database) bool {
+			violated, err := ev.Violations(db)
+			return err != nil || len(violated) == 0
+		}})
+	}
+	return out
+}
+
+// constraintReads returns the relations c's body atoms name; ok is false
+// when one of them is not a relation of rels.
+func constraintReads(c *datalog.Rule, rels []sat.RelSpec) (reads []string, ok bool) {
+	for _, l := range c.Body {
+		if l.Atom == nil {
+			continue
+		}
+		name := l.Atom.Pred.String()
+		if !slices.ContainsFunc(rels, func(r sat.RelSpec) bool { return r.Name == name }) {
+			return nil, false
+		}
+		reads = append(reads, name)
+	}
+	return reads, true
 }
 
 // programConstants collects every constant of a program's rules.
@@ -208,6 +257,7 @@ func (v *validator) checkWellDefined() *Failure {
 			ExtraConsts: v.consts,
 			Guide:       guide,
 			Test:        test,
+			Pre:         v.allPre,
 		})
 		if witness != nil {
 			return &Failure{
@@ -267,6 +317,7 @@ func (v *validator) checkGetPut(getRules []*datalog.Rule) *Failure {
 		ExtraConsts: programConstants(v.pb.Prog, &datalog.Program{Rules: getRules}),
 		Guide:       fol.NewOr(disjuncts...),
 		Test:        test,
+		Pre:         v.srcPre, // the view is derived here, so view constraints stay in test
 	})
 	if witness != nil {
 		return &Failure{
@@ -363,6 +414,7 @@ func (v *validator) findSourceModel(sentence fol.Formula) *eval.Database {
 		ExtraConsts: consts,
 		Guide:       sentence,
 		Test:        test,
+		Pre:         v.srcPre, // test checks these constraints as sentences
 	})
 }
 
@@ -431,6 +483,7 @@ func (v *validator) checkPutGet(getRules []*datalog.Rule) *Failure {
 		ExtraConsts: programConstants(putget),
 		Guide:       guide,
 		Test:        test,
+		Pre:         v.allPre,
 	})
 	if witness != nil {
 		return &Failure{

@@ -536,16 +536,21 @@ view v(a:int).
 	}
 }
 
-// TestValidateOutcomes pins the validator's verdict on three programs: a
+// TestValidateOutcomes pins the validator's verdict on four programs: a
 // valid union strategy, an ill-defined one (rejected by the well-definedness
-// pass) and a PutGet violation, each rejection with a concrete witness.
+// pass) and two PutGet violations, one of them under a source key
+// constraint, so that the oracle's constraint pruning is on the path of the
+// rejection. Each rejection carries the witness instance pinned here: the
+// oracle's search order is fixed, and pruning never changes which instance
+// it finds first.
 func TestValidateOutcomes(t *testing.T) {
 	cases := []struct {
 		name     string
 		src      string
 		expected []string // expected get rules, nil to derive
 		valid    bool
-		pass     Pass // failing pass when invalid
+		pass     Pass   // failing pass when invalid
+		witness  string // Failure.Witness.String() when invalid
 	}{
 		{
 			name:     "union-valid",
@@ -554,15 +559,10 @@ func TestValidateOutcomes(t *testing.T) {
 			valid:    true,
 		},
 		{
-			name: "ill-defined",
-			src: `
-source r(a:int).
-view v(a:int).
-+r(X) :- v(X).
--r(X) :- v(X), r(X).
-`,
-			valid: false,
-			pass:  PassWellDefined,
+			name:    "ill-defined",
+			src:     illDefinedSrc,
+			pass:    PassWellDefined,
+			witness: illDefinedWitness,
 		},
 		{
 			name: "putget-violation",
@@ -572,7 +572,20 @@ view v(a:int).
 -r(X) :- r(X), v(X).
 +r(X) :- v(X), not r(X).
 `,
-			valid: false,
+			pass:    PassPutGet,
+			witness: "new_r = {(0)}\nr = {}\n+r = {(0)}\n-r = {}\nv = {(0)}\n",
+		},
+		{
+			name: "keyed-putget-violation",
+			src: `
+source r(k:int, a:int).
+view v(k:int, a:int).
+_|_ :- r(K, A), r(K, B), not A = B.
+-r(K, A) :- r(K, A), v(K, A).
++r(K, A) :- v(K, A), not r(K, A).
+`,
+			pass:    PassPutGet,
+			witness: "new_r = {(0, 0)}\nr = {}\n+r = {(0, 0)}\n-r = {}\nv = {(0, 0)}\n",
 		},
 	}
 	for _, tc := range cases {
@@ -591,39 +604,46 @@ view v(a:int).
 			if tc.valid {
 				return
 			}
-			if tc.pass != "" && res.Failure.Pass != tc.pass {
+			if res.Failure.Pass != tc.pass {
 				t.Errorf("failing pass %q, want %q", res.Failure.Pass, tc.pass)
 			}
 			if res.Failure.Witness == nil {
-				t.Error("rejection carries no witness instance")
+				t.Fatal("rejection carries no witness instance")
+			}
+			if got := res.Failure.Witness.String(); got != tc.witness {
+				t.Errorf("witness\n%s\nwant\n%s", got, tc.witness)
 			}
 		})
 	}
 }
 
-// TestValidateDeterministic runs the same validation twice and requires an
-// identical result: validity, failing pass, detail and witness instance.
-func TestValidateDeterministic(t *testing.T) {
-	src := `
+const illDefinedSrc = `
 source r(a:int).
 view v(a:int).
 +r(X) :- v(X).
 -r(X) :- v(X), r(X).
 `
-	var first string
+
+const illDefinedWitness = "r = {(0)}\n+r = {(0)}\n-r = {(0)}\nv = {(0)}\n"
+
+// TestValidateDeterministic runs the same validation twice and requires the
+// same result each time: validity, failing pass, detail and the pinned
+// witness instance.
+func TestValidateDeterministic(t *testing.T) {
 	for i := 0; i < 2; i++ {
-		res, err := Validate(mustPutback(t, src), nil, testOptions())
+		res, err := Validate(mustPutback(t, illDefinedSrc), nil, testOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Valid {
 			t.Fatal("program must be rejected")
 		}
+		want := string(PassWellDefined) + ": " + contradictoryDetail + " / " + illDefinedWitness
 		got := string(res.Failure.Pass) + ": " + res.Failure.Detail + " / " + res.Failure.Witness.String()
-		if i == 0 {
-			first = got
-		} else if got != first {
-			t.Fatalf("run %d diverged:\n%s\nvs\n%s", i, got, first)
+		if got != want {
+			t.Fatalf("run %d:\n%s\nwant\n%s", i, got, want)
 		}
 	}
 }
+
+const contradictoryDetail = "the program derives both +r(t) and -r(t) for the same tuple (contradictory ΔS)"

@@ -3,26 +3,49 @@
 // implementation (§6.1).
 //
 // Every check of Algorithm 1 reduces to "does a small database instance
-// exist that witnesses a property?". The oracle searches for such a witness
-// three ways, in order:
+// exist that witnesses a property?". A Problem names the EDB relations the
+// oracle may populate (Rels) and a Test that decides whether an instance is
+// a witness. Find searches three ways, in order, and returns the first
+// instance Test accepts:
 //
-//  1. guided search: the disjuncts of a guide sentence are instantiated as
-//     minimal candidate models (the positive atoms of a disjunct, with
-//     variables assigned from typed domain pools built around the
-//     program's constants and the gaps between them);
-//  2. exhaustive small-scope search over tiny instances, when the state
-//     space fits the budget;
-//  3. randomized search over bounded instances.
+//  1. guided search: the disjuncts of a guide sentence, in order, are
+//     instantiated as minimal candidate models (the positive atoms of a
+//     disjunct, with variables assigned depth-first from typed domain
+//     pools built around the program's constants and the gaps between
+//     them), at most GuideBudget assignments in all;
+//  2. exhaustive small-scope search: every instance in which each
+//     relation holds at most two tuples over reduced pools (three ints,
+//     two floats, three strings, both bools), enumerated depth-first in
+//     Rels order — for each relation the empty subset first, then, for
+//     each candidate tuple a in pool order, {a} followed by {a, b} for
+//     each later b — when the number of instances is at most
+//     ExhaustiveBudget;
+//  3. randomized search: RandomTrials instances of at most MaxTuples
+//     tuples per relation, drawn from a PRNG seeded with Seed.
 //
-// A found witness is definitive (the property is satisfiable); exhausting
-// the budget without a witness is reported as unsatisfiable-within-bounds.
+// Every order above is fixed by the problem and the configuration, so the
+// search is deterministic: the same problem yields the same witness. A found
+// witness is definitive (the property is satisfiable); exhausting the
+// budget without a witness is reported as unsatisfiable-within-bounds.
 // GNFO satisfiability is finitely controllable (Lemma 3.1 relies on this),
-// so small-scope search is the right shape of decision procedure; the
-// substitution and its guarantees are documented in DESIGN.md.
+// so small-scope search is the right shape of decision procedure.
+//
+// A Problem may carry preconditions: properties every witness satisfies
+// (Test accepts an instance only if each holds on it), each reading only
+// some of Rels. The oracle checks them before Test and rejects a candidate
+// that breaks one without testing it. The exhaustive phase checks a
+// precondition as soon as the last relation it reads is fixed, so one
+// failure prunes every combination of the later relations: each of those
+// instances agrees with the partial one on every relation the
+// precondition reads. Preconditions can never change the witness: they
+// skip only candidates Test would reject, they never reorder the
+// candidates, and they consume no guide budget and no random draws of
+// their own.
 package sat
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"birds/internal/datalog"
@@ -80,8 +103,30 @@ type Problem struct {
 	Guide       fol.Formula   // optional sentence guiding minimal models
 	// Test reports whether db is a witness. It may mutate db's IDB
 	// relations (e.g. by running an evaluator) but must not change the
-	// EDB relations named in Rels.
+	// EDB relations named in Rels. The oracle reuses one instance per
+	// phase, so IDB relations a previous call derived are still present;
+	// Test must recompute every one it reads.
 	Test func(db *eval.Database) bool
+	// Pre are properties of every witness, checked before Test.
+	Pre []Precondition
+}
+
+// Precondition is a property that every witness satisfies and that reads
+// only the relations of Rels named in Reads: Test(db) true implies
+// Holds(db) true. Holds must not change the EDB relations of Rels.
+type Precondition struct {
+	Reads []string
+	Holds func(db *eval.Database) bool
+}
+
+// holdAll reports whether every precondition of pre holds on db.
+func holdAll(pre []Precondition, db *eval.Database) bool {
+	for _, c := range pre {
+		if !c.Holds(db) {
+			return false
+		}
+	}
+	return true
 }
 
 // Oracle runs witness searches under a fixed configuration.
@@ -300,6 +345,7 @@ func (o *Oracle) guided(p Problem, pl *pools) *eval.Database {
 		specByName[r.Name] = r
 	}
 	budget := o.cfg.GuideBudget
+	db := emptyInstance(p.Rels)
 
 	for _, dj := range fol.DisjunctiveForm(p.Guide) {
 		plan, ok := planDisjunct(dj, specByName, pl)
@@ -307,8 +353,8 @@ func (o *Oracle) guided(p Problem, pl *pools) *eval.Database {
 			continue
 		}
 		env := make(map[string]value.Value, len(plan.vars))
-		if db := o.assignDFS(p, &plan, env, 0, &budget); db != nil {
-			return db
+		if w := o.assignDFS(p, db, &plan, env, 0, &budget); w != nil {
+			return w
 		}
 		if budget <= 0 {
 			return nil
@@ -318,15 +364,16 @@ func (o *Oracle) guided(p Problem, pl *pools) *eval.Database {
 }
 
 // assignDFS enumerates assignments for plan.vars[i:], pruning on ground
-// comparisons, and tests the minimal model of each full assignment.
-func (o *Oracle) assignDFS(p Problem, plan *disjunctPlan,
+// comparisons, and tests the minimal model of each full assignment, refilled
+// into db in place.
+func (o *Oracle) assignDFS(p Problem, db *eval.Database, plan *disjunctPlan,
 	env map[string]value.Value, i int, budget *int) *eval.Database {
 	if *budget <= 0 {
 		return nil
 	}
 	if i == len(plan.vars) {
 		*budget--
-		db := emptyInstance(p.Rels)
+		clearInstance(db, p.Rels)
 		for _, a := range plan.atoms {
 			t := make(value.Tuple, len(a.Args))
 			for j, arg := range a.Args {
@@ -338,8 +385,8 @@ func (o *Oracle) assignDFS(p Problem, plan *disjunctPlan,
 			}
 			db.Insert(predSym(a.Pred), t)
 		}
-		if p.Test(db) {
-			return db
+		if holdAll(p.Pre, db) && p.Test(db) {
+			return db.Clone()
 		}
 		return nil
 	}
@@ -349,8 +396,8 @@ func (o *Oracle) assignDFS(p Problem, plan *disjunctPlan,
 		if !cmpsConsistent(plan.cmps, env) {
 			continue
 		}
-		if db := o.assignDFS(p, plan, env, i+1, budget); db != nil {
-			return db
+		if w := o.assignDFS(p, db, plan, env, i+1, budget); w != nil {
+			return w
 		}
 		if *budget <= 0 {
 			break
@@ -383,7 +430,8 @@ func cmpsConsistent(cmps []*fol.Cmp, env map[string]value.Value) bool {
 
 // exhaustive enumerates every instance whose relations each hold at most
 // two tuples drawn from reduced pools, provided the state space fits the
-// budget.
+// budget. A precondition is checked when the last relation it reads has
+// been filled; if it fails, no instance of the subtree is tested.
 func (o *Oracle) exhaustive(p Problem, pl *pools) *eval.Database {
 	const maxPerRel = 2
 	// Reduced pools keep the search tractable while retaining the
@@ -416,9 +464,20 @@ func (o *Oracle) exhaustive(p Problem, pl *pools) *eval.Database {
 		}
 	}
 
+	// preAt[i] holds the preconditions whose last read relation is
+	// Rels[i-1]: they are decided once relations 0..i-1 are filled.
+	preAt := make([][]Precondition, len(p.Rels)+1)
+	for _, c := range p.Pre {
+		last := lastRead(p.Rels, c)
+		preAt[last+1] = append(preAt[last+1], c)
+	}
+
 	db := emptyInstance(p.Rels)
 	var rec func(i int) *eval.Database
 	rec = func(i int) *eval.Database {
+		if !holdAll(preAt[i], db) {
+			return nil
+		}
 		if i == len(p.Rels) {
 			if p.Test(db) {
 				return db.Clone()
@@ -450,6 +509,20 @@ func (o *Oracle) exhaustive(p Problem, pl *pools) *eval.Database {
 	return rec(0)
 }
 
+// lastRead returns the highest index in rels of a relation c reads, or -1
+// when it reads none.
+func lastRead(rels []RelSpec, c Precondition) int {
+	last := -1
+	for _, name := range c.Reads {
+		i := slices.IndexFunc(rels, func(r RelSpec) bool { return r.Name == name })
+		if i < 0 {
+			panic("sat: precondition reads " + name + ", which is not a relation of the problem")
+		}
+		last = max(last, i)
+	}
+	return last
+}
+
 // tuplesOf enumerates the cartesian product of the attribute pools.
 func tuplesOf(r RelSpec, pl *pools) []value.Tuple {
 	out := []value.Tuple{{}}
@@ -473,8 +546,9 @@ func tuplesOf(r RelSpec, pl *pools) []value.Tuple {
 
 func (o *Oracle) random(p Problem, pl *pools) *eval.Database {
 	rng := rand.New(rand.NewSource(o.cfg.Seed))
+	db := emptyInstance(p.Rels)
 	for trial := 0; trial < o.cfg.RandomTrials; trial++ {
-		db := emptyInstance(p.Rels)
+		clearInstance(db, p.Rels)
 		for _, r := range p.Rels {
 			n := rng.Intn(o.cfg.MaxTuples + 1)
 			for k := 0; k < n; k++ {
@@ -486,8 +560,8 @@ func (o *Oracle) random(p Problem, pl *pools) *eval.Database {
 				db.Insert(predSym(r.Name), t)
 			}
 		}
-		if p.Test(db) {
-			return db
+		if holdAll(p.Pre, db) && p.Test(db) {
+			return db.Clone()
 		}
 	}
 	return nil
@@ -500,6 +574,15 @@ func emptyInstance(rels []RelSpec) *eval.Database {
 		db.Ensure(predSym(r.Name), r.Arity())
 	}
 	return db
+}
+
+// clearInstance empties the relations of rels in place. Update keeps the
+// indexes a constraint check built on them, so the next candidate reuses
+// them instead of rebuilding them.
+func clearInstance(db *eval.Database, rels []RelSpec) {
+	for _, r := range rels {
+		db.Update(predSym(r.Name), value.NewRelation(r.Arity()))
+	}
 }
 
 // predSym decodes the +r / -r delta encoding used in formula atoms.

@@ -248,3 +248,160 @@ func TestDeterminism(t *testing.T) {
 		t.Error("oracle is not deterministic")
 	}
 }
+
+// keyOnR is a precondition on r(k:int, a:int): no two tuples share a key.
+var keyOnR = Precondition{Reads: []string{"r"}, Holds: func(db *eval.Database) bool {
+	seen := map[value.Value]bool{}
+	ok := true
+	db.RelOrEmpty(datalog.Pred("r"), 2).Each(func(t value.Tuple) {
+		if seen[t[0]] {
+			ok = false
+		}
+		seen[t[0]] = true
+	})
+	return ok
+}}
+
+var keyedRels = []RelSpec{
+	{Name: "r", Types: []string{"int", "int"}},
+	{Name: "s", Types: []string{"int"}},
+}
+
+// searchCount counts the Test calls of one search, and those made on an
+// instance that breaks keyOnR.
+type searchCount struct{ calls, broken int }
+
+// keyedTest accepts the instances that satisfy keyOnR and the sentence, so
+// keyOnR is a precondition of it, and counts its calls in n.
+func keyedTest(sentence fol.Formula, n *searchCount, consts ...value.Value) func(*eval.Database) bool {
+	sat := testFO(sentence, consts...)
+	return func(db *eval.Database) bool {
+		n.calls++
+		if !keyOnR.Holds(db) {
+			n.broken++
+			return false
+		}
+		return sat(db)
+	}
+}
+
+// TestPreconditionsKeepWitness runs each search with and without the key
+// precondition, in each phase of Find, and requires the same witness both
+// times: the one pinned below, which the oracle found before it reused
+// instances or took preconditions. With the precondition, Test never sees
+// an instance that breaks the key.
+func TestPreconditionsKeepWitness(t *testing.T) {
+	lt := func(l, r string) *fol.Cmp { return &fol.Cmp{Op: datalog.OpLt, L: datalog.V(l), R: datalog.V(r)} }
+	// A key-breaking pair: the guide's first disjunct where it appears.
+	pair := fol.NewAnd(atom("r", "X", "Y"), atom("r", "X", "Z"), lt("Y", "Z"))
+	cycle := fol.NewAnd(atom("r", "X", "Y"), atom("r", "Y", "X"), lt("X", "Y"), fol.NewNot(atom("s", "X")))
+	sentences := map[string]fol.Formula{
+		"pair-or-cycle": fol.NewOr(fol.NewAnd(pair, atom("s", "X")), cycle),
+		"pair-only":     pair, // no witness satisfies the key
+		"cycle":         cycle,
+		"s-without-r":   fol.NewAnd(atom("s", "X"), fol.NewNot(fol.NewExists([]string{"Y"}, atom("r", "X", "Y")))),
+		// Rejects the first candidate of each phase, so a tuple leaking
+		// into the next one changes the witness.
+		"r-no-loop": fol.NewAnd(atom("r", "X", "Y"), fol.NewNot(atom("r", "Y", "Y"))),
+	}
+	const cycleWitness = "r = {(4, 5), (5, 4)}\ns = {}\n"
+	want := map[string]string{
+		"guided/pair-or-cycle":     cycleWitness,
+		"guided/pair-only":         "<nil>",
+		"guided/cycle":             cycleWitness,
+		"guided/s-without-r":       "r = {}\ns = {(4)}\n",
+		"guided/r-no-loop":         "r = {(4, 5)}\ns = {}\n",
+		"exhaustive/pair-or-cycle": cycleWitness,
+		"exhaustive/pair-only":     "<nil>",
+		"exhaustive/cycle":         cycleWitness,
+		"exhaustive/s-without-r":   "r = {}\ns = {(4)}\n",
+		"exhaustive/r-no-loop":     "r = {(4, 4), (5, 6)}\ns = {}\n",
+		"random/pair-or-cycle":     "r = {(4, 5), (5, 4)}\ns = {(5)}\n",
+		"random/pair-only":         "<nil>",
+		"random/cycle":             "r = {(4, 5), (5, 4)}\ns = {(5)}\n",
+		"random/s-without-r":       "r = {}\ns = {(4), (5)}\n",
+		"random/r-no-loop":         "r = {(4, 5)}\ns = {(5)}\n",
+	}
+	consts := []value.Value{value.Int(5)}
+	phases := []struct {
+		name   string
+		cfg    Config
+		guided bool
+	}{
+		{"guided", DefaultConfig(), true},
+		{"exhaustive", DefaultConfig(), false},
+		{"random", Config{MaxTuples: 3, RandomTrials: 3000, ExhaustiveBudget: 0, Seed: 7}, false},
+	}
+	for _, ph := range phases {
+		for name, s := range sentences {
+			key := ph.name + "/" + name
+			t.Run(key, func(t *testing.T) {
+				find := func(pre []Precondition) (string, searchCount) {
+					var n searchCount
+					p := Problem{
+						Rels:        keyedRels,
+						ExtraConsts: consts,
+						Test:        keyedTest(s, &n, consts...),
+						Pre:         pre,
+					}
+					if ph.guided {
+						p.Guide = s
+					}
+					if w := New(ph.cfg).Find(p); w != nil {
+						return w.String(), n
+					}
+					return "<nil>", n
+				}
+				gotWithout, without := find(nil)
+				got, with := find([]Precondition{keyOnR})
+				if got != want[key] || gotWithout != want[key] {
+					t.Fatalf("witness with preconditions:\n%s\nwithout:\n%s\nwant:\n%s", got, gotWithout, want[key])
+				}
+				if with.broken != 0 {
+					t.Errorf("Test called on %d instances that break the precondition", with.broken)
+				}
+				if with.calls != without.calls-without.broken {
+					t.Errorf("Test calls: %d with preconditions, want %d (%d without, %d of them breaking the key)",
+						with.calls, without.calls-without.broken, without.calls, without.broken)
+				}
+			})
+		}
+	}
+}
+
+// TestExhaustivePrunesSubtrees checks that a precondition on Rels[0] is
+// decided once per subset of r and skips every instance below a failing
+// one: no Test call for any combination of s with a key-breaking r.
+func TestExhaustivePrunesSubtrees(t *testing.T) {
+	// The reduced int pool is {4, 5, 6}: r has 9 candidate tuples, so
+	// 1+9+36 = 46 subsets of at most two, 9 of them a pair sharing a key;
+	// s has 3 candidate tuples and 1+3+3 = 7 subsets.
+	const rSubsets, rBreaking, sSubsets = 46, 9, 7
+	var n searchCount
+	holds := 0
+	pre := Precondition{Reads: keyOnR.Reads, Holds: func(db *eval.Database) bool {
+		holds++
+		return keyOnR.Holds(db)
+	}}
+	// Without a guide and random trials, Find runs the exhaustive phase
+	// only.
+	w := New(Config{ExhaustiveBudget: 150000}).Find(Problem{
+		Rels:        keyedRels,
+		ExtraConsts: []value.Value{value.Int(5)},
+		Test:        keyedTest(fol.Truth{B: false}, &n),
+		Pre:         []Precondition{pre},
+	})
+	if w != nil {
+		t.Fatalf("no instance satisfies false, got\n%s", w)
+	}
+	if holds != rSubsets {
+		t.Errorf("precondition checked %d times, want once per subset of r (%d)", holds, rSubsets)
+	}
+	if want := (rSubsets - rBreaking) * sSubsets; n.calls != want {
+		t.Errorf("Test called %d times, want %d: the %d×%d instances under a key-breaking r are pruned",
+			n.calls, want, rBreaking, sSubsets)
+	}
+	if n.broken != 0 {
+		t.Errorf("Test called on %d instances that break the precondition", n.broken)
+	}
+}
