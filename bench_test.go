@@ -1,25 +1,26 @@
-// Benchmarks regenerating the paper's evaluation artifacts:
+// Benchmarks of what the repository benchmark (perfbench/, declared in
+// BENCHMARK.json) does not measure itself:
 //
 //   - BenchmarkTable1Validation — Table 1: validation time per benchmark
 //     view (the "Validation Time (s)" column; run with -bench Table1).
-//   - BenchmarkFig6 — Figure 6 (a–d): per-update view-updating time for the
-//     original strategy vs the incrementalized one across base-table sizes.
-//     The original grows linearly with the base size; the incremental one
-//     stays flat — the paper's headline result.
+//     perfbench's validate workload reports the suite as a whole and pins
+//     the outcomes against perfbench/table1_golden.json.
+//   - BenchmarkTable1Suite — the whole suite in one pass, for allocation
+//     counts (-benchmem).
+//   - BenchmarkDMLMaintenance — the engine's table-write path with views
+//     maintained by counting IVM, across base sizes.
 //   - BenchmarkAblation* — design-choice ablations, each explained in its
 //     own comment below: delta-rule unfolding inside ∂put, the Lemma 5.2
 //     substitution vs the general pipeline, expected-get vs derivation in
 //     the validator, and Algorithm 2 transaction merging.
 //
-// go test -bench=. -benchmem runs everything; cmd/table1 and cmd/fig6 print
-// the paper-shaped tables instead.
+// Figure 6 (original vs ∂put update time), group commit, the WAL and
+// recovery are measured by perfbench: bash perfbench/run.sh --workload
+// viewupdate --trace 1.
 package birds_test
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
 	"testing"
 
 	"birds"
@@ -30,17 +31,6 @@ import (
 	"birds/internal/sat"
 	"birds/internal/value"
 )
-
-// benchEnvInt reads an integer benchmark tunable from the environment,
-// falling back to def when unset or malformed.
-func benchEnvInt(name string, def int) int {
-	if s := os.Getenv(name); s != "" {
-		if v, err := strconv.Atoi(s); err == nil {
-			return v
-		}
-	}
-	return def
-}
 
 func benchOracle() sat.Config {
 	return sat.Config{
@@ -72,68 +62,19 @@ func BenchmarkTable1Validation(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1Suite measures the whole 32-view suite end to end,
-// sequentially and with the entries validated concurrently.
+// BenchmarkTable1Suite measures the whole 32-view suite end to end, one
+// entry after another.
 func BenchmarkTable1Suite(b *testing.B) {
 	opts := core.Options{Oracle: benchOracle()}
-	check := func(b *testing.B, rows []bench.Table1Row) {
-		for _, r := range rows {
-			if r.Entry.Program != "" && (r.Err != nil || !r.Valid) {
-				b.Fatalf("%s: %v %s", r.Entry.Name, r.Err, r.FailureDetail)
-			}
-		}
-	}
 	b.Run("seq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			check(b, bench.RunTable1(opts))
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			check(b, bench.RunTable1Parallel(opts, 0))
-		}
-	})
-}
-
-// fig6Sizes is the benchmark sweep (cmd/fig6 defaults to larger sizes).
-var fig6Sizes = []int{10000, 40000, 160000}
-
-// BenchmarkFig6 regenerates the four panels of Figure 6, in both execution
-// modes.
-func BenchmarkFig6(b *testing.B) {
-	for _, v := range bench.Fig6Views() {
-		v := v
-		for _, mode := range []struct {
-			name        string
-			incremental bool
-		}{{"original", false}, {"incremental", true}} {
-			for _, n := range fig6Sizes {
-				mode, n := mode, n
-				b.Run(fmt.Sprintf("%s/%s/n=%d", v.Name, mode.name, n), func(b *testing.B) {
-					db, err := bench.SetupFig6(v, n, mode.incremental, 1, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					// Warm-up: build the maintained hash indexes.
-					for round := 1; round <= 2; round++ {
-						for _, txn := range v.Update(n, round) {
-							if err := db.Exec(txn...); err != nil {
-								b.Fatal(err)
-							}
-						}
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						for _, txn := range v.Update(n, i+3) {
-							if err := db.Exec(txn...); err != nil {
-								b.Fatal(err)
-							}
-						}
-					}
-				})
+			for _, r := range bench.RunTable1(opts) {
+				if r.Entry.Program != "" && (r.Err != nil || !r.Valid) {
+					b.Fatalf("%s: %v %s", r.Entry.Name, r.Err, r.FailureDetail)
+				}
 			}
 		}
-	}
+	})
 }
 
 // BenchmarkDMLMaintenance measures the engine's steady-state table-write
@@ -142,7 +83,7 @@ func BenchmarkFig6(b *testing.B) {
 // The expected curve is flat: growing the base 10× must not grow the
 // per-write cost materially (the acceptance bound is < 2×), because every
 // write propagates O(|Δ|) join work instead of rematerializing O(|DB|)
-// views. CI emits this benchmark as the BENCH_main.json artifact.
+// views.
 func BenchmarkDMLMaintenance(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		n := n
@@ -164,194 +105,6 @@ func BenchmarkDMLMaintenance(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkBatchedDML measures the group-commit write pipeline: steady-
-// state write transactions (fixed two-tuple delta each) admitted through
-// an engine.Batcher, sweeping the batch size at a fixed base size. batch=1
-// flushes — and therefore runs one full view-maintenance pass — per write;
-// larger batches run ONE pass per batch. Two streams: "coalesce" is the
-// PR 3 DMLMaintenance stream, where transaction i's insert and i+1's
-// delete cancel in the staged buffer (the full group-commit effect —
-// coalescing plus pass amortization); "window" never cancels inside a
-// batch, isolating pure pass amortization. CI emits this benchmark as the
-// BENCH_batch.json artifact; the acceptance bound for this PR is
-// coalesce/batch=64 ≥ 3× cheaper per write than batch=1.
-func BenchmarkBatchedDML(b *testing.B) {
-	const n = 10000
-	streams := []struct {
-		name string
-		txn  func(*birds.Batcher, int, int) error
-	}{
-		{"coalesce", bench.BatchedDMLTxn},     // PR 3 stream: pairs cancel inside a batch
-		{"window", bench.BatchedDMLWindowTxn}, // non-cancelling: pure pass amortization
-	}
-	for _, stream := range streams {
-		for _, batch := range []int{1, 8, 64, 512} {
-			batch := batch
-			b.Run(fmt.Sprintf("stream=%s/batch=%d", stream.name, batch), func(b *testing.B) {
-				db, bt, err := bench.SetupBatchedDML(n, batch, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := stream.txn(bt, n, i+1); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := bt.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				for _, vn := range bench.DMLMaintenanceViews() {
-					if db.Stale(vn) {
-						b.Fatalf("view %s fell off the incremental path", vn)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkWALDML measures the durability tax on the group-commit write
-// pipeline: the BatchedDML coalesce stream with a write-ahead log attached,
-// sweeping fsync mode × batch size. "off" appends without syncing (the pure
-// encode+write cost), "commit" fsyncs every record, "flush" fsyncs once per
-// group-commit flush record — the mode group commit exists for, amortizing
-// the ~100µs fsync across the batch exactly like the maintenance pass. CI
-// emits this benchmark as the BENCH_wal.json artifact; the acceptance bound
-// for this PR is flush/batch=64 < 2× the PR 4 in-memory per-write figure.
-func BenchmarkWALDML(b *testing.B) {
-	const n = 10000
-	// BIRDS_WAL_SEGMENT_BYTES / BIRDS_WAL_CHECKPOINT_EVERY select the
-	// segmented-log + background-checkpoint configuration (rotation and
-	// off-lock snapshot persistence inside the timed region). The defaults
-	// keep the historical single-file, checkpoint-free measurement.
-	segBytes := int64(benchEnvInt("BIRDS_WAL_SEGMENT_BYTES", 0))
-	ckptEvery := benchEnvInt("BIRDS_WAL_CHECKPOINT_EVERY", -1)
-	// Synced modes run before "off": the off-mode fixtures leave the whole
-	// log as dirty page cache, and kernel writeback of those pages would
-	// contend with the timed fsyncs of any sub-benchmark running after.
-	for _, mode := range []birds.SyncMode{birds.SyncOnFlush, birds.SyncOnCommit, birds.SyncOff} {
-		for _, batch := range []int{64, 1} {
-			mode, batch := mode, batch
-			b.Run(fmt.Sprintf("fsync=%s/batch=%d", mode, batch), func(b *testing.B) {
-				db, bt, err := bench.SetupBatchedDMLDurableOpts(n, batch, 1, birds.DurabilityOptions{
-					Dir:             b.TempDir(),
-					Sync:            mode,
-					SegmentBytes:    segBytes,
-					CheckpointEvery: ckptEvery,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := bench.BatchedDMLTxn(bt, n, i+1); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := bt.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				for _, vn := range bench.DMLMaintenanceViews() {
-					if db.Stale(vn) {
-						b.Fatalf("view %s fell off the incremental path", vn)
-					}
-				}
-				// Drain this fixture's dirty pages outside the timer so they
-				// don't bleed into the next sub-benchmark's measurements.
-				if err := db.WALLog().Sync(); err != nil {
-					b.Fatal(err)
-				}
-				if err := db.Close(); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkWALRecover measures cold recovery: load the checkpoint (10k-row
-// base snapshot), replay a WAL tail of the given length, and rebuild both
-// views (materialization plus support counts) through the counted IVM
-// initialization. One iteration is one full Recover.
-func BenchmarkWALRecover(b *testing.B) {
-	const n = 10000
-	for _, tail := range []int{0, 1000, 10000} {
-		tail := tail
-		b.Run(fmt.Sprintf("tail=%d", tail), func(b *testing.B) {
-			dir := b.TempDir()
-			db, bt, err := bench.SetupBatchedDMLDurable(n, 64, 1, dir, birds.SyncOff)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < tail; i++ {
-				if err := bench.BatchedDMLTxn(bt, n, i+1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := bt.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			if err := db.Close(); err != nil {
-				b.Fatal(err)
-			}
-			// Recovery itself checkpoints and truncates the log, so every
-			// iteration restores the crashed-state directory image first
-			// (outside the timer).
-			image := readDirImage(b, dir)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				restoreDirImage(b, dir, image)
-				b.StartTimer()
-				rec, _, err := birds.Recover(dir)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if err := rec.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
-	}
-}
-
-func readDirImage(b *testing.B, dir string) map[string][]byte {
-	b.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	image := make(map[string][]byte, len(entries))
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		image[e.Name()] = data
-	}
-	return image
-}
-
-func restoreDirImage(b *testing.B, dir string, image map[string][]byte) {
-	b.Helper()
-	if err := os.RemoveAll(dir); err != nil {
-		b.Fatal(err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		b.Fatal(err)
-	}
-	for name, data := range image {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -3,7 +3,7 @@
 // reports throughput and latency percentiles per concurrency level.
 //
 //	$ birds-serve -addr :8344 -durable ./data -fsync flush &
-//	$ birdsload -addr 127.0.0.1:8344 -setup -sessions 1,8,64 -writes 500 -json BENCH_serve.json
+//	$ birdsload -addr 127.0.0.1:8344 -setup -sessions 1,8,64 -writes 500 -json serve.json
 //
 // Each session writes into a private id range of the shared items table:
 // write i inserts a fresh hot row and deletes the previous one — the

@@ -7,7 +7,6 @@ import (
 	"birds/internal/datalog"
 	"birds/internal/engine"
 	"birds/internal/value"
-	"birds/internal/wal"
 )
 
 // DML-maintenance benchmark fixture: a base table of parameterizable size
@@ -131,8 +130,7 @@ const BatchedHotWindow = 600
 // the primed hot window) and returns it with a group-commit Batcher that
 // flushes every batch transactions. batch=1 degenerates to one maintenance
 // pass per write — the unbatched baseline with identical admission
-// bookkeeping, which is what BenchmarkBatchedDML's batch-size sweep
-// compares against.
+// bookkeeping.
 func SetupBatchedDML(n, batch int, seed int64) (*engine.DB, *engine.Batcher, error) {
 	rng := rand.New(rand.NewSource(seed))
 	db := engine.NewDB()
@@ -193,37 +191,11 @@ func SetupBatchedDML(n, batch int, seed int64) (*engine.DB, *engine.Batcher, err
 	return db, db.Batch(engine.BatchOptions{MaxTxns: batch}), nil
 }
 
-// BatchedDMLTxn admits steady-state write transaction i (i >= 1) of the
-// PR 3 DMLMaintenance stream: insert one fresh hot item and delete the
-// previous transaction's — a fixed two-tuple delta per transaction. Within
-// a batch, transaction i's insert and transaction i+1's delete hit the
-// same row and cancel in the staged buffer, so a batch of K transactions
-// coalesces to a ~2-row net delta: this stream measures the full group-
-// commit effect (coalescing plus single maintenance pass).
-func BatchedDMLTxn(bt *engine.Batcher, n, i int) error {
-	id := n + BatchedHotWindow + i
-	return bt.Exec(
-		engine.Insert("items", ints(id), str(fmt.Sprintf("hot%d", id)), ints(1500)),
-		engine.Delete("items", engine.Eq("iid", ints(id-1))),
-	)
-}
-
-// SetupBatchedDMLDurable is SetupBatchedDML with a write-ahead log attached
-// in the given sync mode after the fixture is built — the bulk loads, view
-// registrations and warm-up are not part of the measured stream, so every
-// measured admission/flush pays exactly the configured durability cost.
-// Automatic checkpoints are disabled: the benchmark isolates the per-record
-// append/fsync cost (and leaves a log tail for the recovery benchmark).
-func SetupBatchedDMLDurable(n, batch int, seed int64, dir string, sync wal.SyncMode) (*engine.DB, *engine.Batcher, error) {
-	return SetupBatchedDMLDurableOpts(n, batch, seed,
-		engine.DurabilityOptions{Dir: dir, Sync: sync, CheckpointEvery: -1})
-}
-
-// SetupBatchedDMLDurableOpts is SetupBatchedDMLDurable with the durability
-// configuration fully under the caller's control, so benchmarks can measure
-// the segmented-log + background-checkpoint configuration (rotation and
-// concurrent snapshot persistence inside the timed region) against the
-// plain append-only one.
+// SetupBatchedDMLDurableOpts is SetupBatchedDML with a write-ahead log
+// attached in the given durability configuration after the fixture is
+// built: the bulk loads, view registrations and warm-up are not part of the
+// measured stream, so every measured admission/flush pays exactly the
+// configured durability cost.
 func SetupBatchedDMLDurableOpts(n, batch int, seed int64, opts engine.DurabilityOptions) (*engine.DB, *engine.Batcher, error) {
 	db, bt, err := SetupBatchedDML(n, batch, seed)
 	if err != nil {
@@ -233,18 +205,4 @@ func SetupBatchedDMLDurableOpts(n, batch int, seed int64, opts engine.Durability
 		return nil, nil, err
 	}
 	return db, bt, nil
-}
-
-// BatchedDMLWindowTxn admits steady-state write transaction i (i >= 1) of
-// the non-cancelling variant: insert one fresh hot item and delete the one
-// that left the BatchedHotWindow-sized window, so no insert/delete pair
-// cancels inside a batch (window > any swept batch size) and the flushed
-// delta is the full 2·K rows: this stream isolates the amortization of the
-// per-pass fixed cost, with zero coalescing.
-func BatchedDMLWindowTxn(bt *engine.Batcher, n, i int) error {
-	id := n + BatchedHotWindow + i
-	return bt.Exec(
-		engine.Insert("items", ints(id), str(fmt.Sprintf("hot%d", id)), ints(1500)),
-		engine.Delete("items", engine.Eq("iid", ints(n+i))),
-	)
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"birds/internal/engine"
 	"birds/internal/value"
@@ -185,12 +184,6 @@ func Fig6ViewByName(name string) (Fig6View, error) {
 	return Fig6View{}, fmt.Errorf("bench: unknown Figure 6 view %q", name)
 }
 
-// Fig6Point is one measured point of a sweep.
-type Fig6Point struct {
-	Size      int
-	PerUpdate time.Duration // mean wall time of one view-update transaction
-}
-
 // SetupFig6 builds a database of the given size with the view installed in
 // the requested execution mode. Validation is skipped (the same strategies
 // are validated by the Table 1 harness); the expected get is supplied.
@@ -215,48 +208,3 @@ func SetupFig6(v Fig6View, n int, incremental bool, seed int64, _ int) (*engine.
 	}
 	return db, nil
 }
-
-// RunFig6 measures one panel: for each base-table size, the mean time of a
-// view-update transaction in the chosen mode (rounds updates, first round
-// used as warm-up and excluded).
-func RunFig6(v Fig6View, sizes []int, incremental bool, rounds int, seed int64) ([]Fig6Point, error) {
-	if rounds < 4 {
-		rounds = 4
-	}
-	var out []Fig6Point
-	for _, n := range sizes {
-		db, err := SetupFig6(v, n, incremental, seed, 0)
-		if err != nil {
-			return nil, err
-		}
-		// Two warm-up rounds: the first insert and the first delete build
-		// the evaluator's hash indexes, which are maintained incrementally
-		// afterwards.
-		for round := 1; round <= 2; round++ {
-			for _, txn := range v.Update(n, round) {
-				if err := db.Exec(txn...); err != nil {
-					return nil, err
-				}
-			}
-		}
-		var total time.Duration
-		measured := 0
-		for round := 3; round <= rounds; round++ {
-			for _, txn := range v.Update(n, round) {
-				start := time.Now()
-				if err := db.Exec(txn...); err != nil {
-					return nil, err
-				}
-				total += time.Since(start)
-				measured++
-			}
-		}
-		out = append(out, Fig6Point{Size: n, PerUpdate: total / time.Duration(measured)})
-	}
-	return out, nil
-}
-
-// DefaultFig6Sizes is the default base-table sweep. The paper sweeps to
-// 3×10^6 tuples on a dedicated server; the default here is scaled for a
-// laptop-class run while preserving the linear-vs-flat shape.
-func DefaultFig6Sizes() []int { return []int{25000, 50000, 100000, 200000, 400000} }

@@ -15,8 +15,8 @@ import (
 // the resident base EDB — which is what the streaming executor reduces: the
 // materialized path registers maintained hash indexes on the probed (large)
 // relations, the streaming path hashes only the small build sides into
-// ephemeral tables. BENCH_mem.json at the repo root is the committed
-// baseline of this sweep.
+// ephemeral tables. TestStreamingPeakAtTopSize bounds the streaming peak at
+// the sweep's top size.
 
 // joinHeavyProgram probes the fact table two ways: a fan-out join keyed on
 // the non-unique column (the materialized path indexes all of fact by b)
@@ -192,8 +192,7 @@ func TestMeasureHeapPeakObservesAllocation(t *testing.T) {
 
 // TestStreamingPeakReduction enforces the headline claim at a mid-size
 // base: streaming full evaluation of the join-heavy program must peak at
-// least 40% below materialized evaluation. (The committed BENCH_mem.json
-// records the full sweep including the 1.6M top size.)
+// least 40% below materialized evaluation.
 func TestStreamingPeakReduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory measurement sweep")
