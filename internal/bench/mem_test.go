@@ -2,7 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"birds/internal/datalog"
 	"birds/internal/eval"
@@ -209,4 +212,88 @@ func TestStreamingPeakReduction(t *testing.T) {
 		t.Errorf("streaming peak overhead %.1f MB is not >=40%% below materialized %.1f MB",
 			float64(sp)/1e6, float64(mp)/1e6)
 	}
+}
+
+// HeapStats is one peak-memory measurement around an operation: heap sizes
+// are bytes of live heap (runtime.MemStats.HeapAlloc).
+type HeapStats struct {
+	// Base is the live heap after a GC immediately before the operation —
+	// the resident state (base tables, engine structures) the operation
+	// runs against.
+	Base uint64
+	// Peak is the largest heap observed while the operation ran (sampled,
+	// plus a final read when it returned): base state, outputs, and every
+	// transient the operation allocated that a GC had not yet collected.
+	// Peak - Base is the operation's working overhead — the axis the
+	// streaming executor optimizes.
+	Peak uint64
+	// Live is the heap after the operation and a GC: what it durably
+	// added (e.g. materialized IDB relations).
+	Live uint64
+}
+
+// PeakOverhead returns Peak - Base, the operation's transient working set.
+func (h HeapStats) PeakOverhead() uint64 {
+	if h.Peak < h.Base {
+		return 0
+	}
+	return h.Peak - h.Base
+}
+
+// LiveOverhead returns Live - Base, what the operation durably allocated.
+func (h HeapStats) LiveOverhead() uint64 {
+	if h.Live < h.Base {
+		return 0
+	}
+	return h.Live - h.Base
+}
+
+// MeasureHeapPeak runs op and samples the heap around it: GC, read the
+// base, poll HeapAlloc from a background goroutine (~1ms cadence) while op
+// runs, then read a final sample, GC again and read the surviving live
+// heap. The sampler can only under-report a very short-lived spike between
+// two polls; for the evaluation-scale operations this package measures
+// (hundreds of milliseconds and up) the error is negligible.
+func MeasureHeapPeak(op func()) HeapStats {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	st := HeapStats{Base: ms.HeapAlloc, Peak: ms.HeapAlloc}
+
+	var mu sync.Mutex
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var sms runtime.MemStats
+		ticker := time.NewTicker(time.Millisecond)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-ticker.C:
+				runtime.ReadMemStats(&sms)
+				mu.Lock()
+				if sms.HeapAlloc > st.Peak {
+					st.Peak = sms.HeapAlloc
+				}
+				mu.Unlock()
+			}
+		}
+	}()
+
+	op()
+
+	close(stop)
+	wg.Wait()
+	runtime.ReadMemStats(&ms)
+	if ms.HeapAlloc > st.Peak {
+		st.Peak = ms.HeapAlloc
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	st.Live = ms.HeapAlloc
+	return st
 }

@@ -14,24 +14,49 @@ func NewSourceSym(name string) datalog.PredSym { return datalog.Pred("new_" + na
 // sources (the v_new of §4.4).
 func NewViewSym(view string) datalog.PredSym { return datalog.Pred("new_" + view) }
 
-// ComposePutGet builds the putget program of §4.4: the putback program,
-// rules deriving each updated source
+// ComposePutGet builds the putget program of §4.4: the putback program
+// (constraints excluded) followed by its PutGetCone, so that new_v computes
+// get(put(S, V)) over the database (S, V).
+func ComposePutGet(putdelta *datalog.Program, getRules []*datalog.Rule) (*datalog.Program, error) {
+	cone, err := PutGetCone(putdelta, getRules)
+	if err != nil {
+		return nil, err
+	}
+	return withPutback(putdelta, cone), nil
+}
+
+// withPutback returns the putget program whose PutGetCone is cone.
+func withPutback(putdelta, cone *datalog.Program) *datalog.Program {
+	out := &datalog.Program{Sources: putdelta.Sources, View: putdelta.View}
+	for _, r := range putdelta.Rules {
+		if !r.IsConstraint() {
+			out.Rules = append(out.Rules, r.Clone())
+		}
+	}
+	out.Rules = append(out.Rules, cone.Rules...)
+	return out
+}
+
+// PutGetCone returns the rules the putget program adds to the putback
+// program: for each source ri the updated-source rules
 //
 //	new_ri(X) :- ri(X), not -ri(X).
 //	new_ri(X) :- +ri(X).
 //
-// and the get rules rewritten over the updated sources, so that new_v
-// computes get(put(S, V)) over the database (S, V).
-func ComposePutGet(putdelta *datalog.Program, getRules []*datalog.Rule) (*datalog.Program, error) {
-	out := &datalog.Program{Sources: putdelta.Sources, View: putdelta.View}
+// and the get rules rewritten over the updated sources. In the cone the
+// delta relations ±ri and the putback program's auxiliary relations are
+// EDB: evaluated over a database on which the putback program has already
+// derived ΔS, it computes the same new_* relations as the whole putget
+// program, without deriving ΔS again. Constraints are left out; they
+// restrict admissible updates and are checked separately.
+func PutGetCone(putdelta *datalog.Program, getRules []*datalog.Rule) (*datalog.Program, error) {
 	used := make(map[string]bool)
 	for _, r := range putdelta.Rules {
-		if r.IsConstraint() {
-			continue // constraints restrict admissible updates; they are checked separately
+		if !r.IsConstraint() {
+			used[r.Head.Pred.Name] = true
 		}
-		out.Rules = append(out.Rules, r.Clone())
-		used[r.Head.Pred.Name] = true
 	}
+	out := &datalog.Program{Sources: putdelta.Sources, View: putdelta.View}
 
 	// Updated-source rules.
 	for _, s := range putdelta.Sources {
@@ -60,20 +85,15 @@ func ComposePutGet(putdelta *datalog.Program, getRules []*datalog.Rule) (*datalo
 	for _, s := range putdelta.Sources {
 		renames[s.Name] = NewSourceSym(s.Name).Name
 	}
-	getIDB := make(map[string]bool)
 	for _, r := range getRules {
 		if r.IsConstraint() {
 			return nil, fmt.Errorf("core: get program must not contain constraints")
 		}
-		getIDB[r.Head.Pred.Name] = true
-	}
-	for name := range getIDB {
-		if _, ok := renames[name]; !ok {
-			renames[name] = "new_" + name
+		if _, ok := renames[r.Head.Pred.Name]; !ok {
+			renames[r.Head.Pred.Name] = "new_" + r.Head.Pred.Name
 		}
 	}
-	for name, renamed := range renames {
-		_ = name
+	for _, renamed := range renames {
 		if used[renamed] {
 			return nil, fmt.Errorf("core: predicate name %s collides with a program predicate", renamed)
 		}

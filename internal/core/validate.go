@@ -228,46 +228,60 @@ func programConstants(progs ...*datalog.Program) []value.Value {
 
 // checkWellDefined searches for an instance (S, V) satisfying Σ on which
 // some +ri and -ri share a tuple — the di predicates of rules (2) in §4.2.
+// One search covers every source with both +ri and -ri rules: its guide
+// is the disjunction of their +ri ∧ -ri unfoldings in Sources order, and
+// its Test derives ΔS once per candidate and then checks each such source.
+// The failure names the first source, in declaration order, whose +ri and
+// -ri meet on the witness.
 func (v *validator) checkWellDefined() *Failure {
+	var names []string
+	var guides []fol.Formula
 	for _, s := range v.pb.Prog.Sources {
 		ins, del := datalog.Ins(s.Name), datalog.Del(s.Name)
 		if len(v.pb.Prog.RulesFor(ins)) == 0 || len(v.pb.Prog.RulesFor(del)) == 0 {
 			continue // d_i is trivially unsatisfiable
 		}
 		args := fol.QueryVars(s.Arity())
-		guide := fol.NewAnd(v.unfolder.Pred(ins, args), v.unfolder.Pred(del, args))
-		name := s.Name
-		ev := v.pb.eval
-		test := func(db *eval.Database) bool {
-			if err := ev.Eval(db); err != nil {
-				return false
-			}
-			if violated, err := ev.Violations(db); err != nil || len(violated) > 0 {
-				return false
-			}
-			insRel := db.RelOrEmpty(datalog.Ins(name), 0)
-			delRel := db.RelOrEmpty(datalog.Del(name), 0)
-			if insRel.Empty() || delRel.Empty() {
-				return false
-			}
-			return !insRel.Intersect(delRel).Empty()
-		}
-		witness := v.oracle.Find(sat.Problem{
-			Rels:        v.allSpecs,
-			ExtraConsts: v.consts,
-			Guide:       guide,
-			Test:        test,
-			Pre:         v.allPre,
-		})
-		if witness != nil {
-			return &Failure{
-				Pass:    PassWellDefined,
-				Detail:  fmt.Sprintf("the program derives both +%s(t) and -%s(t) for the same tuple (contradictory ΔS)", s.Name, s.Name),
-				Witness: witness,
-			}
-		}
+		guides = append(guides, fol.NewAnd(v.unfolder.Pred(ins, args), v.unfolder.Pred(del, args)))
+		names = append(names, s.Name)
 	}
-	return nil
+	if len(names) == 0 {
+		return nil
+	}
+	contradictory := func(db *eval.Database, name string) bool {
+		insRel := db.RelOrEmpty(datalog.Ins(name), 0)
+		delRel := db.RelOrEmpty(datalog.Del(name), 0)
+		if insRel.Empty() || delRel.Empty() {
+			return false
+		}
+		return !insRel.Intersect(delRel).Empty()
+	}
+	ev := v.pb.eval
+	test := func(db *eval.Database) bool {
+		if err := ev.Eval(db); err != nil {
+			return false
+		}
+		if violated, err := ev.Violations(db); err != nil || len(violated) > 0 {
+			return false
+		}
+		return slices.ContainsFunc(names, func(name string) bool { return contradictory(db, name) })
+	}
+	witness := v.oracle.Find(sat.Problem{
+		Rels:        v.allSpecs,
+		ExtraConsts: v.consts,
+		Guide:       fol.NewOr(guides...),
+		Test:        test,
+		Pre:         v.allPre,
+	})
+	if witness == nil {
+		return nil
+	}
+	name := names[slices.IndexFunc(names, func(name string) bool { return contradictory(witness, name) })]
+	return &Failure{
+		Pass:    PassWellDefined,
+		Detail:  fmt.Sprintf("the program derives both +%s(t) and -%s(t) for the same tuple (contradictory ΔS)", name, name),
+		Witness: witness,
+	}
 }
 
 // checkGetPut verifies that with the view defined by getRules, the putback
@@ -439,16 +453,20 @@ func constraintMentionsView(c *datalog.Rule, view string) bool {
 
 // checkPutGet verifies get(put(S, V)) = V for all (S, V) satisfying Σ, by
 // composing the putget program of §4.4 and searching for an instance where
-// new_v differs from v (the sentences Φ1 and Φ2 of (9) and (10)).
+// new_v differs from v (the sentences Φ1 and Φ2 of (9) and (10)). The
+// whole putget program guides the search and seeds its constants; Test
+// derives ΔS once with the putback program, which it needs for the
+// constraint check anyway, and then evaluates only the PutGetCone over it.
 func (v *validator) checkPutGet(getRules []*datalog.Rule) *Failure {
-	putget, err := ComposePutGet(v.pb.Prog, getRules)
+	cone, err := PutGetCone(v.pb.Prog, getRules)
 	if err != nil {
 		return &Failure{Pass: PassPutGet, Detail: err.Error()}
 	}
-	ev, err := eval.New(putget)
+	coneEv, err := eval.New(cone)
 	if err != nil {
 		return &Failure{Pass: PassPutGet, Detail: fmt.Sprintf("putget program does not compile: %v", err)}
 	}
+	putget := withPutback(v.pb.Prog, cone)
 	viewSym := datalog.Pred(v.pb.Prog.View.Name)
 	newView := NewViewSym(v.pb.Prog.View.Name)
 	arity := v.pb.Prog.View.Arity()
@@ -471,7 +489,7 @@ func (v *validator) checkPutGet(getRules []*datalog.Rule) *Failure {
 		if violated, err := pbEv.Violations(db); err != nil || len(violated) > 0 {
 			return false
 		}
-		if err := ev.Eval(db); err != nil {
+		if err := coneEv.Eval(db); err != nil {
 			return false
 		}
 		got := db.RelOrEmpty(newView, arity)

@@ -536,11 +536,14 @@ view v(a:int).
 	}
 }
 
-// TestValidateOutcomes pins the validator's verdict on four programs: a
-// valid union strategy, an ill-defined one (rejected by the well-definedness
-// pass) and two PutGet violations, one of them under a source key
-// constraint, so that the oracle's constraint pruning is on the path of the
-// rejection. Each rejection carries the witness instance pinned here: the
+// TestValidateOutcomes pins the validator's verdict on six programs: a
+// valid union strategy; three ill-defined ones, rejected by the
+// well-definedness pass — one with a single source, and two with two
+// sources under one search, where both sources are contradictory on the
+// witness (the detail names the first) or only the second is; and two
+// PutGet violations, one of them under a source key constraint, so that
+// the oracle's constraint pruning is on the path of the rejection. Each
+// rejection carries the detail and the witness instance pinned here: the
 // oracle's search order is fixed, and pruning never changes which instance
 // it finds first.
 func TestValidateOutcomes(t *testing.T) {
@@ -550,6 +553,7 @@ func TestValidateOutcomes(t *testing.T) {
 		expected []string // expected get rules, nil to derive
 		valid    bool
 		pass     Pass   // failing pass when invalid
+		detail   string // Failure.Detail when invalid
 		witness  string // Failure.Witness.String() when invalid
 	}{
 		{
@@ -562,7 +566,38 @@ func TestValidateOutcomes(t *testing.T) {
 			name:    "ill-defined",
 			src:     illDefinedSrc,
 			pass:    PassWellDefined,
+			detail:  contradictoryDetail,
 			witness: illDefinedWitness,
+		},
+		{
+			name: "ill-defined-both-sources",
+			src: `
+source r1(a:int).
+source r2(a:int).
+view v(a:int).
++r1(X) :- v(X).
+-r1(X) :- v(X), r2(X).
++r2(X) :- v(X).
+-r2(X) :- v(X), r2(X).
+`,
+			pass:    PassWellDefined,
+			detail:  "the program derives both +r1(t) and -r1(t) for the same tuple (contradictory ΔS)",
+			witness: "r1 = {}\n+r1 = {(0)}\n-r1 = {(0)}\nr2 = {(0)}\n+r2 = {(0)}\n-r2 = {(0)}\nv = {(0)}\n",
+		},
+		{
+			name: "ill-defined-second-source",
+			src: `
+source r1(a:int).
+source r2(a:int).
+view v(a:int).
+-r1(X) :- r1(X), not v(X).
++r1(X) :- v(X), not r1(X).
++r2(X) :- v(X).
+-r2(X) :- v(X), r2(X).
+`,
+			pass:    PassWellDefined,
+			detail:  "the program derives both +r2(t) and -r2(t) for the same tuple (contradictory ΔS)",
+			witness: "r1 = {}\n+r1 = {(0)}\n-r1 = {}\nr2 = {(0)}\n+r2 = {(0)}\n-r2 = {(0)}\nv = {(0)}\n",
 		},
 		{
 			name: "putget-violation",
@@ -573,6 +608,7 @@ view v(a:int).
 +r(X) :- v(X), not r(X).
 `,
 			pass:    PassPutGet,
+			detail:  putGetDetail,
 			witness: "new_r = {(0)}\nr = {}\n+r = {(0)}\n-r = {}\nv = {(0)}\n",
 		},
 		{
@@ -585,6 +621,7 @@ _|_ :- r(K, A), r(K, B), not A = B.
 +r(K, A) :- v(K, A), not r(K, A).
 `,
 			pass:    PassPutGet,
+			detail:  putGetDetail,
 			witness: "new_r = {(0, 0)}\nr = {}\n+r = {(0, 0)}\n-r = {}\nv = {(0, 0)}\n",
 		},
 	}
@@ -606,6 +643,9 @@ _|_ :- r(K, A), r(K, B), not A = B.
 			}
 			if res.Failure.Pass != tc.pass {
 				t.Errorf("failing pass %q, want %q", res.Failure.Pass, tc.pass)
+			}
+			if res.Failure.Detail != tc.detail {
+				t.Errorf("detail %q, want %q", res.Failure.Detail, tc.detail)
 			}
 			if res.Failure.Witness == nil {
 				t.Fatal("rejection carries no witness instance")
@@ -647,3 +687,5 @@ func TestValidateDeterministic(t *testing.T) {
 }
 
 const contradictoryDetail = "the program derives both +r(t) and -r(t) for the same tuple (contradictory ΔS)"
+
+const putGetDetail = "get(put(S, V)) ≠ V for some admissible (S, V) (PutGet violated)"
