@@ -9,6 +9,8 @@
 //     counts (-benchmem).
 //   - BenchmarkDMLMaintenance — the engine's table-write path with views
 //     maintained by counting IVM, across base sizes.
+//   - BenchmarkBaseWriteAfterViewWrite — a base-table write that follows a
+//     view write, across base sizes.
 //   - BenchmarkAblation* — design-choice ablations, each explained in its
 //     own comment below: delta-rule unfolding inside ∂put, the Lemma 5.2
 //     substitution vs the general pipeline, expected-get vs derivation in
@@ -103,6 +105,46 @@ func BenchmarkDMLMaintenance(b *testing.B) {
 				if db.Stale(vn) {
 					b.Fatalf("view %s fell off the incremental path", vn)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkBaseWriteAfterViewWrite measures a base-table insert that
+// follows a view update, on the luxuryitems fixture (the incremental
+// strategy). Each iteration runs one untimed view round of the Figure 6
+// stream — insert a view tuple, delete the previous round's — and then
+// times one items insert that the view selects. A view update is
+// maintained like any other write, so the view keeps its support counts
+// and the insert costs O(|Δ|): the curve should be flat across base sizes.
+func BenchmarkBaseWriteAfterViewWrite(b *testing.B) {
+	v, err := bench.Fig6ViewByName("luxuryitems")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{10000, 40000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			db, err := bench.SetupFig6(v, n, true, 1, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for _, txn := range v.Update(n, i+1) {
+					if err := db.Exec(txn...); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				id := int64(4*n + i)
+				if err := db.Exec(birds.Insert("items", birds.Int(id), birds.Str("b"), birds.Int(1500))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if db.Stale(v.Name) {
+				b.Fatalf("view %s fell off the incremental path", v.Name)
 			}
 		})
 	}

@@ -455,6 +455,28 @@ func (p *Program) Clone() *Program {
 	return out
 }
 
+// Renamed returns a deep copy of the program in which every atom whose
+// predicate (delta marker included) is a key of rename — rule heads and
+// body occurrences alike — takes the mapped predicate instead.
+func (p *Program) Renamed(rename map[PredSym]PredSym) *Program {
+	out := p.Clone()
+	re := func(a *Atom) {
+		if a == nil {
+			return
+		}
+		if q, ok := rename[a.Pred]; ok {
+			a.Pred = q
+		}
+	}
+	for _, r := range out.Rules {
+		re(r.Head)
+		for _, l := range r.Body {
+			re(l.Atom)
+		}
+	}
+	return out
+}
+
 // Source returns the declaration of the named source relation, or nil.
 func (p *Program) Source(name string) *RelDecl {
 	for _, s := range p.Sources {

@@ -64,8 +64,9 @@ func TestSubscribeViewMirrorsGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	// View-targeted transaction: delete from j propagates to r1 and
-	// publishes the view's own delta.
-	if err := db.Exec(Delete("j", Eq("c", value.Int(10)))); err != nil {
+	// publishes the view's own delta. (j's strategy only deletes r1 rows
+	// whose key leaves j, so the delete takes all of a's rows.)
+	if err := db.Exec(Delete("j", Eq("a", value.Int(7)))); err != nil {
 		t.Fatal(err)
 	}
 

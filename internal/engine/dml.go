@@ -75,8 +75,12 @@ func Eq(col string, v value.Value) Condition {
 // write lock, one view-maintenance pass. All statements must target the
 // same relation; for a view target, the combined view delta is derived per
 // Algorithm 2 and propagated through the view's update strategy to the
-// sources. On any error nothing is applied. Exec always commits directly;
-// group commit is the explicit Batcher handle (DB.Batch).
+// sources, and the view is then maintained from the source changes like
+// any other; if the result is not the updated view — PutGet fails, which a
+// strategy registered with SkipValidation can do — the transaction fails
+// with an error wrapping ErrPutGetViolation. On any error nothing is
+// applied. Exec always commits directly; group commit is the explicit
+// Batcher handle (DB.Batch).
 func (db *DB) Exec(stmts ...Statement) error {
 	_, err := db.execSeq(stmts)
 	return err
@@ -395,9 +399,6 @@ func (db *DB) propagate(name string, d eval.Delta, pl plan) error {
 // deltas are collected. Cost is proportional to the view delta once the
 // store's indexes are warm.
 func (db *DB) evalIncremental(v *View, d eval.Delta, deltas map[string]eval.Delta) error {
-	// The ∂put and constraint programs overwrite their IDB relations in the
-	// shared store; drop the get-side counts that described them.
-	db.invalidateForStrategyRun(v)
 	name := v.Decl.Name
 	// Update keeps any indexes on the view-delta predicates alive across
 	// transactions instead of dropping and lazily rebuilding them.
@@ -431,9 +432,6 @@ func (db *DB) evalIncremental(v *View, d eval.Delta, deltas map[string]eval.Delt
 // evaluated (cost proportional to the base tables), and the source deltas
 // are collected.
 func (db *DB) evalFull(name string, v *View, d eval.Delta, deltas map[string]eval.Delta) error {
-	// The strategy evaluation overwrites its IDB relations in the shared
-	// store; drop the get-side counts that described them.
-	db.invalidateForStrategyRun(v)
 	p := datalog.Pred(name)
 	old := db.store.RelOrEmpty(p, v.Decl.Arity())
 	updated := old.Clone()
@@ -442,11 +440,10 @@ func (db *DB) evalFull(name string, v *View, d eval.Delta, deltas map[string]eva
 	db.store.Update(p, updated)
 	defer db.store.Update(p, old)
 
-	ev := v.Strategy.Evaluator()
-	if err := ev.Eval(db.store); err != nil {
+	if err := v.putEval.Eval(db.store); err != nil {
 		return err
 	}
-	violated, err := ev.Violations(db.store)
+	violated, err := v.putEval.Violations(db.store)
 	if err != nil {
 		return err
 	}
@@ -457,12 +454,14 @@ func (db *DB) evalFull(name string, v *View, d eval.Delta, deltas map[string]eva
 	return nil
 }
 
-// collectDeltas clones the evaluated ±source relations out of the store.
+// collectDeltas clones the evaluated ±source relations — ±<view>.put.<source>
+// in the view's namespace — out of the store.
 func collectDeltas(store *eval.Database, v *View, deltas map[string]eval.Delta) {
+	ns := putNS(v.Decl.Name)
 	for _, s := range v.Strategy.Prog.Sources {
 		d := eval.Delta{
-			Ins: store.RelOrEmpty(datalog.Ins(s.Name), s.Arity()).Clone(),
-			Del: store.RelOrEmpty(datalog.Del(s.Name), s.Arity()).Clone(),
+			Ins: store.RelOrEmpty(datalog.Ins(ns+s.Name), s.Arity()).Clone(),
+			Del: store.RelOrEmpty(datalog.Del(ns+s.Name), s.Arity()).Clone(),
 		}
 		if !d.Empty() {
 			deltas[s.Name] = d
@@ -471,11 +470,11 @@ func collectDeltas(store *eval.Database, v *View, deltas map[string]eval.Delta) 
 }
 
 // applyPlan validates the accumulated plan (no relation may both insert and
-// delete the same tuple), applies it to the store and commits the exact net
-// delta of every applied relation — only rows whose membership actually
-// changed. The WAL record holds only the base-table deltas (view rows are
-// derived state, re-materialized on recovery); views inside the plan were
-// updated exactly and are kept out of maintenance.
+// delete the same tuple), applies its base-table deltas to the store and
+// commits their exact net delta — only rows whose membership actually
+// changed. The views of the plan are not written: commitLocked maintains
+// them from the base-table deltas like any other write, and checks that
+// each one's maintained delta is the ΔV the plan derived for it (PutGet).
 func (db *DB) applyPlan(pl plan) error {
 	names := make([]string, 0, len(pl))
 	for n := range pl {
@@ -489,8 +488,12 @@ func (db *DB) applyPlan(pl plan) error {
 		}
 	}
 	changed := make(map[string]eval.Delta, len(names))
-	keep := make(map[string]bool)
+	want := make(map[string]eval.Delta)
 	for _, n := range names {
+		if _, isView := db.views[n]; isView {
+			want[n] = pl[n]
+			continue
+		}
 		p := datalog.Pred(n)
 		d := eval.NewDelta(pl[n].Ins.Arity())
 		pl[n].Del.Each(func(t value.Tuple) {
@@ -506,11 +509,8 @@ func (db *DB) applyPlan(pl plan) error {
 		if !d.Empty() {
 			changed[n] = d
 		}
-		if _, isView := db.views[n]; isView {
-			keep[n] = true // maintained exactly by the plan
-		}
 	}
-	return db.commitLocked(wal.KindTxn, changed, keep)
+	return db.commitLocked(wal.KindTxn, changed, want)
 }
 
 // --- row matching ---------------------------------------------------------

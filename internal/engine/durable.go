@@ -22,15 +22,18 @@ import (
 //     record holds the base-table deltas its putback cascade produced) and
 //     a group-commit batch (Batcher.flushLocked; ONE record per batch, so
 //     the fsync is amortized across the batch exactly like the maintenance
-//     pass). LoadTable writes a bulk-load record through the same logLocked;
-//   - a failed append undoes the write in the store and the write reports
-//     an error — the WAL never acknowledges a write the store didn't take,
-//     and the store never keeps a write the WAL didn't take. The failed
-//     append also poisoned the log (the fsyncgate rule: a file whose
-//     page-cache state is unknown is never retried), so the engine
-//     transitions to read-only degraded mode (degrade.go): reads keep
-//     working, writes fail fast with ErrReadOnly until DB.Reopen recovers
-//     from disk;
+//     pass). It maintains the views before it logs, so a view update that
+//     fails its PutGet check never reaches the log. LoadTable writes a
+//     bulk-load record through the same logLocked;
+//   - a failed append undoes the write in the store — base tables and the
+//     maintained view rows, by the same rollback as a failed PutGet check —
+//     and the write reports an error: the WAL never acknowledges a write
+//     the store didn't take, and the store never keeps a write the WAL
+//     didn't take. The failed append also poisoned the log (the fsyncgate
+//     rule: a file whose page-cache state is unknown is never retried), so
+//     the engine transitions to read-only degraded mode (degrade.go): reads
+//     keep working, writes fail fast with ErrReadOnly until DB.Reopen
+//     recovers from disk;
 //   - periodic checkpoints snapshot the base tables plus the DDL catalog
 //     and garbage-collect fully-covered WAL segments; views and their
 //     support counts are NOT checkpointed — Recover re-derives them from
@@ -312,16 +315,21 @@ func (db *DB) checkpointLocked() error {
 
 // commitLocked makes one write visible: it is the commit path of every
 // delta-driven write (execTable, applyPlan, Batcher.flushLocked), whose
-// caller has already applied changed — the write's exact net deltas — to
-// the store; views in keep were updated exactly by the caller. In order:
-// a write whose deltas are all empty is no visibility point and returns at
-// once; the point's changeset takes the next seq and is logged, a failed
-// append undoing changed, view rows included; then the dependent views are
-// maintained, the changeset is published and the checkpoint trigger runs.
-// Entries are rendered only for a reader: base tables when durable,
-// watched relations when subscribed. Must run under the write lock.
-func (db *DB) commitLocked(kind wal.Kind, changed map[string]eval.Delta, keep map[string]bool) error {
-	empty := true
+// caller has already applied changed — the write's exact net base-table
+// deltas — to the store. want is a view-targeted write's ΔV per updated
+// view (nil otherwise; see maintainViews). In order: a write that changes
+// nothing and updates no view is no visibility point and returns at once;
+// the dependent views are maintained, each view in want checked against
+// PutGet; the point's changeset takes the next seq and is logged; then it
+// is published and the checkpoint trigger runs. Maintenance precedes the
+// log so that one rollback serves a failed check and a failed append
+// alike: every delta in changed is undone, view rows included, and every
+// view the pass maintained drops its counts and goes dirty, with its
+// dependents — nothing was logged, published or acknowledged. Entries are
+// rendered only for a reader: base tables when durable, watched relations
+// when subscribed. Must run under the write lock.
+func (db *DB) commitLocked(kind wal.Kind, changed, want map[string]eval.Delta) error {
+	empty := len(want) == 0
 	for _, d := range changed {
 		if !d.Empty() {
 			empty = false
@@ -331,18 +339,26 @@ func (db *DB) commitLocked(kind wal.Kind, changed map[string]eval.Delta, keep ma
 	if empty {
 		return nil
 	}
+	maintained, err := db.maintainViews(changed, want)
 	cs := wal.Changeset{Kind: kind, Seq: db.seq + 1}
 	durable, pub := db.dur != nil, db.hub != nil && !db.hub.Quiet()
-	if durable || pub {
-		cs.Tables = db.renderLocked(changed, func(n string) bool {
-			return db.tables[n] != nil && (durable || db.hub.Subscribed(n))
-		})
+	if err == nil {
+		if durable || pub {
+			cs.Tables = db.renderLocked(changed, func(n string) bool {
+				return db.tables[n] != nil && (durable || db.hub.Subscribed(n))
+			})
+		}
+		err = db.logLocked(&cs)
 	}
-	if err := db.logLocked(&cs); err != nil {
+	if err != nil {
 		db.undoLocked(changed)
+		for _, v := range maintained {
+			v.getEval.InvalidateIVM()
+			db.dirty[v.Decl.Name] = true
+		}
+		db.markDependentsDirty(make(map[string]bool))
 		return err
 	}
-	db.maintainViews(changed, keep)
 	if pub {
 		cs.Views = db.renderLocked(changed, func(n string) bool {
 			return db.views[n] != nil && db.hub.Subscribed(n)
@@ -383,7 +399,8 @@ func (db *DB) applyLocked(changed map[string]eval.Delta) {
 }
 
 // undoLocked reverts deltas that were applied to the store: the rollback
-// of a failed WAL append (commitLocked). Must run under the write lock.
+// of a failed PutGet check or WAL append (commitLocked). Must run under the
+// write lock.
 func (db *DB) undoLocked(changed map[string]eval.Delta) {
 	for n, d := range changed {
 		p := datalog.Pred(n)
@@ -578,10 +595,10 @@ func recoverFS(fsys wal.FS, dir string, floor uint64) (*DB, RecoverStats, error)
 	stats.TornTail = res.TornTail
 
 	// Views: re-create from the catalog (validation already ran in the
-	// original session — the checkpointed get rules carry its result),
-	// then initialize the counting IVM over the recovered base state, so
-	// the engine resumes on the incremental path with exactly the support
-	// counts an uninterrupted run would hold.
+	// original session — the checkpointed get rules carry its result). Each
+	// registration materializes the view with one counted evaluation over
+	// the recovered base state, so the engine resumes on the incremental
+	// path with exactly the support counts an uninterrupted run would hold.
 	for _, vs := range ck.Views {
 		prog, err := datalog.Parse(vs.Program)
 		if err != nil {
@@ -601,18 +618,6 @@ func recoverFS(fsys wal.FS, dir string, floor uint64) (*DB, RecoverStats, error)
 			Incremental:    vs.Incremental,
 		}); err != nil {
 			return nil, stats, fmt.Errorf("engine: recover view: %w", err)
-		}
-	}
-	for _, n := range db.viewOrder {
-		v := db.views[n]
-		if _, err := v.getEval.EvalDelta(db.store, nil); err != nil {
-			// Counted init failed; leave the view on the full-refresh
-			// fallback (it is already materialized and clean).
-			v.getEval.InvalidateIVM()
-			continue
-		}
-		for _, w := range v.getOverlap {
-			w.getEval.InvalidateIVM()
 		}
 	}
 

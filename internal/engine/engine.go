@@ -7,8 +7,10 @@
 // trigger. A view update derives the view delta ΔV from the DML statements,
 // checks the integrity constraints, evaluates the strategy (the original
 // putdelta, or the incrementalized ∂put of Section 5), and applies the
-// source deltas. A source that is itself a view cascades the propagation —
-// the view-over-view updating of the §3.3 case study (residents1962 updates
+// source deltas; the view itself is then maintained from them like any
+// other dependent view, and must come out as the updated view (PutGet). A
+// source that is itself a view cascades the propagation — the
+// view-over-view updating of the §3.3 case study (residents1962 updates
 // residents, which updates the base tables).
 package engine
 
@@ -69,34 +71,45 @@ type DB struct {
 
 // View is a registered updatable view: its schema, validated strategy
 // (the INSTEAD OF trigger), derived get, and compiled evaluators.
+//
+// Every view's programs share the engine's one store, so each evaluator
+// runs over a renamed copy of its program: every IDB predicate other than
+// the view itself moves into the view's own namespace — <view>.get.<p> for
+// the get program, <view>.put.<p> for the strategy, ∂put and constraint
+// programs, ±source heads included. No identifier contains a dot, so these
+// names collide with no user relation and no other view's: the get
+// program's counted relations are written only by its own maintenance, and
+// its support counts survive view writes, strategy runs and other views'
+// registrations alike.
 type View struct {
 	Decl        *datalog.RelDecl
 	Strategy    *core.Putback
 	Get         []*datalog.Rule
 	Incremental bool
 
-	getEval  *eval.Evaluator
+	getEval  *eval.Evaluator // get, maintained by counting IVM
+	putEval  *eval.Evaluator // the original putdelta (nil when Incremental)
 	incEval  *eval.Evaluator // ∂put (nil unless Incremental)
 	consEval *eval.Evaluator // delta-substituted constraints (nil unless Incremental)
 	sources  []string        // source relation names (tables or views)
+}
 
-	// getIDB holds the IDB predicates of the get program — the relations
-	// (view plus auxiliaries) the counting IVM of getEval materializes and
-	// maintains. allIDB additionally covers the strategy, ∂put and
-	// constraint programs, whose evaluation overwrites those relations in
-	// the shared store; both sets drive the cross-view IVM invalidation in
-	// maintain.go.
-	getIDB map[datalog.PredSym]bool
-	allIDB map[datalog.PredSym]bool
-	// Precomputed at registration (the sets above are fixed then):
-	// getOverlap lists the other views whose get programs share a
-	// predicate with this view's get program (mutual — maintaining or
-	// refreshing one clobbers the other's counted relations); allOverlap
-	// lists the views whose get programs share a predicate with ANY of
-	// this view's programs (running this view's putback machinery clobbers
-	// their counted relations).
-	getOverlap []*View
-	allOverlap []*View
+// getNS and putNS are the prefixes of a view's get-side and strategy-side
+// namespaces (see View).
+func getNS(view string) string { return view + ".get." }
+func putNS(view string) string { return view + ".put." }
+
+// namespaced returns a copy of prog with every IDB predicate except the view
+// moved into namespace ns.
+func namespaced(prog *datalog.Program, ns string) *datalog.Program {
+	view := datalog.Pred(prog.View.Name)
+	rename := make(map[datalog.PredSym]datalog.PredSym)
+	for p := range prog.IDBPreds() {
+		if p != view {
+			rename[p] = datalog.PredSym{Name: ns + p.Name, Delta: p.Delta}
+		}
+	}
+	return prog.Renamed(rename)
 }
 
 // NewDB returns an empty database.
@@ -125,16 +138,15 @@ func (db *DB) SetExecMode(m eval.ExecMode) {
 	}
 }
 
-// setExecMode applies the execution strategy to every evaluator of the view.
+// setExecMode applies the execution strategy to every evaluator of the
+// view, and to the strategy's own evaluator, whose plans the shell's
+// \explain renders.
 func (v *View) setExecMode(m eval.ExecMode) {
-	v.getEval.SetExecMode(m)
-	if v.incEval != nil {
-		v.incEval.SetExecMode(m)
+	for _, e := range []*eval.Evaluator{v.getEval, v.putEval, v.incEval, v.consEval, v.Strategy.Evaluator()} {
+		if e != nil {
+			e.SetExecMode(m)
+		}
 	}
-	if v.consEval != nil {
-		v.consEval.SetExecMode(m)
-	}
-	v.Strategy.Evaluator().SetExecMode(m)
 }
 
 // CreateTable registers a base table.
@@ -239,7 +251,7 @@ func (db *DB) CreateViewFromProgram(prog *datalog.Program, opts ViewOptions) (*V
 		v.Get = res.Get
 	}
 
-	if v.getEval, err = eval.New(core.GetProgram(prog, v.Get)); err != nil {
+	if v.getEval, err = eval.New(namespaced(core.GetProgram(prog, v.Get), getNS(name))); err != nil {
 		return nil, fmt.Errorf("engine: get program for %q: %w", name, err)
 	}
 	if opts.Incremental {
@@ -247,62 +259,42 @@ func (db *DB) CreateViewFromProgram(prog *datalog.Program, opts ViewOptions) (*V
 		if err != nil {
 			return nil, err
 		}
-		if v.incEval, err = eval.New(inc); err != nil {
+		if v.incEval, err = eval.New(namespaced(inc, putNS(name))); err != nil {
 			return nil, fmt.Errorf("engine: ∂put for %q: %w", name, err)
 		}
-		if v.consEval, err = deltaConstraintEvaluator(prog); err != nil {
+		if v.consEval, err = eval.New(namespaced(deltaConstraintProgram(prog), putNS(name))); err != nil {
 			return nil, err
 		}
+	} else if v.putEval, err = eval.New(namespaced(prog, putNS(name))); err != nil {
+		return nil, fmt.Errorf("engine: strategy for %q: %w", name, err)
 	}
-
-	v.getIDB = make(map[datalog.PredSym]bool)
-	idbPredsOf(v.getEval.Program(), v.getIDB)
-	v.allIDB = make(map[datalog.PredSym]bool)
-	idbPredsOf(v.getEval.Program(), v.allIDB)
-	idbPredsOf(v.Strategy.Prog, v.allIDB)
-	if v.incEval != nil {
-		idbPredsOf(v.incEval.Program(), v.allIDB)
-	}
-	if v.consEval != nil {
-		idbPredsOf(v.consEval.Program(), v.allIDB)
-	}
-
 	v.setExecMode(db.execMode)
 
-	// The initial materialization below may overwrite auxiliary relations
-	// an existing view's get program also materializes; those views' counts
-	// must not survive it. The new view's own overlap lists are built only
-	// after its refresh succeeds (registerMaintenance), so sweep directly.
-	for _, w := range db.views {
-		if predsIntersect(w.getIDB, v.getIDB) {
-			w.getEval.InvalidateIVM()
-		}
-	}
 	db.views[name] = v
 	db.dirty[name] = true
 	if err := db.refresh(name); err != nil {
 		delete(db.views, name)
 		return nil, err
 	}
-	db.registerMaintenance(v)
+	db.rebuildViewOrder()
 	// Persist the catalog change (view program, validated get rules,
 	// maintenance mode) before acknowledging the DDL; roll the registration
 	// back if it cannot be made durable.
 	if err := db.ddlCheckpointLocked(); err != nil {
 		delete(db.views, name)
 		delete(db.dirty, name)
-		db.unregisterMaintenance(v)
+		db.rebuildViewOrder()
 		return nil, fmt.Errorf("engine: create view %q: %w", name, err)
 	}
 	return v, nil
 }
 
-// deltaConstraintEvaluator builds an evaluator for the constraints with the
+// deltaConstraintProgram builds the program of the constraints with the
 // view atom substituted by the insertion delta +v, so that admissibility of
 // an update is checked against the inserted tuples only (deletions cannot
 // introduce a violation of a linear-view constraint, and previously present
 // tuples were checked by earlier transactions).
-func deltaConstraintEvaluator(prog *datalog.Program) (*eval.Evaluator, error) {
+func deltaConstraintProgram(prog *datalog.Program) *datalog.Program {
 	view := prog.View.Name
 	p := &datalog.Program{Sources: prog.Sources, View: prog.View}
 	needed := make(map[datalog.PredSym]bool)
@@ -344,7 +336,7 @@ func deltaConstraintEvaluator(prog *datalog.Program) (*eval.Evaluator, error) {
 			p.Rules = append(p.Rules, r.Clone())
 		}
 	}
-	return eval.New(p)
+	return p
 }
 
 // relDecl returns the declaration of a table or view, or nil.
@@ -517,9 +509,11 @@ func (db *DB) GetAll(names ...string) (map[string]*value.Relation, error) {
 
 // refresh fully rematerializes a view (and, first, its stale sources) —
 // the fallback path for views whose incremental maintenance state is
-// unavailable (bulk loads, maintenance errors, stale sources). Steady-state
-// DML never comes through here: maintainViews adjusts clean views in place
-// and leaves the dirty flag unset.
+// unavailable (bulk loads, maintenance errors, stale sources) and the
+// initial materialization of a new or recovered view. It is one counted
+// evaluation, so the view leaves it ready for O(|Δ|) maintenance.
+// Steady-state DML never comes through here: maintainViews adjusts clean
+// views in place and leaves the dirty flag unset.
 func (db *DB) refresh(name string) error {
 	v := db.views[name]
 	for _, s := range v.sources {
@@ -529,35 +523,20 @@ func (db *DB) refresh(name string) error {
 			}
 		}
 	}
-	rel, err := v.getEval.EvalQuery(db.store, datalog.Pred(name))
-	if err != nil {
+	if err := v.getEval.InitIVM(db.store); err != nil {
 		return err
-	}
-	// Eval already installed the freshly built (uniquely owned) relation
-	// for the view predicate; installing again would redundantly rebuild
-	// its indexes. Only install when the goal had no rules and EvalQuery
-	// synthesized an empty relation.
-	if p := datalog.Pred(name); db.store.Rel(p) != rel {
-		db.store.Update(p, rel)
-	}
-	// The full evaluation above replaced this view's get-program relations
-	// in the shared store; any other view materializing a same-named
-	// auxiliary must not trust its counts anymore. (EvalQuery already
-	// dropped v's own counts.)
-	for _, w := range v.getOverlap {
-		w.getEval.InvalidateIVM()
 	}
 	db.dirty[name] = false
 	return nil
 }
 
 // markDependentsDirty flags every view that transitively reads any of the
-// changed relations, except those in keep (already maintained exactly).
-func (db *DB) markDependentsDirty(changed map[string]bool, keep map[string]bool) {
+// changed relations.
+func (db *DB) markDependentsDirty(changed map[string]bool) {
 	for progress := true; progress; {
 		progress = false
 		for name, v := range db.views {
-			if db.dirty[name] || keep[name] {
+			if db.dirty[name] {
 				continue
 			}
 			for _, s := range v.sources {
@@ -622,7 +601,7 @@ func (db *DB) LoadTable(name string, rows []value.Tuple) error {
 		}
 		return err
 	}
-	db.markDependentsDirty(map[string]bool{name: true}, nil)
+	db.markDependentsDirty(map[string]bool{name: true})
 	// Subscribers of the table get the exact inserted delta; subscribers
 	// of the views just marked dirty are marked lost by publishLocked's
 	// dirty scan (no view delta exists on this path) and resync instead of

@@ -1,53 +1,46 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"birds/internal/datalog"
 	"birds/internal/eval"
+	"birds/internal/value"
 )
 
 // This file wires the evaluator's counting-based IVM (eval.EvalDelta) into
-// the engine's write path: DML against base tables (and the source deltas a
-// view update cascades into them) feed net row deltas straight into every
-// clean dependent view, so steady-state writes cost O(|Δ|) instead of the
-// O(|DB|) full rematerialization the dirty flag used to force on the next
-// read. The dirty flag remains as the fallback — bulk loads, maintenance
-// errors and stale sources still mark a view dirty and refresh() fully
-// recomputes it on the next read.
+// the engine's write path: every write — DML against base tables, a group-
+// commit batch, and the base-table deltas a view update's putback cascade
+// produces — feeds net row deltas straight into every clean dependent view,
+// so steady-state writes cost O(|Δ|) instead of the O(|DB|) full
+// rematerialization the dirty flag used to force on the next read. A view
+// update does not write its view: the view is maintained from the source
+// deltas like any other, and the maintained delta must equal the one the
+// update asked for (PutGet). Each view's get program runs in its own
+// predicate namespace (see View), so no other program's evaluation
+// overwrites the relations its support counts describe. The dirty flag
+// remains as the fallback — bulk loads, maintenance errors and stale
+// sources still mark a view dirty and refresh() fully recomputes it on the
+// next read.
 //
-// The per-write bookkeeping is O(registered views): the dependency order
-// and the predicate-overlap lists are precomputed at registration
-// (registerMaintenance), not rebuilt per transaction.
+// The per-write bookkeeping is O(registered views): the dependency order is
+// precomputed at registration (rebuildViewOrder), not rebuilt per
+// transaction.
 
-// registerMaintenance precomputes the maintenance structures after a view
-// is successfully registered: the dependency-ordered view list and the
-// predicate-overlap lists driving cross-view IVM invalidation. Both depend
-// only on the set of registered views, which changes only here. Must run
-// under the write lock.
-func (db *DB) registerMaintenance(v *View) {
-	for _, w := range db.views {
-		if w == v {
-			continue
-		}
-		if predsIntersect(v.getIDB, w.getIDB) {
-			v.getOverlap = append(v.getOverlap, w)
-			w.getOverlap = append(w.getOverlap, v)
-		}
-		if predsIntersect(w.getIDB, v.allIDB) {
-			v.allOverlap = append(v.allOverlap, w)
-		}
-		if predsIntersect(v.getIDB, w.allIDB) {
-			w.allOverlap = append(w.allOverlap, v)
-		}
-	}
-
-	db.rebuildViewOrder()
-}
+// ErrPutGetViolation reports a view update whose source changes do not
+// reproduce it: once applied, the view's get derives a view other than the
+// updated one, get(put(S, V′)) ≠ V′. The paper's validation (Algorithm 1)
+// rules this out for a validated strategy; the engine checks it on every
+// view update, so a strategy registered with SkipValidation that breaks it
+// fails the update rather than leaving the view out of step with its
+// sources.
+var ErrPutGetViolation = errors.New("PutGet violated")
 
 // rebuildViewOrder recomputes the dependency-ordered view list: topological
-// order over view sources, ties broken by name. Must run under the write
-// lock.
+// order over view sources, ties broken by name. It runs whenever the set of
+// registered views changes, under the write lock.
 func (db *DB) rebuildViewOrder() {
 	names := make([]string, 0, len(db.views))
 	for n := range db.views {
@@ -74,126 +67,98 @@ func (db *DB) rebuildViewOrder() {
 	db.viewOrder = order
 }
 
-// unregisterMaintenance reverses registerMaintenance for a view whose
-// registration is being rolled back (a failed DDL checkpoint must not leave
-// a view the durable catalog does not know): it strips v from every
-// sibling's overlap lists and rebuilds the dependency order. Must run under
-// the write lock, after v was removed from db.views.
-func (db *DB) unregisterMaintenance(v *View) {
-	drop := func(list []*View) []*View {
-		out := list[:0]
-		for _, w := range list {
-			if w != v {
-				out = append(out, w)
-			}
-		}
-		return out
-	}
-	for _, w := range db.views {
-		w.getOverlap = drop(w.getOverlap)
-		w.allOverlap = drop(w.allOverlap)
-	}
-	db.rebuildViewOrder()
-}
-
 // maintainViews propagates the net deltas of changed relations into the
 // registered views, in dependency order. A clean view whose sources changed
 // is maintained incrementally through its get evaluator's counting IVM —
 // its materialization, auxiliary relations and indexes are adjusted in
 // place, and its own net delta joins the changed set so views stacked on
-// top of it are maintained the same way. Views in keep were updated exactly
-// by the caller (the putback plan of a view-targeted transaction) and are
-// only consulted for their recorded deltas. Fallbacks:
+// top of it are maintained the same way. Fallbacks:
 //
 //   - a view that is already dirty stays dirty (its counts may not match
 //     the store; the next read fully rematerializes it);
 //   - a view with a dirty source goes dirty (its input is unknown);
-//   - a maintenance error marks the view dirty and drops its counts.
+//   - a maintenance error marks the view dirty (EvalDelta dropped its
+//     counts).
 //
 // Views none of whose sources changed — including sources whose transaction
 // produced a net-empty delta — are skipped outright and stay clean.
-// maintainViews must run under the write lock.
-func (db *DB) maintainViews(changed map[string]eval.Delta, keep map[string]bool) {
+//
+// want holds, for a view-targeted write, the view delta ΔV its plan derived
+// for every view it updates (the target and the intermediate views of a
+// cascade); it is nil for other writes. Each such view's maintained delta
+// must equal its ΔV, or the write fails with ErrPutGetViolation; a view in
+// want that cannot be maintained fails the write too, since its update
+// cannot be checked. maintained lists the views whose maintenance state the
+// pass touched, for the caller's rollback. maintainViews must run under the
+// write lock.
+func (db *DB) maintainViews(changed, want map[string]eval.Delta) (maintained []*View, err error) {
 	for _, name := range db.viewOrder {
-		if keep[name] {
-			continue // maintained exactly by the caller's plan
-		}
-		if db.dirty[name] {
-			continue // stays dirty; refresh() handles it on the next read
-		}
 		v := db.views[name]
-		srcChanged, srcDirty := false, false
+		wantD, check := want[name]
+		stale, srcChanged := db.dirty[name], false
 		for _, s := range v.sources {
-			if db.dirty[s] {
-				srcDirty = true
-			}
+			stale = stale || db.dirty[s]
 			if d, ok := changed[s]; ok && !d.Empty() {
 				srcChanged = true
 			}
 		}
-		if srcDirty {
+		if stale {
 			db.dirty[name] = true
+			if check {
+				return maintained, fmt.Errorf("engine: view %q is stale; its update cannot be checked", name)
+			}
 			continue
 		}
-		if !srcChanged {
-			continue // net-empty delta: nothing to do, view stays clean
-		}
-		edb := make(map[datalog.PredSym]eval.Delta, len(v.sources))
-		for _, s := range v.sources {
-			if d, ok := changed[s]; ok {
-				edb[datalog.Pred(s)] = d
+		var d eval.Delta // the view's net delta; zero when it did not change
+		if srcChanged {
+			edb := make(map[datalog.PredSym]eval.Delta, len(v.sources))
+			for _, s := range v.sources {
+				if d, ok := changed[s]; ok {
+					edb[datalog.Pred(s)] = d
+				}
+			}
+			maintained = append(maintained, v)
+			out, err := v.getEval.EvalDelta(db.store, edb)
+			if err != nil {
+				db.dirty[name] = true
+				if check {
+					return maintained, fmt.Errorf("engine: maintain view %q: %w", name, err)
+				}
+				continue
+			}
+			if vd := out[datalog.Pred(name)]; !vd.Empty() {
+				d = vd
+				changed[name] = d
 			}
 		}
-		out, err := v.getEval.EvalDelta(db.store, edb)
-		if err != nil {
-			v.getEval.InvalidateIVM()
-			db.dirty[name] = true
+		if check {
+			if d.Ins == nil {
+				d = eval.NewDelta(v.Decl.Arity())
+			}
+			if err := checkPutGet(name, d, wantD); err != nil {
+				return maintained, err
+			}
+		}
+	}
+	return maintained, nil
+}
+
+// checkPutGet compares a view's maintained delta got with the delta want
+// its update asked for, and names the first tuple on which they differ.
+func checkPutGet(name string, got, want eval.Delta) error {
+	for _, side := range [...]struct {
+		verb      string
+		got, want *value.Relation
+	}{{"inserts", got.Ins, want.Ins}, {"deletes", got.Del, want.Del}} {
+		if side.got.Equal(side.want) {
 			continue
 		}
-		// The call rewrote this view's get-program relations (propagation
-		// or re-init); a sibling whose get program shares an auxiliary
-		// predicate name now holds counts for a relation this view owns.
-		// Normally getOverlap is empty and this is a no-op; on collision
-		// the sibling re-initializes on its next maintenance.
-		for _, w := range v.getOverlap {
-			w.getEval.InvalidateIVM()
+		if miss := side.want.Minus(side.got); !miss.Empty() {
+			return fmt.Errorf("engine: view %q: %w: the update %s %s, get(put(S, V′)) does not",
+				name, ErrPutGetViolation, side.verb, miss.Sorted()[0])
 		}
-		if d, ok := out[datalog.Pred(name)]; ok && !d.Empty() {
-			changed[name] = d
-		}
+		return fmt.Errorf("engine: view %q: %w: get(put(S, V′)) %s %s, the update does not",
+			name, ErrPutGetViolation, side.verb, side.got.Minus(side.want).Sorted()[0])
 	}
-}
-
-// invalidateForStrategyRun is called before a view's putback machinery
-// (strategy, ∂put, delta constraints) evaluates over the shared store: the
-// run overwrites the IDB relations of those programs, so the view's own
-// get counts — and those of any view whose get program shares a predicate
-// name with any of this view's programs — are no longer trustworthy.
-func (db *DB) invalidateForStrategyRun(v *View) {
-	v.getEval.InvalidateIVM()
-	for _, w := range v.allOverlap {
-		w.getEval.InvalidateIVM()
-	}
-}
-
-// predsIntersect reports whether two predicate sets share an element.
-func predsIntersect(a, b map[datalog.PredSym]bool) bool {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for p := range a {
-		if b[p] {
-			return true
-		}
-	}
-	return false
-}
-
-// idbPredsOf collects the non-constraint rule head predicates of a program.
-func idbPredsOf(prog *datalog.Program, into map[datalog.PredSym]bool) {
-	for _, r := range prog.Rules {
-		if !r.IsConstraint() {
-			into[r.Head.Pred] = true
-		}
-	}
+	return nil
 }

@@ -93,7 +93,11 @@ func (e *Evaluator) IVMReady(db *Database) bool { return e.ivm != nil && e.ivm.d
 // method of the evaluator or with reads of db.
 func (e *Evaluator) EvalDelta(db *Database, edb map[datalog.PredSym]Delta) (map[datalog.PredSym]Delta, error) {
 	if !e.IVMReady(db) {
-		return e.initIVM(db)
+		out := make(map[datalog.PredSym]Delta)
+		if err := e.initIVM(db, out); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
 	if e.deltaRules == nil {
 		if err := e.compileDeltaRules(); err != nil {
@@ -171,11 +175,21 @@ func (e *Evaluator) evalDeltaPred(dc *deltaCtx, sym datalog.PredSym, out map[dat
 	return nil
 }
 
+// InitIVM (re)establishes the support counts with one full counted
+// evaluation over db's current EDB state and installs the resulting IDB
+// relations — a full materialization that leaves the evaluator ready for
+// O(|Δ|) EvalDelta calls. Unlike a first EvalDelta call it computes no
+// deltas against what db held before.
+func (e *Evaluator) InitIVM(db *Database) error { return e.initIVM(db, nil) }
+
 // initIVM establishes the support counts with one full counted evaluation
-// over db's current EDB state and installs the resulting IDB relations. It
-// returns the net delta of every IDB relation against what db held before —
-// the one O(|DB|) step; all subsequent EvalDelta calls propagate deltas.
-func (e *Evaluator) initIVM(db *Database) (map[datalog.PredSym]Delta, error) {
+// over db's current EDB state and installs the resulting IDB relations,
+// recording in out, when non-nil, the net delta of every IDB relation
+// against what db held before — the one O(|DB|) step; all subsequent
+// EvalDelta calls propagate deltas. Any earlier state is dropped first,
+// so an error leaves none.
+func (e *Evaluator) initIVM(db *Database, out map[datalog.PredSym]Delta) error {
+	e.ivm = nil
 	var ec *evalCtx
 	if e.mode == ExecStreaming {
 		ec = &e.ec
@@ -183,36 +197,36 @@ func (e *Evaluator) initIVM(db *Database) (map[datalog.PredSym]Delta, error) {
 		defer ec.reset()
 	}
 	counts := make(map[datalog.PredSym]*value.CountedRelation, len(e.order))
-	out := make(map[datalog.PredSym]Delta)
 	for i := range e.plan {
 		p := &e.plan[i]
 		cnt := value.NewCounted(p.arity)
-		rel := value.NewRelation(p.arity)
 		for _, cr := range p.rules {
 			if err := runFull(db, ec, cr, func(t value.Tuple) bool {
-				if appeared, _ := cnt.Adjust(t, 1); appeared {
-					rel.Add(t)
-				}
+				cnt.Adjust(t, 1)
 				return true
 			}); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		e.installCounted(db, p.sym, rel, out)
+		e.installCounted(db, p.sym, cnt.Relation(), out)
 		if ec != nil {
 			ec.refresh(db, i)
 		}
 		counts[p.sym] = cnt
 	}
 	e.ivm = &ivmState{db: db, counts: counts}
-	return out, nil
+	return nil
 }
 
 // installCounted replaces sym's relation with its freshly counted
-// materialization, recording the net delta against what db held before.
+// materialization, recording in out, when non-nil, the net delta against
+// what db held before.
 func (e *Evaluator) installCounted(db *Database, sym datalog.PredSym, rel *value.Relation, out map[datalog.PredSym]Delta) {
 	old := db.Rel(sym)
 	db.Update(sym, rel)
+	if out == nil {
+		return
+	}
 	if old == nil || old.Empty() {
 		// Fresh install — the delta's insert side is the whole relation. A
 		// COW snapshot shares its storage instead of copying O(|rel|)

@@ -92,7 +92,13 @@ func (c *CountedRelation) Each(fn func(Tuple, int)) {
 }
 
 // Relation materializes the positive-support tuples as a plain Relation.
+// When every stored tuple has positive support — always after counting
+// derivations only up — it copies the storage, hash index included,
+// instead of re-inserting tuple by tuple.
 func (c *CountedRelation) Relation() *Relation {
+	if c.size == len(c.tuples) {
+		return &Relation{arity: c.arity, tupleSet: c.clone()}
+	}
 	out := NewRelation(c.arity)
 	c.Each(func(t Tuple, _ int) { out.Add(t) })
 	return out
