@@ -211,7 +211,7 @@ func BenchmarkAblationUnfolding(b *testing.B) {
 
 // BenchmarkAblationGeneralVsLVGN compares the two incrementalization
 // algorithms on an LVGN view where both apply: the Lemma 5.2 substitution
-// (with unfolding) against the general Figure 7 pipeline, which maintains
+// (with unfolding) against the general Appendix C pipeline, which maintains
 // materialized intermediates and their new versions.
 func BenchmarkAblationGeneralVsLVGN(b *testing.B) {
 	prog, err := datalog.Parse(bench.LuxuryItemsProgram)
@@ -264,7 +264,7 @@ func BenchmarkAblationGeneralVsLVGN(b *testing.B) {
 			}
 		}
 	})
-	b.Run("general-figure7", func(b *testing.B) {
+	b.Run("general-binarized", func(b *testing.B) {
 		gi, err := core.NewGeneralIncremental(prog)
 		if err != nil {
 			b.Fatal(err)

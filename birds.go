@@ -264,13 +264,15 @@ func (s *Strategy) Incrementalize() (*Program, error) {
 	return core.Incrementalize(s.pb.Prog)
 }
 
-// GeneralIncremental is the Figure 7 / Appendix C incremental pipeline,
-// which also covers strategies outside LVGN-Datalog.
+// GeneralIncremental is the Appendix C incremental pipeline, which also
+// covers strategies outside LVGN-Datalog.
 type GeneralIncremental = core.GeneralIncremental
 
 // IncrementalizeGeneral derives the general incremental pipeline of
-// Appendix C: the program is binarized (Lemma C.1) and the four rewrite
-// rules of Figure 7 produce delta rules for every intermediate relation.
+// Appendix C: the program is binarized (Lemma C.1), and Init/Apply maintain
+// the binarized program by counted IVM, so a view delta propagates through
+// every intermediate relation to the source deltas. Counting computes what
+// Figure 7's rewrite rules derive; the rules themselves are not evaluated.
 // Unlike Incrementalize, this works for any NR-Datalog¬ strategy.
 func (s *Strategy) IncrementalizeGeneral() (*GeneralIncremental, error) {
 	return core.NewGeneralIncremental(s.pb.Prog)

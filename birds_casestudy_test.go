@@ -105,7 +105,7 @@ view unused(x:int).
 	// Initial state checks.
 	rel := func(name string) *birds.Relation {
 		t.Helper()
-		r, err := db.Rel(name)
+		r, err := db.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}

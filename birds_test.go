@@ -80,7 +80,7 @@ func TestPublicAPIEngine(t *testing.T) {
 	if err := db.Exec(birds.Delete("v", birds.Eq("a", birds.Int(1)))); err != nil {
 		t.Fatal(err)
 	}
-	r1, err := db.Rel("r1")
+	r1, err := db.Get("r1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -240,7 +240,7 @@ commands:
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: \\show REL")
 		}
-		rel, err := db.Rel(fields[1])
+		rel, err := db.Get(fields[1])
 		if err != nil {
 			return err
 		}
@@ -271,7 +271,11 @@ commands:
 		fmt.Print(v.Strategy.Evaluator().Explain())
 		return nil
 	case `\tables`:
-		for _, info := range db.Relations() {
+		infos, err := db.Relations()
+		if err != nil {
+			return err
+		}
+		for _, info := range infos {
 			mode := ""
 			if info.Kind == "view" {
 				mode = " (original strategy)"

@@ -73,8 +73,8 @@ view v(a:int).
 	if err := db.ExecSQL("BEGIN; INSERT INTO v VALUES (3); DELETE FROM v WHERE a = 2; END;"); err != nil {
 		log.Fatal(err)
 	}
-	r1, _ := db.Rel("r1")
-	r2, _ := db.Rel("r2")
+	r1, _ := db.Get("r1")
+	r2, _ := db.Get("r2")
 	fmt.Println("r1 =", r1)
 	fmt.Println("r2 =", r2)
 	// Output:

@@ -92,12 +92,13 @@ func main() {
 	}
 
 	show := func() {
-		for _, n := range []string{"prod", "cats", "products"} {
-			r, err := db.Rel(n)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  %-9s = %s\n", n, r)
+		names := []string{"prod", "cats", "products"}
+		rels, err := db.GetAll(names...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, n := range names {
+			fmt.Printf("  %-9s = %s\n", n, rels[n])
 		}
 	}
 	fmt.Println("\ninitial state:")

@@ -103,12 +103,12 @@ view unused(x:int).
 	}
 
 	show := func(names ...string) {
+		rels, err := db.GetAll(names...)
+		if err != nil {
+			log.Fatal(err)
+		}
 		for _, n := range names {
-			r, err := db.Rel(n)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  %-14s = %s\n", n, r)
+			fmt.Printf("  %-14s = %s\n", n, rels[n])
 		}
 	}
 	fmt.Println("\ninitial views:")

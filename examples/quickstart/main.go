@@ -67,12 +67,13 @@ func main() {
 	}
 
 	show := func(label string) {
-		for _, rel := range []string{"r1", "r2", "v"} {
-			r, err := db.Rel(rel)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  %s = %s\n", rel, r)
+		names := []string{"r1", "r2", "v"}
+		rels, err := db.GetAll(names...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, n := range names {
+			fmt.Printf("  %s = %s\n", n, rels[n])
 		}
 		fmt.Println(" ", label)
 	}

@@ -71,12 +71,13 @@ func main() {
 	}
 
 	show := func() {
-		for _, n := range []string{"m1", "m2", "measurement"} {
-			r, err := db.Rel(n)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  %-12s = %s\n", n, r)
+		names := []string{"m1", "m2", "measurement"}
+		rels, err := db.GetAll(names...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, n := range names {
+			fmt.Printf("  %-12s = %s\n", n, rels[n])
 		}
 	}
 	fmt.Println("\ninitial state:")

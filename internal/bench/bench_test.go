@@ -102,7 +102,7 @@ func TestFig6ViewsRunTiny(t *testing.T) {
 					if updates == 0 {
 						t.Fatalf("incremental=%v size %d: empty update stream", incremental, n)
 					}
-					if _, err := db.Rel(v.Name); err != nil {
+					if _, err := db.Get(v.Name); err != nil {
 						t.Fatalf("incremental=%v size %d: %v", incremental, n, err)
 					}
 				}
@@ -144,17 +144,21 @@ func TestFig6ModesAgree(t *testing.T) {
 				}
 			}
 			// Compare the view and every registered base table.
+			infos, err := dbs[0].Relations()
+			if err != nil {
+				t.Fatal(err)
+			}
 			var names []string
-			for _, info := range dbs[0].Relations() {
+			for _, info := range infos {
 				names = append(names, info.Name)
 			}
 			for _, name := range names {
-				ref, err := dbs[0].Rel(name)
+				ref, err := dbs[0].Get(name)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := 1; i < len(dbs); i++ {
-					got, err := dbs[i].Rel(name)
+					got, err := dbs[i].Get(name)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -207,11 +211,11 @@ func TestDMLMaintenanceFixture(t *testing.T) {
 		}
 	}
 	for _, vn := range DMLMaintenanceViews() {
-		got, err := db.Rel(vn)
+		got, err := db.Get(vn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.Rel(vn)
+		want, err := ref.Get(vn)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func TestTable1SQLCompilation(t *testing.T) {
 }
 
 // LVGN entries must incrementalize via Lemma 5.2; non-LVGN entries must be
-// rejected by the LVGN path but handled by the general Figure 7 pipeline.
+// rejected by the LVGN path but handled by the general Appendix C pipeline.
 func TestTable1Incrementalization(t *testing.T) {
 	for _, e := range Table1() {
 		if e.Program == "" {

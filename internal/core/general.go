@@ -10,71 +10,18 @@ import (
 	"birds/internal/value"
 )
 
-// This file implements the general incrementalization algorithm of
-// Section 5 / Appendix C of the paper, which — unlike the Lemma 5.2
-// shortcut — applies to any NR-Datalog¬ putback program, including the
-// join views outside LVGN-Datalog.
-//
-// The pipeline follows the paper exactly:
-//
-//  1. binarize the program (Lemma C.1) so that every IDB relation is
-//     defined from at most two other relations;
-//  2. apply the four rewrite rules of Figure 7 (join/selection, negation,
-//     projection, union) to derive, for every intermediate relation, rules
-//     computing its insertion set (+l), deletion set (-l) and new version
-//     (lν) from the view delta;
-//  3. for the delta relations ±ri derive only the insertion sets +(±ri)
-//     (Step 3), and
-//  4. substitute ±ri for +(±ri) (Step 4, justified by Proposition 5.1).
+// This file implements the general incrementalization of Section 5 /
+// Appendix C of the paper, which — unlike the Lemma 5.2 shortcut — applies
+// to any NR-Datalog¬ putback program, including the join views outside
+// LVGN-Datalog. The program is binarized (Lemma C.1) so that every IDB
+// relation is defined from at most two other relations, and the binarized
+// program is maintained by counted IVM: a view delta propagates through
+// the intermediates to the ±ri delta relations, which then hold the new
+// source deltas (Proposition 5.1).
 //
 // Built-in predicates ride along as unchanged relations, as the paper
 // notes. Synthesized predicate names start with "__", which the surface
 // syntax cannot produce, so they can never collide with user predicates.
-
-// binKind discriminates binarized step shapes, mirroring Figure 7.
-type binKind uint8
-
-const (
-	binJoin   binKind = iota // h :- r1, r2 [, builtins]   (join & selection)
-	binSingle                // h :- r1 [, builtins]       (unary selection)
-	binNeg                   // h :- r1, not r2
-	binProj                  // h :- r1                    (projection/decoration)
-	binUnion                 // h :- r1.  h :- r2.
-)
-
-// binStep is one binarized definition.
-type binStep struct {
-	kind     binKind
-	head     *datalog.Atom
-	a1, a2   *datalog.Atom // a2 used by join, neg (the negated atom), union
-	builtins []datalog.Literal
-	final    bool // head is a delta relation ±ri of the original program
-}
-
-// defRules returns the step's definitional rules (used to materialize the
-// intermediate relations).
-func (s *binStep) defRules() []*datalog.Rule {
-	switch s.kind {
-	case binJoin:
-		body := []datalog.Literal{datalog.Pos(s.a1.Clone()), datalog.Pos(s.a2.Clone())}
-		body = append(body, cloneLits(s.builtins)...)
-		return []*datalog.Rule{datalog.NewRule(s.head.Clone(), body...)}
-	case binSingle:
-		body := []datalog.Literal{datalog.Pos(s.a1.Clone())}
-		body = append(body, cloneLits(s.builtins)...)
-		return []*datalog.Rule{datalog.NewRule(s.head.Clone(), body...)}
-	case binNeg:
-		return []*datalog.Rule{datalog.NewRule(s.head.Clone(),
-			datalog.Pos(s.a1.Clone()), datalog.Negated(s.a2.Clone()))}
-	case binProj:
-		return []*datalog.Rule{datalog.NewRule(s.head.Clone(), datalog.Pos(s.a1.Clone()))}
-	default: // binUnion
-		return []*datalog.Rule{
-			datalog.NewRule(s.head.Clone(), datalog.Pos(s.a1.Clone())),
-			datalog.NewRule(s.head.Clone(), datalog.Pos(s.a2.Clone())),
-		}
-	}
-}
 
 func cloneLits(ls []datalog.Literal) []datalog.Literal {
 	out := make([]datalog.Literal, len(ls))
@@ -84,24 +31,18 @@ func cloneLits(ls []datalog.Literal) []datalog.Literal {
 	return out
 }
 
-// symKey mangles a (possibly delta-marked) predicate into an identifier.
-func symKey(p datalog.PredSym) string {
-	switch p.Delta {
-	case datalog.Insert:
-		return "i_" + p.Name
-	case datalog.Delete:
-		return "d_" + p.Name
-	default:
-		return p.Name
-	}
-}
-
-// Binarizer rewrites a program into binary steps (Lemma C.1).
+// binarizer rewrites a program into rules with at most two relation atoms
+// each (Lemma C.1).
 type binarizer struct {
 	prog  *datalog.Program
-	steps []*binStep
+	rules []*datalog.Rule
 	nAux  int
 	fresh int
+}
+
+// emit appends the rule head :- body, sharing no atom with later rules.
+func (b *binarizer) emit(head *datalog.Atom, body ...datalog.Literal) {
+	b.rules = append(b.rules, datalog.NewRule(head.Clone(), cloneLits(body)...))
 }
 
 func (b *binarizer) auxSym() datalog.PredSym {
@@ -132,9 +73,9 @@ func sortedVars(set map[string]bool) []string {
 	return out
 }
 
-// binarizeRule decomposes one rule into a chain of steps whose last step
+// binarizeRule decomposes one rule into a chain of rules whose last one
 // defines head (the rule's head pred when single-rule, otherwise an aux).
-func (b *binarizer) binarizeRule(r *datalog.Rule, head *datalog.Atom, final bool) error {
+func (b *binarizer) binarizeRule(r *datalog.Rule, head *datalog.Atom) error {
 	// Normalize: positive-atom anonymous variables become fresh variables.
 	var positives []*datalog.Atom
 	var negAtoms []*datalog.Atom
@@ -217,7 +158,7 @@ func (b *binarizer) binarizeRule(r *datalog.Rule, head *datalog.Atom, final bool
 	if len(positives) == 1 && len(curBuiltins) > 0 {
 		// Unary selection step.
 		h := atomOf(b.auxSym(), sortedVars(bound))
-		b.steps = append(b.steps, &binStep{kind: binSingle, head: h, a1: cur, builtins: curBuiltins})
+		b.emit(h, append([]datalog.Literal{datalog.Pos(cur)}, curBuiltins...)...)
 		cur = h
 		curBuiltins = nil
 	}
@@ -229,13 +170,13 @@ func (b *binarizer) binarizeRule(r *datalog.Rule, head *datalog.Atom, final bool
 		bs := append(curBuiltins, takeReady()...)
 		curBuiltins = nil
 		h := atomOf(b.auxSym(), sortedVars(bound))
-		b.steps = append(b.steps, &binStep{kind: binJoin, head: h, a1: cur, a2: next, builtins: bs})
+		b.emit(h, append([]datalog.Literal{datalog.Pos(cur), datalog.Pos(next)}, bs...)...)
 		cur = h
 	}
 	if rest := takeReady(); len(rest) > 0 || len(curBuiltins) > 0 {
 		bs := append(curBuiltins, rest...)
 		h := atomOf(b.auxSym(), sortedVars(bound))
-		b.steps = append(b.steps, &binStep{kind: binSingle, head: h, a1: cur, builtins: bs})
+		b.emit(h, append([]datalog.Literal{datalog.Pos(cur)}, bs...)...)
 		cur = h
 	}
 	if len(pending) > 0 {
@@ -245,12 +186,12 @@ func (b *binarizer) binarizeRule(r *datalog.Rule, head *datalog.Atom, final bool
 	// Negation chain.
 	for _, na := range negAtoms {
 		h := atomOf(b.auxSym(), cur.Vars())
-		b.steps = append(b.steps, &binStep{kind: binNeg, head: h, a1: cur, a2: na})
+		b.emit(h, datalog.Pos(cur), datalog.Negated(na))
 		cur = h
 	}
 
 	// Final projection/decoration onto the rule head.
-	b.steps = append(b.steps, &binStep{kind: binProj, head: head, a1: cur, final: final})
+	b.emit(head, datalog.Pos(cur))
 	return nil
 }
 
@@ -262,9 +203,8 @@ func (b *binarizer) binarize() error {
 	}
 	for _, sym := range order {
 		rules := b.prog.RulesFor(sym)
-		final := sym.IsDelta()
 		if len(rules) == 1 {
-			if err := b.binarizeRule(rules[0], rules[0].Head.Clone(), final); err != nil {
+			if err := b.binarizeRule(rules[0], rules[0].Head); err != nil {
 				return err
 			}
 			continue
@@ -273,35 +213,26 @@ func (b *binarizer) binarize() error {
 		// rule's own head terms, so constants and repeats decorate the
 		// aux relation), then fold a union tree over canonical variables.
 		var tops []*datalog.Atom
-		arity := rules[0].Head.Arity()
-		unionVars := make([]string, arity)
+		unionVars := make([]string, rules[0].Head.Arity())
 		for i := range unionVars {
 			unionVars[i] = fmt.Sprintf("UV%d", i+1)
 		}
 		for _, r := range rules {
 			aux := b.auxSym()
 			defHead := datalog.NewAtom(aux, append([]datalog.Term{}, r.Head.Args...)...)
-			if err := b.binarizeRule(r, defHead, false); err != nil {
+			if err := b.binarizeRule(r, defHead); err != nil {
 				return err
 			}
 			tops = append(tops, atomOf(aux, unionVars))
 		}
 		cur := tops[0]
 		for i := 1; i < len(tops); i++ {
-			var head *datalog.Atom
-			last := i == len(tops)-1
-			if last {
-				vars := make([]datalog.Term, arity)
-				for j := range vars {
-					vars[j] = datalog.V(fmt.Sprintf("UV%d", j+1))
-				}
-				head = datalog.NewAtom(sym, vars...)
-			} else {
+			head := atomOf(sym, unionVars)
+			if i < len(tops)-1 {
 				head = atomOf(b.auxSym(), cur.Vars())
 			}
-			b.steps = append(b.steps, &binStep{
-				kind: binUnion, head: head, a1: cur, a2: tops[i], final: last && final,
-			})
+			b.emit(head, datalog.Pos(cur))
+			b.emit(head, datalog.Pos(tops[i]))
 			cur = head
 		}
 	}
@@ -315,296 +246,43 @@ func Binarize(prog *datalog.Program) (*datalog.Program, error) {
 	if err := b.binarize(); err != nil {
 		return nil, err
 	}
-	out := &datalog.Program{Sources: prog.Sources, View: prog.View}
-	for _, s := range b.steps {
-		out.Rules = append(out.Rules, s.defRules()...)
-	}
-	return out, nil
+	return &datalog.Program{Sources: prog.Sources, View: prog.View, Rules: b.rules}, nil
 }
-
-// --- Figure 7 rewrite ------------------------------------------------------
 
 // GeneralIncremental is the general incrementalization of a putback
-// program: the Figure 7 delta-rule system over the binarized program,
-// together with a driver that maintains the materialized intermediate
-// relations across updates.
+// program: the binarized definitional program (Lemma C.1), whose
+// intermediate relations and ±ri delta relations are materialized with
+// per-tuple support counts and maintained by counted IVM (Init, Apply).
+// Counting realizes what Figure 7's rewrite rules derive — every
+// intermediate's insertion and deletion sets and its new version — without
+// emitting those rules as a program.
 type GeneralIncremental struct {
 	prog   *datalog.Program
-	steps  []*binStep
-	defsEv *eval.Evaluator // definitional program (materialization + counting IVM)
-	// deltaProg is the derived Figure 7 delta/ν program. It is compiled
-	// once as a well-formedness check and kept for inspection
-	// (DeltaProgram); the runtime mechanism behind the rewrite is the
-	// counting IVM of defsEv (see Init/Apply), so the delta program itself
-	// is never evaluated.
-	deltaProg *datalog.Program
-	interSym  []datalog.PredSym
-	arities   map[datalog.PredSym]int
+	defsEv *eval.Evaluator // binarized definitional program, counted IVM
 }
 
-// nuSym names the new-version relation of p; source relations are
-// unchanged, so their ν is the relation itself.
-func (g *GeneralIncremental) nuSym(p datalog.PredSym) datalog.PredSym {
-	if g.isStatic(p) {
-		return p
-	}
-	return datalog.Pred("__nu_" + symKey(p))
-}
-
-// dSym names the insertion/deletion delta of p; the view's deltas are the
-// given +v / -v. Static relations have no deltas (nil second result).
-func (g *GeneralIncremental) dSym(p datalog.PredSym, ins bool) (datalog.PredSym, bool) {
-	if p == datalog.Pred(g.prog.View.Name) {
-		if ins {
-			return datalog.Ins(p.Name), true
-		}
-		return datalog.Del(p.Name), true
-	}
-	if g.isStatic(p) {
-		return datalog.PredSym{}, false
-	}
-	if ins {
-		return datalog.Ins("__d_" + symKey(p)), true
-	}
-	return datalog.Del("__d_" + symKey(p)), true
-}
-
-// isStatic reports whether p is an unchanging input (a source relation).
-func (g *GeneralIncremental) isStatic(p datalog.PredSym) bool {
-	if p.IsDelta() {
-		return false
-	}
-	if p.Name == g.prog.View.Name {
-		return false
-	}
-	return g.prog.Source(p.Name) != nil
-}
-
-// reAtom clones a with its predicate replaced.
-func reAtom(a *datalog.Atom, p datalog.PredSym) *datalog.Atom {
-	c := a.Clone()
-	c.Pred = p
-	return c
-}
-
-// NewGeneralIncremental binarizes the program and derives the Figure 7
-// delta rules.
+// NewGeneralIncremental binarizes the program and compiles the result.
 func NewGeneralIncremental(prog *datalog.Program) (*GeneralIncremental, error) {
-	b := &binarizer{prog: prog}
-	if err := b.binarize(); err != nil {
+	defs, err := Binarize(prog)
+	if err != nil {
 		return nil, err
-	}
-	g := &GeneralIncremental{prog: prog, steps: b.steps, arities: make(map[datalog.PredSym]int)}
-
-	defs := &datalog.Program{Sources: prog.Sources, View: prog.View}
-	for _, s := range b.steps {
-		defs.Rules = append(defs.Rules, s.defRules()...)
-		if !s.final {
-			g.interSym = append(g.interSym, s.head.Pred)
-			g.arities[s.head.Pred] = s.head.Arity()
-		}
 	}
 	defsEv, err := eval.New(defs)
 	if err != nil {
 		return nil, fmt.Errorf("core: binarized program does not compile: %w", err)
 	}
-	g.defsEv = defsEv
-
-	delta := &datalog.Program{Sources: prog.Sources, View: prog.View}
-	// ν of the view: vν(X) :- v(X), not -v(X).  vν(X) :- +v(X).
-	viewArgs := make([]datalog.Term, prog.View.Arity())
-	for i := range viewArgs {
-		viewArgs[i] = datalog.V(fmt.Sprintf("X%d", i+1))
-	}
-	vAtom := datalog.NewAtom(datalog.Pred(prog.View.Name), viewArgs...)
-	nuV := reAtom(vAtom, g.nuSym(vAtom.Pred))
-	delta.Rules = append(delta.Rules,
-		datalog.NewRule(nuV.Clone(), datalog.Pos(vAtom.Clone()), datalog.Negated(reAtom(vAtom, datalog.Del(prog.View.Name)))),
-		datalog.NewRule(nuV.Clone(), datalog.Pos(reAtom(vAtom, datalog.Ins(prog.View.Name)))),
-	)
-	for _, s := range b.steps {
-		rs, err := g.figure7(s)
-		if err != nil {
-			return nil, err
-		}
-		delta.Rules = append(delta.Rules, rs...)
-	}
-	if _, err := eval.New(delta); err != nil {
-		return nil, fmt.Errorf("core: derived delta program does not compile: %w\n%s", err, delta)
-	}
-	g.deltaProg = delta
-	return g, nil
+	return &GeneralIncremental{prog: prog, defsEv: defsEv}, nil
 }
-
-// DeltaProgram returns the derived Figure 7 program (for inspection).
-func (g *GeneralIncremental) DeltaProgram() *datalog.Program { return g.deltaProg }
 
 // DefinitionProgram returns the binarized definitional program.
 func (g *GeneralIncremental) DefinitionProgram() *datalog.Program { return g.defsEv.Program() }
 
-// figure7 emits the delta and ν rules of one step, per Figure 7 of the
-// paper. For final steps (delta-relation heads) only the insertion rules
-// are emitted, with the head renamed to ±ri itself (Steps 3-4 of §5); the
-// old delta relation is empty at the steady state, so its ¬h guard in the
-// projection template is dropped.
-func (g *GeneralIncremental) figure7(s *binStep) ([]*datalog.Rule, error) {
-	var out []*datalog.Rule
-	add := func(head *datalog.Atom, body ...datalog.Literal) {
-		out = append(out, datalog.NewRule(head, body...))
-	}
-	// Delta heads of this step.
-	dpHead := func() *datalog.Atom {
-		if s.final {
-			return s.head.Clone() // +(±ri) substituted by ±ri
-		}
-		p, _ := g.dSym(s.head.Pred, true)
-		return reAtom(s.head, p)
-	}
-	dmHead := func() *datalog.Atom {
-		p, _ := g.dSym(s.head.Pred, false)
-		return reAtom(s.head, p)
-	}
-	nuHead := func() *datalog.Atom { return reAtom(s.head, g.nuSym(s.head.Pred)) }
-
-	// Literals over an input atom a: its old version, new version, and
-	// deltas (nil when statically empty).
-	old := func(a *datalog.Atom, neg bool) datalog.Literal {
-		if neg {
-			return datalog.Negated(a.Clone())
-		}
-		return datalog.Pos(a.Clone())
-	}
-	nu := func(a *datalog.Atom, neg bool) datalog.Literal {
-		at := reAtom(a, g.nuSym(a.Pred))
-		if neg {
-			return datalog.Negated(at)
-		}
-		return datalog.Pos(at)
-	}
-	dp := func(a *datalog.Atom) *datalog.Literal {
-		p, ok := g.dSym(a.Pred, true)
-		if !ok {
-			return nil
-		}
-		l := datalog.Pos(reAtom(a, p))
-		return &l
-	}
-	dm := func(a *datalog.Atom) *datalog.Literal {
-		p, ok := g.dSym(a.Pred, false)
-		if !ok {
-			return nil
-		}
-		l := datalog.Pos(reAtom(a, p))
-		return &l
-	}
-	withBuiltins := func(ls ...datalog.Literal) []datalog.Literal {
-		return append(ls, cloneLits(s.builtins)...)
-	}
-
-	switch s.kind {
-	case binJoin:
-		if !s.final {
-			if d := dm(s.a1); d != nil {
-				add(dmHead(), withBuiltins(*d, old(s.a2, false))...)
-			}
-			if d := dm(s.a2); d != nil {
-				add(dmHead(), withBuiltins(old(s.a1, false), *d)...)
-			}
-		}
-		if d := dp(s.a1); d != nil {
-			add(dpHead(), withBuiltins(*d, nu(s.a2, false))...)
-		}
-		if d := dp(s.a2); d != nil {
-			add(dpHead(), withBuiltins(nu(s.a1, false), *d)...)
-		}
-		add(nuHead(), withBuiltins(nu(s.a1, false), nu(s.a2, false))...)
-
-	case binSingle:
-		if !s.final {
-			if d := dm(s.a1); d != nil {
-				add(dmHead(), withBuiltins(*d)...)
-			}
-		}
-		if d := dp(s.a1); d != nil {
-			add(dpHead(), withBuiltins(*d)...)
-		}
-		add(nuHead(), withBuiltins(nu(s.a1, false))...)
-
-	case binNeg:
-		if !s.final {
-			if d := dm(s.a1); d != nil {
-				add(dmHead(), *d, old(s.a2, true))
-			}
-			if d := dp(s.a2); d != nil {
-				add(dmHead(), old(s.a1, false), *d)
-			}
-		}
-		if d := dp(s.a1); d != nil {
-			add(dpHead(), *d, nu(s.a2, true))
-		}
-		if d := dm(s.a2); d != nil {
-			// The ¬r2ν guard is needed beyond the paper's template when
-			// the negated atom projects (anonymous variables): a deleted
-			// match may leave other matches alive.
-			add(dpHead(), nu(s.a1, false), *d, nu(s.a2, true))
-		}
-		add(nuHead(), nu(s.a1, false), nu(s.a2, true))
-
-	case binProj:
-		if d := dp(s.a1); d != nil {
-			if s.final {
-				add(dpHead(), *d)
-			} else {
-				add(dpHead(), *d, old(s.head, true))
-			}
-		}
-		if !s.final {
-			if d := dm(s.a1); d != nil {
-				// -h(X) :- -r1(X,Y), not r1ν(X,_): anonymize the input
-				// positions whose variables do not reach the head.
-				headVars := make(map[string]bool)
-				for _, v := range s.head.Vars() {
-					headVars[v] = true
-				}
-				check := reAtom(s.a1, g.nuSym(s.a1.Pred))
-				for i, t := range check.Args {
-					if !t.IsVar() || !headVars[t.Var] {
-						check.Args[i] = datalog.Anon()
-					}
-				}
-				add(dmHead(), *d, datalog.Negated(check))
-			}
-		}
-		add(nuHead(), datalog.Pos(reAtom(s.a1, g.nuSym(s.a1.Pred))))
-
-	case binUnion:
-		if !s.final {
-			if d := dm(s.a1); d != nil {
-				add(dmHead(), *d, nu(s.a2, true))
-			}
-			if d := dm(s.a2); d != nil {
-				add(dmHead(), *d, nu(s.a1, true))
-			}
-		}
-		if d := dp(s.a1); d != nil {
-			add(dpHead(), *d)
-		}
-		if d := dp(s.a2); d != nil {
-			add(dpHead(), *d)
-		}
-		add(nuHead(), nu(s.a1, false))
-		add(nuHead(), nu(s.a2, false))
-	}
-	return out, nil
-}
-
 // Init materializes the intermediate step relations over db (which must
 // hold the source relations and the current view), together with their
-// per-tuple support counts: the runtime mechanism behind the Figure 7
-// rewrite is the evaluator's counting IVM (eval.EvalDelta), which keeps
-// every binarized intermediate — and the final ±ri delta relations —
-// maintained under O(|Δ|) propagation instead of re-deriving the ν
-// versions from scratch on every update.
+// per-tuple support counts, so that Apply can maintain every binarized
+// intermediate — and the final ±ri delta relations — under O(|Δ|)
+// propagation (eval.EvalDelta) instead of re-deriving their new versions
+// from scratch on every update.
 func (g *GeneralIncremental) Init(db *eval.Database) error {
 	g.defsEv.InvalidateIVM()
 	_, err := g.defsEv.EvalDelta(db, nil)

@@ -11,8 +11,8 @@ import (
 // LVGN-Datalog putback program by Lemma 5.2: in every delta rule, the
 // positive view literal v(t) is replaced by +v(t) and the negated view
 // literal ¬v(t) by the positive delta literal -v(t). Auxiliary rules are
-// kept unchanged; integrity constraints are dropped (the runtime checks
-// them against the view delta separately).
+// kept unchanged; integrity constraints are dropped (DeltaConstraintProgram
+// checks them against the view delta separately).
 //
 // The resulting program reads the source relations, the view delta
 // relations +v / -v, and — only through unchanged auxiliary rules — never
@@ -45,6 +45,59 @@ func IncrementalizeLVGN(prog *datalog.Program) (*datalog.Program, error) {
 		out.Rules = append(out.Rules, nr)
 	}
 	return out, nil
+}
+
+// DeltaConstraintProgram builds the program of the constraints with the
+// positive view atom substituted by the insertion delta +v, so that
+// admissibility of an update is checked against the inserted tuples only
+// (deletions cannot introduce a violation of a linear-view constraint, and
+// previously present tuples were checked by earlier transactions). Its
+// constraints come first, in the order of prog's; the auxiliary rules they
+// reach follow. The engine evaluates it beside ∂put, and sqlgen compiles
+// its constraints into the incremental trigger.
+func DeltaConstraintProgram(prog *datalog.Program) *datalog.Program {
+	view := prog.View.Name
+	p := &datalog.Program{Sources: prog.Sources, View: prog.View}
+	needed := make(map[datalog.PredSym]bool)
+	for _, r := range prog.Constraints() {
+		nr := r.Clone()
+		for i := range nr.Body {
+			l := &nr.Body[i]
+			if l.Atom == nil {
+				continue
+			}
+			if !l.Neg && l.Atom.Pred == datalog.Pred(view) {
+				l.Atom.Pred = datalog.Ins(view)
+			} else {
+				needed[l.Atom.Pred] = true
+			}
+		}
+		p.Rules = append(p.Rules, nr)
+	}
+	// Pull in only the auxiliary rules the constraint bodies actually
+	// reach; copying every auxiliary rule would re-materialize relations
+	// over the full base tables on every update and destroy the O(ΔV)
+	// bound the incremental mode exists for.
+	for changed := true; changed; {
+		changed = false
+		for _, r := range prog.NonConstraintRules() {
+			if r.Head.Pred.IsDelta() || !needed[r.Head.Pred] {
+				continue
+			}
+			for _, l := range r.Body {
+				if l.Atom != nil && !needed[l.Atom.Pred] {
+					needed[l.Atom.Pred] = true
+					changed = true
+				}
+			}
+		}
+	}
+	for _, r := range prog.NonConstraintRules() {
+		if !r.Head.Pred.IsDelta() && needed[r.Head.Pred] {
+			p.Rules = append(p.Rules, r.Clone())
+		}
+	}
+	return p
 }
 
 // Unfold inlines the positive non-delta IDB atoms of every delta rule,

@@ -30,7 +30,7 @@ var errBatcherClosed = errors.New("engine: batcher is closed")
 //   - Admission is atomic per transaction: a statement error (bad arity,
 //     unknown column) stages nothing of that transaction; the rest of the
 //     batch is unaffected.
-//   - Readers (Get, GetAll, Rel) observe only fully-flushed batches.
+//   - Readers (Get, GetAll, SnapshotAt) observe only fully-flushed batches.
 //     Staged transactions live outside the store until flush, and the
 //     flush applies the whole batch — base rows plus the incremental
 //     maintenance of every dependent view — under the engine's write lock,

@@ -257,9 +257,7 @@ func TestBatcherTxnRollback(t *testing.T) {
 // holding a DB.Get snapshot never observes a partially-flushed batch — the
 // snapshot shows either none or all of a batch's effect on that relation,
 // and snapshots taken mid-batch keep showing the pre-batch state after the
-// flush. (As with all engine reads, Rel returns a live reference instead:
-// under batching, exactly as under direct writes, it must not be iterated
-// concurrently with a flush — use Get.)
+// flush.
 func TestBatchSnapshotIsolation(t *testing.T) {
 	db := maintainDB(t)
 	if err := db.Exec(Insert("r1", value.Int(0), value.Int(0))); err != nil { // warm counts

@@ -45,12 +45,12 @@ view top(a:int).
 	if err := db.Exec(Insert("top", value.Int(9))); err != nil {
 		t.Fatal(err)
 	}
-	r, _ := db.Rel("r")
+	r, _ := db.Get("r")
 	if !r.Contains(tup(9)) {
 		t.Fatalf("two-level cascade failed: %v", r)
 	}
-	w, _ := db.Rel("w")
-	topRel, _ := db.Rel("top")
+	w, _ := db.Get("w")
+	topRel, _ := db.Get("top")
 	if !w.Contains(tup(9)) || !topRel.Contains(tup(9)) {
 		t.Error("intermediate views not maintained")
 	}
@@ -94,11 +94,11 @@ _|_ :- big(X), X < 3.
 	if err := db.Exec(Insert("small", value.Int(0))); err != nil {
 		t.Fatal(err)
 	}
-	smallRel, err := db.Rel("small")
+	smallRel, err := db.Get("small")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigRel, err := db.Rel("big")
+	bigRel, err := db.Get("big")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ _|_ :- big(X), X < 3.
 	if !bigRel.Equal(value.RelationOf(1, tup(5), tup(7))) {
 		t.Errorf("big = %v, want {5,7}", bigRel)
 	}
-	r, _ := db.Rel("r")
+	r, _ := db.Get("r")
 	if !r.Equal(value.RelationOf(1, tup(0), tup(1), tup(5), tup(7))) {
 		t.Errorf("r = %v", r)
 	}
@@ -152,7 +152,7 @@ view top(a:int).
 		t.Errorf("unexpected error: %v", err)
 	}
 	for _, rel := range []string{"r", "w", "top"} {
-		got, _ := db.Rel(rel)
+		got, _ := db.Get(rel)
 		if !got.Equal(value.RelationOf(1, tup(5))) {
 			t.Errorf("%s = %v after rejected cascade, want {5}", rel, got)
 		}
@@ -171,17 +171,17 @@ func TestTransactionAlgorithm2Corners(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := db.Rel("v")
+	v, _ := db.Get("v")
 	if v.Contains(tup(2)) || v.Contains(tup(7)) {
 		t.Errorf("v = %v", v)
 	}
 	// Identity update: no change at all.
-	before, _ := db.Rel("r1")
+	before, _ := db.Get("r1")
 	before = before.Clone()
 	if err := db.Exec(Update("v", []Assignment{{Col: "a", Val: value.Int(1)}}, Eq("a", value.Int(1)))); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := db.Rel("r1")
+	after, _ := db.Get("r1")
 	if !after.Equal(before) {
 		t.Errorf("identity update changed r1: %v -> %v", before, after)
 	}
@@ -233,7 +233,7 @@ func TestDeleteWithRangeCondition(t *testing.T) {
 	if err := db.Exec(Delete("v", Condition{Col: "a", Op: 3 /* OpGt */, Val: value.Int(1)})); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := db.Rel("v")
+	v, _ := db.Get("v")
 	if v.Len() != 1 || !v.Contains(tup(1)) {
 		t.Errorf("v = %v, want {1}", v)
 	}
@@ -246,16 +246,16 @@ func TestRepeatedEqualityConditions(t *testing.T) {
 	if err := db.Exec(Delete("v", Eq("a", value.Int(2)), Eq("a", value.Int(2)))); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := db.Rel("v")
+	v, _ := db.Get("v")
 	if v.Contains(tup(2)) {
 		t.Error("duplicate equality condition should still match")
 	}
-	before, _ := db.Rel("v")
+	before, _ := db.Get("v")
 	before = before.Clone()
 	if err := db.Exec(Delete("v", Eq("a", value.Int(1)), Eq("a", value.Int(4)))); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := db.Rel("v")
+	after, _ := db.Get("v")
 	if !after.Equal(before) {
 		t.Error("contradictory equalities should match nothing")
 	}

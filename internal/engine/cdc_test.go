@@ -145,6 +145,9 @@ func TestBulkLoadFallbackResync(t *testing.T) {
 	if !viewMirror.Equal(wantJ) {
 		t.Fatalf("view mirror %v != live view %v after resync", viewMirror, wantJ)
 	}
+	if want := expectedView(t, db, "j"); !viewMirror.Equal(want) {
+		t.Fatalf("view mirror %v != fresh evaluation %v after resync", viewMirror, want)
+	}
 	if wantJ.Len() != 2 {
 		t.Fatalf("fixture: want 2 join rows, got %v", wantJ)
 	}

@@ -24,7 +24,7 @@ func TestConcurrentExecAndRead(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := db.Rel("v"); err != nil {
+				if _, err := db.Get("v"); err != nil {
 					errs <- err
 					return
 				}
@@ -41,7 +41,7 @@ func TestConcurrentExecAndRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All workers' tuples were inserted then deleted: back to the start.
-	v, err := db.Rel("v")
+	v, err := db.Get("v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestConcurrentReadersOnly(t *testing.T) {
 	db := setupUnion(t, false)
 	// Materialize once so every subsequent read is a clean-view read and
 	// stays on the RLock fast path.
-	if _, err := db.Rel("v"); err != nil {
+	if _, err := db.Get("v"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -63,11 +63,11 @@ func TestConcurrentReadersOnly(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := db.Rel("v"); err != nil {
+				if _, err := db.Get("v"); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := db.Rel("r1"); err != nil {
+				if _, err := db.Get("r1"); err != nil {
 					t.Error(err)
 					return
 				}
@@ -129,8 +129,8 @@ func TestConcurrentReadersWithInvalidatingWriter(t *testing.T) {
 			}
 		}()
 	}
-	// Snapshot readers on the very table the writer mutates in place: Rel
-	// would race here (the returned relation is live), Get must not.
+	// Snapshot readers on the very table the writer mutates in place: the
+	// live relation would race here, Get's snapshot must not.
 	for w := 0; w < 2; w++ {
 		readers.Add(1)
 		go func() {
@@ -160,7 +160,7 @@ func TestConcurrentReadersWithInvalidatingWriter(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 200; i++ {
-				if _, err := db.Rel("r2"); err != nil {
+				if _, err := db.Get("r2"); err != nil {
 					t.Error(err)
 					return
 				}

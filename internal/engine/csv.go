@@ -83,8 +83,8 @@ func parseCSVValue(field, typ string) (value.Value, error) {
 // header row of the declared attribute names, in deterministic (sorted)
 // order.
 func (db *DB) DumpCSV(name string, w io.Writer) error {
-	// Get, not Rel: the dump iterates outside the lock, and a concurrent
-	// transaction mutates the live relation in place.
+	// The dump iterates outside the lock; the snapshot keeps it safe from
+	// concurrent transactions.
 	rel, err := db.Get(name) // takes the lock and refreshes stale views
 	if err != nil {
 		return err

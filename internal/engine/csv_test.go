@@ -23,7 +23,7 @@ func TestLoadCSV(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("loaded %d rows, want 2", n)
 	}
-	rel, _ := db.Rel("items")
+	rel, _ := db.Get("items")
 	want := value.Tuple{value.Int(1), value.Str("hammer"), value.Float(9.5), value.Bool(true)}
 	if !rel.Contains(want) {
 		t.Errorf("items = %v", rel)

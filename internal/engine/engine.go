@@ -15,6 +15,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -30,9 +31,11 @@ import (
 
 // DB is an in-memory relational database with updatable views. All public
 // methods are safe for concurrent use. Transactions serialize on a write
-// lock; read-only operations (Rel on tables and clean views, IsView, View,
-// Relations) run concurrently under a read lock. Reading a stale view
-// upgrades to the write lock, because rematerialization mutates the store.
+// lock. Reads of relations (Get, GetAll, SnapshotAt, Subscribe, Relations)
+// share one protocol (see read) and return snapshots or row counts, never a
+// live relation. They run concurrently under a read lock, except that a
+// stale view upgrades to the write lock, because rematerialization mutates
+// the store.
 type DB struct {
 	mu        sync.RWMutex
 	store     *eval.Database
@@ -262,7 +265,7 @@ func (db *DB) CreateViewFromProgram(prog *datalog.Program, opts ViewOptions) (*V
 		if v.incEval, err = eval.New(namespaced(inc, putNS(name))); err != nil {
 			return nil, fmt.Errorf("engine: ∂put for %q: %w", name, err)
 		}
-		if v.consEval, err = eval.New(namespaced(deltaConstraintProgram(prog), putNS(name))); err != nil {
+		if v.consEval, err = eval.New(namespaced(core.DeltaConstraintProgram(prog), putNS(name))); err != nil {
 			return nil, err
 		}
 	} else if v.putEval, err = eval.New(namespaced(prog, putNS(name))); err != nil {
@@ -287,56 +290,6 @@ func (db *DB) CreateViewFromProgram(prog *datalog.Program, opts ViewOptions) (*V
 		return nil, fmt.Errorf("engine: create view %q: %w", name, err)
 	}
 	return v, nil
-}
-
-// deltaConstraintProgram builds the program of the constraints with the
-// view atom substituted by the insertion delta +v, so that admissibility of
-// an update is checked against the inserted tuples only (deletions cannot
-// introduce a violation of a linear-view constraint, and previously present
-// tuples were checked by earlier transactions).
-func deltaConstraintProgram(prog *datalog.Program) *datalog.Program {
-	view := prog.View.Name
-	p := &datalog.Program{Sources: prog.Sources, View: prog.View}
-	needed := make(map[datalog.PredSym]bool)
-	for _, r := range prog.Constraints() {
-		nr := r.Clone()
-		for i := range nr.Body {
-			l := &nr.Body[i]
-			if l.Atom == nil {
-				continue
-			}
-			if !l.Neg && l.Atom.Pred == datalog.Pred(view) {
-				l.Atom.Pred = datalog.Ins(view)
-			} else {
-				needed[l.Atom.Pred] = true
-			}
-		}
-		p.Rules = append(p.Rules, nr)
-	}
-	// Pull in only the auxiliary rules the constraint bodies actually
-	// reach; copying every auxiliary rule would re-materialize relations
-	// over the full base tables on every update and destroy the O(ΔV)
-	// bound the incremental mode exists for.
-	for changed := true; changed; {
-		changed = false
-		for _, r := range prog.NonConstraintRules() {
-			if r.Head.Pred.IsDelta() || !needed[r.Head.Pred] {
-				continue
-			}
-			for _, l := range r.Body {
-				if l.Atom != nil && !needed[l.Atom.Pred] {
-					needed[l.Atom.Pred] = true
-					changed = true
-				}
-			}
-		}
-	}
-	for _, r := range prog.NonConstraintRules() {
-		if !r.Head.Pred.IsDelta() && needed[r.Head.Pred] {
-			p.Rules = append(p.Rules, r.Clone())
-		}
-	}
-	return p
 }
 
 // relDecl returns the declaration of a table or view, or nil.
@@ -384,53 +337,45 @@ func (db *DB) Stale(name string) bool {
 	return db.dirty[name]
 }
 
-// Rel returns the current contents of a table or view (recomputing a stale
-// view first). The returned relation must not be mutated, and it is live:
-// a later transaction on the same relation updates it in place, so
-// iterating it concurrently with writes to that relation is a data race.
-// Callers that read while other goroutines may write should use Get, which
-// returns an immutable O(1) copy-on-write snapshot instead.
+// errStale ends read's read-locked pass at a stale view.
+var errStale = errors.New("engine: stale view")
+
+// read is the engine's one read protocol. It runs fn over a consistent cut
+// of the database: every relation fn resolves through rel comes from the
+// same lock acquisition, so no transaction (in particular no group-commit
+// flush) lands between two of them, and a view agrees exactly with the
+// base tables it derives from — the atomic-visibility contract the
+// server's torn-batch checker pins down.
 //
-// Tables and clean views are served under the read lock, so concurrent
-// readers do not serialize. A stale view re-acquires the write lock
-// (rematerialization mutates the store) and rechecks, since another
-// transaction may have intervened.
-func (db *DB) Rel(name string) (*value.Relation, error) {
-	return db.read(name, false)
-}
-
-// read is the shared protocol behind Rel and Get: serve tables and clean
-// views under the read lock; upgrade to the write lock (and recheck —
-// another transaction may have intervened) to refresh a stale view. With
-// snap the relation is wrapped in a copy-on-write snapshot before the lock
-// is released, so no writer can slip in between resolution and snapshot.
-func (db *DB) read(name string, snap bool) (*value.Relation, error) {
-	out := func(r *value.Relation) *value.Relation {
-		if snap {
-			return r.Snapshot()
-		}
-		return r
-	}
+// fn first runs under the read lock, so readers of tables and clean views
+// do not serialize. If it reaches a stale view it runs again from the
+// start under the write lock, where rel refreshes stale views
+// (rematerialization mutates the store). A relation rel returns is live:
+// fn must snapshot it, or read only its size, before it returns.
+func (db *DB) read(fn func(rel func(name string) (*value.Relation, error)) error) error {
 	db.mu.RLock()
-	if d, ok := db.tables[name]; ok {
-		r := out(db.store.RelOrEmpty(datalog.Pred(name), d.Arity()))
-		db.mu.RUnlock()
-		return r, nil
-	}
-	if v, ok := db.views[name]; ok && !db.dirty[name] {
-		r := out(db.store.RelOrEmpty(datalog.Pred(name), v.Decl.Arity()))
-		db.mu.RUnlock()
-		return r, nil
-	}
+	err := fn(func(name string) (*value.Relation, error) {
+		if db.dirty[name] {
+			return nil, errStale
+		}
+		return db.relLocked(name)
+	})
 	db.mu.RUnlock()
-
+	if !errors.Is(err, errStale) {
+		return err
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if d, ok := db.tables[name]; ok {
-		return out(db.store.RelOrEmpty(datalog.Pred(name), d.Arity())), nil
-	}
-	v, ok := db.views[name]
-	if !ok {
+	return fn(db.relLocked)
+}
+
+// relLocked resolves a table or view, rematerializing a stale view first,
+// and returns its live relation, which later transactions mutate in place.
+// The caller holds the write lock (the read lock suffices for a relation
+// that is not stale) and snapshots the result before releasing it.
+func (db *DB) relLocked(name string) (*value.Relation, error) {
+	d := db.relDecl(name)
+	if d == nil {
 		return nil, fmt.Errorf("engine: unknown relation %q", name)
 	}
 	if db.dirty[name] {
@@ -438,7 +383,7 @@ func (db *DB) read(name string, snap bool) (*value.Relation, error) {
 			return nil, err
 		}
 	}
-	return out(db.store.RelOrEmpty(datalog.Pred(name), v.Decl.Arity())), nil
+	return db.store.RelOrEmpty(datalog.Pred(name), d.Arity()), nil
 }
 
 // Get returns an immutable snapshot of the current contents of a table or
@@ -448,61 +393,29 @@ func (db *DB) read(name string, snap bool) (*value.Relation, error) {
 // the time of the call: later transactions quietly divert the live
 // relation onto private storage before mutating it. Snapshots are safe to
 // iterate concurrently with writers; do not mutate them.
-//
-// Tables and clean views are served under the read lock, so concurrent
-// readers do not serialize. A stale view re-acquires the write lock
-// (rematerialization mutates the store) and rechecks, since another
-// transaction may have intervened.
 func (db *DB) Get(name string) (*value.Relation, error) {
-	return db.read(name, true)
+	r, _, err := db.SnapshotAt(name)
+	return r, err
 }
 
 // GetAll returns immutable snapshots of several relations taken under ONE
-// lock acquisition, so the returned map is a mutually consistent cut of the
-// database: no transaction (and in particular no group-commit flush) can
-// interleave between the individual snapshots. A view's snapshot therefore
-// agrees exactly with the base-table snapshots it derives from — the
-// atomic-visibility contract the server's torn-batch checker pins down.
-// Each snapshot is O(1) copy-on-write, like Get's.
+// lock acquisition (see read), so the returned map is a mutually
+// consistent cut of the database. Each snapshot is O(1) copy-on-write,
+// like Get's.
 func (db *DB) GetAll(names ...string) (map[string]*value.Relation, error) {
 	out := make(map[string]*value.Relation, len(names))
-	db.mu.RLock()
-	clean := true
-	for _, n := range names {
-		if _, ok := db.tables[n]; ok {
-			continue
-		}
-		if _, ok := db.views[n]; !ok || db.dirty[n] {
-			clean = false
-			break
-		}
-	}
-	if clean {
+	err := db.read(func(rel func(string) (*value.Relation, error)) error {
 		for _, n := range names {
-			d := db.relDecl(n)
-			out[n] = db.store.RelOrEmpty(datalog.Pred(n), d.Arity()).Snapshot()
-		}
-		db.mu.RUnlock()
-		return out, nil
-	}
-	db.mu.RUnlock()
-
-	// A stale view (or an unknown name) forces the write lock:
-	// rematerialization mutates the store. Recheck everything — another
-	// transaction may have intervened.
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, n := range names {
-		d := db.relDecl(n)
-		if d == nil {
-			return nil, fmt.Errorf("engine: unknown relation %q", n)
-		}
-		if db.dirty[n] {
-			if err := db.refresh(n); err != nil {
-				return nil, err
+			r, err := rel(n)
+			if err != nil {
+				return err
 			}
+			out[n] = r.Snapshot()
 		}
-		out[n] = db.store.RelOrEmpty(datalog.Pred(n), d.Arity()).Snapshot()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -612,19 +525,40 @@ func (db *DB) LoadTable(name string, rows []value.Tuple) error {
 }
 
 // Relations lists the registered base tables and views, sorted, with a
-// kind marker ("table" or "view").
-func (db *DB) Relations() []RelationInfo {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+// kind marker ("table" or "view") and a row count. The counts are one
+// consistent cut (see read) and take no snapshot, so they leave every
+// relation's storage unshared: the next write to it copies nothing. A
+// stale view is rematerialized to be counted.
+func (db *DB) Relations() ([]RelationInfo, error) {
 	var out []RelationInfo
-	for name, d := range db.tables {
-		out = append(out, RelationInfo{Name: name, Kind: "table", Decl: d})
-	}
-	for name, v := range db.views {
-		out = append(out, RelationInfo{Name: name, Kind: "view", Decl: v.Decl, Incremental: v.Incremental})
+	err := db.read(func(rel func(string) (*value.Relation, error)) error {
+		out = out[:0]
+		add := func(info RelationInfo) error {
+			r, err := rel(info.Name)
+			if err != nil {
+				return err
+			}
+			info.Rows = r.Len()
+			out = append(out, info)
+			return nil
+		}
+		for name, d := range db.tables {
+			if err := add(RelationInfo{Name: name, Kind: "table", Decl: d}); err != nil {
+				return err
+			}
+		}
+		for name, v := range db.views {
+			if err := add(RelationInfo{Name: name, Kind: "view", Decl: v.Decl, Incremental: v.Incremental}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return out, nil
 }
 
 // RelationInfo describes one registered relation.
@@ -633,6 +567,7 @@ type RelationInfo struct {
 	Kind        string // "table" or "view"
 	Decl        *datalog.RelDecl
 	Incremental bool // views only: running the ∂put program
+	Rows        int  // number of tuples
 }
 
 // Store exposes the underlying evaluation database for benchmarks and

@@ -73,7 +73,7 @@ func setupUnion(t *testing.T, incremental bool) *DB {
 func TestUnionViewUpdate(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		db := setupUnion(t, incremental)
-		v, err := db.Rel("v")
+		v, err := db.Get("v")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,15 +87,15 @@ func TestUnionViewUpdate(t *testing.T) {
 		if err := db.Exec(Delete("v", Eq("a", value.Int(2)))); err != nil {
 			t.Fatal(err)
 		}
-		r1, _ := db.Rel("r1")
-		r2, _ := db.Rel("r2")
+		r1, _ := db.Get("r1")
+		r2, _ := db.Get("r2")
 		if !r1.Equal(value.RelationOf(1, tup(1), tup(3))) {
 			t.Errorf("incremental=%v: r1 = %v, want {1,3}", incremental, r1)
 		}
 		if !r2.Equal(value.RelationOf(1, tup(4))) {
 			t.Errorf("incremental=%v: r2 = %v, want {4}", incremental, r2)
 		}
-		v, _ = db.Rel("v")
+		v, _ = db.Get("v")
 		if !v.Equal(value.RelationOf(1, tup(1), tup(3), tup(4))) {
 			t.Errorf("incremental=%v: v = %v", incremental, v)
 		}
@@ -114,8 +114,8 @@ func TestTransactionMergesStatements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, _ := db.Rel("r1")
-	r2, _ := db.Rel("r2")
+	r1, _ := db.Get("r1")
+	r2, _ := db.Get("r2")
 	if r1.Contains(tup(9)) || r2.Contains(tup(9)) {
 		t.Error("9 should not survive the transaction")
 	}
@@ -130,12 +130,12 @@ func TestUpdateStatement(t *testing.T) {
 	if err := db.Exec(Update("v", []Assignment{{Col: "a", Val: value.Int(7)}}, Eq("a", value.Int(2)))); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := db.Rel("v")
+	v, _ := db.Get("v")
 	if v.Contains(tup(2)) || !v.Contains(tup(7)) {
 		t.Errorf("update not applied: %v", v)
 	}
-	r1, _ := db.Rel("r1")
-	r2, _ := db.Rel("r2")
+	r1, _ := db.Get("r1")
+	r2, _ := db.Get("r2")
 	if !r1.Contains(tup(7)) && !r2.Contains(tup(7)) {
 		t.Error("7 must be propagated to a source")
 	}
@@ -168,11 +168,11 @@ _|_ :- big(X), not X > 2.
 			t.Errorf("incremental=%v: unexpected error %v", incremental, err)
 		}
 		// Nothing changed.
-		r, _ := db.Rel("r")
+		r, _ := db.Get("r")
 		if !r.Equal(value.RelationOf(1, tup(1), tup(5))) {
 			t.Errorf("incremental=%v: rejected update must not change sources: %v", incremental, r)
 		}
-		big, _ := db.Rel("big")
+		big, _ := db.Get("big")
 		if !big.Equal(value.RelationOf(1, tup(5))) {
 			t.Errorf("incremental=%v: rejected update must not change the view: %v", incremental, big)
 		}
@@ -180,7 +180,7 @@ _|_ :- big(X), not X > 2.
 		if err := db.Exec(Insert("big", value.Int(9))); err != nil {
 			t.Fatal(err)
 		}
-		r, _ = db.Rel("r")
+		r, _ = db.Get("r")
 		if !r.Contains(tup(9)) {
 			t.Errorf("incremental=%v: valid insert not propagated", incremental)
 		}
@@ -234,7 +234,7 @@ _|_ :- residents1962(E,B,G), B < '1962-01-01'.
 			t.Fatal(err)
 		}
 
-		v, err := db.Rel("residents1962")
+		v, err := db.Get("residents1962")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,11 +247,11 @@ _|_ :- residents1962(E,B,G), B < '1962-01-01'.
 		if err := db.Exec(Insert("residents1962", value.Str("eva"), value.Str("1962-11-30"), value.Str("F"))); err != nil {
 			t.Fatal(err)
 		}
-		female, _ := db.Rel("female")
+		female, _ := db.Get("female")
 		if !female.Contains(tup("eva", "1962-11-30")) {
 			t.Errorf("incremental=%v: eva must reach the female base table: %v", incremental, female)
 		}
-		res, _ := db.Rel("residents")
+		res, _ := db.Get("residents")
 		if !res.Contains(tup("eva", "1962-11-30", "F")) {
 			t.Errorf("incremental=%v: residents not maintained: %v", incremental, res)
 		}
@@ -260,7 +260,7 @@ _|_ :- residents1962(E,B,G), B < '1962-01-01'.
 		if err := db.Exec(Delete("residents1962", Eq("e", value.Str("bob")))); err != nil {
 			t.Fatal(err)
 		}
-		male, _ := db.Rel("male")
+		male, _ := db.Get("male")
 		if male.Contains(tup("bob", "1962-03-01")) {
 			t.Errorf("incremental=%v: bob should be deleted from male", incremental)
 		}
@@ -280,7 +280,7 @@ func TestBaseTableUpdateMarksViewsDirty(t *testing.T) {
 	if err := db.Exec(Insert("r1", value.Int(42))); err != nil {
 		t.Fatal(err)
 	}
-	v, err := db.Rel("v")
+	v, err := db.Get("v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestBaseTableUpdateMarksViewsDirty(t *testing.T) {
 	if err := db.Exec(Delete("r1", Eq("a", value.Int(42)))); err != nil {
 		t.Fatal(err)
 	}
-	v, _ = db.Rel("v")
+	v, _ = db.Get("v")
 	if v.Contains(tup(42)) {
 		t.Errorf("view must reflect base-table delete: %v", v)
 	}
@@ -316,7 +316,7 @@ func TestErrors(t *testing.T) {
 	if _, err := db.CreateView(unionView, ViewOptions{SkipValidation: true}); err == nil {
 		t.Error("SkipValidation without ExpectedGet must fail")
 	}
-	if _, err := db.Rel("nope"); err == nil {
+	if _, err := db.Get("nope"); err == nil {
 		t.Error("unknown relation read must fail")
 	}
 	if err := db.Exec(Delete("r1", Condition{Col: "zzz", Op: datalog.OpEq, Val: value.Int(1)})); err == nil {
@@ -346,7 +346,7 @@ func TestSkipValidationWithExpectedGet(t *testing.T) {
 	if err := db.Exec(Insert("v", value.Int(8))); err != nil {
 		t.Fatal(err)
 	}
-	r1, _ := db.Rel("r1")
+	r1, _ := db.Get("r1")
 	if !r1.Contains(tup(8)) {
 		t.Error("strategy should run without validation")
 	}
@@ -398,8 +398,8 @@ func TestIncrementalMatchesFullOnRandomWorkload(t *testing.T) {
 			t.Fatalf("step %d: modes disagree on error: full=%v inc=%v", step, e1, e2)
 		}
 		for _, rel := range []string{"r1", "r2", "v"} {
-			a, _ := full.Rel(rel)
-			b, _ := inc.Rel(rel)
+			a, _ := full.Get(rel)
+			b, _ := inc.Get(rel)
 			if !a.Equal(b) {
 				t.Fatalf("step %d: %s diverged:\nfull=%v\ninc=%v", step, rel, a, b)
 			}
@@ -409,7 +409,13 @@ func TestIncrementalMatchesFullOnRandomWorkload(t *testing.T) {
 
 func TestRelationsListing(t *testing.T) {
 	db := setupUnion(t, true)
-	infos := db.Relations()
+	if err := db.LoadTable("r2", []value.Tuple{tup(6)}); err != nil {
+		t.Fatal(err)
+	}
+	infos, err := db.Relations()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(infos) != 3 {
 		t.Fatalf("want 3 relations, got %d", len(infos))
 	}
@@ -419,6 +425,10 @@ func TestRelationsListing(t *testing.T) {
 	}
 	if infos[0].Kind != "table" || infos[2].Kind != "view" || !infos[2].Incremental {
 		t.Errorf("kinds wrong: %+v", infos)
+	}
+	// The bulk load left v stale; counting it refreshes it.
+	if infos[0].Rows != 1 || infos[1].Rows != 3 || infos[2].Rows != 4 || db.Stale("v") {
+		t.Errorf("rows wrong or v still stale: %+v", infos)
 	}
 }
 
@@ -458,8 +468,8 @@ func TestExecModeMatchesOnRandomWorkload(t *testing.T) {
 			t.Fatalf("step %d: modes disagree on error: streaming=%v materialized=%v", step, e1, e2)
 		}
 		for _, rel := range []string{"r1", "r2", "v"} {
-			a, _ := stream.Rel(rel)
-			b, _ := mat.Rel(rel)
+			a, _ := stream.Get(rel)
+			b, _ := mat.Get(rel)
 			if !a.Equal(b) {
 				t.Fatalf("step %d: %s diverged:\nstreaming=%v\nmaterialized=%v", step, rel, a, b)
 			}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"birds/internal/cdc"
 	"birds/internal/datalog"
 	"birds/internal/eval"
 	"birds/internal/value"
@@ -95,15 +96,21 @@ func expectedView(t *testing.T, db *DB, name string) *value.Relation {
 	if v == nil {
 		t.Fatalf("no view %q", name)
 	}
+	// Read the tables directly: Relations would refresh a stale view and
+	// hide the fallback from the caller's staleness checks.
+	db.mu.RLock()
+	var tables []string
+	for n := range db.tables {
+		tables = append(tables, n)
+	}
+	db.mu.RUnlock()
 	ref := eval.NewDatabase()
-	for _, info := range db.Relations() {
-		if info.Kind == "table" {
-			rel, err := db.Rel(info.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.Set(datalog.Pred(info.Name), rel.Clone())
+	for _, n := range tables {
+		rel, err := db.Get(n)
+		if err != nil {
+			t.Fatal(err)
 		}
+		ref.Set(datalog.Pred(n), rel.Clone())
 	}
 	// Materialize bottom-up so view-over-view references resolve.
 	var materialize func(n string)
@@ -170,7 +177,7 @@ func TestDMLMaintainsViewsIncrementally(t *testing.T) {
 			if db.Stale(vn) {
 				t.Fatalf("step %d: view %q fell back to the dirty path", step, vn)
 			}
-			got, err := db.Rel(vn)
+			got, err := db.Get(vn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +198,7 @@ func TestNetEmptyTransactionSkipsMaintenance(t *testing.T) {
 	if err := db.Exec(Insert("r1", value.Int(1), value.Int(2))); err != nil {
 		t.Fatal(err)
 	}
-	before, err := db.Rel("j")
+	before, err := db.Get("j")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +217,7 @@ func TestNetEmptyTransactionSkipsMaintenance(t *testing.T) {
 			t.Fatalf("net-empty transaction %v marked a view stale", stmts)
 		}
 	}
-	after, err := db.Rel("j")
+	after, err := db.Get("j")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +239,7 @@ func TestViewUpdateMaintainsSiblings(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, vn := range []string{"j", "lonely", "top"} {
-		if _, err := db.Rel(vn); err != nil {
+		if _, err := db.Get(vn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +251,7 @@ func TestViewUpdateMaintainsSiblings(t *testing.T) {
 		t.Fatal("sibling view went stale instead of being maintained")
 	}
 	for _, vn := range []string{"j", "lonely", "top"} {
-		got, err := db.Rel(vn)
+		got, err := db.Get(vn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,34 +264,85 @@ func TestViewUpdateMaintainsSiblings(t *testing.T) {
 // TestBulkLoadFallsBackToRefresh: LoadTable takes the dirty path (a bulk
 // load is cheaper to recompute than to propagate row by row), the next
 // read refreshes, and subsequent DML returns to incremental maintenance.
+// Every read entry point goes through the one refreshing read: each must
+// leave the stale view (top, stacked on the stale j) and its stale source
+// clean, and return what a fresh evaluation of the get gives; SnapshotAt's
+// seq and a new subscription's Resync are the bulk load's LSN.
 func TestBulkLoadFallsBackToRefresh(t *testing.T) {
-	db := maintainDB(t)
-	if err := db.Exec(Insert("r1", value.Int(1), value.Int(1))); err != nil {
-		t.Fatal(err)
+	reads := map[string]func(t *testing.T, db *DB) (*value.Relation, uint64){
+		"Get": func(t *testing.T, db *DB) (*value.Relation, uint64) {
+			r, err := db.Get("top")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r, db.LastLSN()
+		},
+		"GetAll": func(t *testing.T, db *DB) (*value.Relation, uint64) {
+			rs, err := db.GetAll("r1", "top", "r2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rs["top"], db.LastLSN()
+		},
+		"SnapshotAt": func(t *testing.T, db *DB) (*value.Relation, uint64) {
+			r, seq, err := db.SnapshotAt("top")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r, seq
+		},
+		"Subscribe": func(t *testing.T, db *DB) (*value.Relation, uint64) {
+			sub, err := db.Subscribe("top", cdc.SubOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			ev := cdcRecv(t, sub)
+			if !ev.Resync {
+				t.Fatalf("first event is not a resync: %+v", ev)
+			}
+			return cdc.ApplyEvent(nil, ev), ev.Seq
+		},
 	}
-	if err := db.LoadTable("r2", []value.Tuple{tup(1, 2), tup(1, 3)}); err != nil {
-		t.Fatal(err)
-	}
-	if !db.Stale("j") {
-		t.Fatal("bulk load should mark dependent views stale")
-	}
-	got, err := db.Rel("j") // refresh
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := expectedView(t, db, "j"); !got.Equal(want) {
-		t.Fatalf("after bulk load: j = %v, want %v", got, want)
-	}
-	// Back to incremental: the next write must keep the view clean and right.
-	if err := db.Exec(Insert("r2", value.Int(1), value.Int(9))); err != nil {
-		t.Fatal(err)
-	}
-	if db.Stale("j") {
-		t.Fatal("DML after refresh should maintain incrementally")
-	}
-	got, _ = db.Rel("j")
-	if want := expectedView(t, db, "j"); !got.Equal(want) {
-		t.Fatalf("after post-load DML: j = %v, want %v", got, want)
+	for name, read := range reads {
+		t.Run(name, func(t *testing.T) {
+			db := maintainDB(t)
+			if err := db.EnableDurability(DurabilityOptions{Dir: t.TempDir()}); err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range [][2]int64{{1, 1}, {2, 2}, {5, 3}} {
+				if err := db.Exec(Insert("r1", value.Int(row[0]), value.Int(row[1]))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.LoadTable("r2", []value.Tuple{tup(1, 2), tup(1, 3), tup(2, 6), tup(3, 7)}); err != nil {
+				t.Fatal(err)
+			}
+			if !db.Stale("j") || !db.Stale("top") {
+				t.Fatal("bulk load should mark dependent views stale")
+			}
+			got, seq := read(t, db)
+			if db.Stale("j") || db.Stale("top") {
+				t.Fatal("read should refresh the stale view and its stale source")
+			}
+			if want := expectedView(t, db, "top"); !got.Equal(want) || want.Len() != 2 {
+				t.Fatalf("after bulk load: top = %v, want %v (2 rows)", got, want)
+			}
+			if lsn := db.LastLSN(); seq != lsn || lsn != 4 {
+				t.Fatalf("read at seq %d, LastLSN %d, want 4", seq, lsn)
+			}
+			// Back to incremental: the next write must keep the view clean and right.
+			if err := db.Exec(Insert("r2", value.Int(1), value.Int(9))); err != nil {
+				t.Fatal(err)
+			}
+			if db.Stale("j") {
+				t.Fatal("DML after refresh should maintain incrementally")
+			}
+			got, _ = db.Get("j")
+			if want := expectedView(t, db, "j"); !got.Equal(want) {
+				t.Fatalf("after post-load DML: j = %v, want %v", got, want)
+			}
+		})
 	}
 }
 
@@ -335,7 +393,7 @@ odds(A) :- aux(A).
 			t.Fatal(err)
 		}
 		for _, vn := range []string{"evens", "odds"} {
-			got, err := db.Rel(vn)
+			got, err := db.Get(vn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -400,7 +458,7 @@ vb(A) :- aux(A).
 	if err := db.Exec(Insert("s", value.Int(5))); err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.Rel("va")
+	got, err := db.Get("va")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +480,7 @@ func TestFailedTableTransactionRollsBack(t *testing.T) {
 	if err := db.Exec(Insert("r2", value.Int(1), value.Int(5))); err != nil {
 		t.Fatal(err)
 	}
-	r1Before, _ := db.Rel("r1")
+	r1Before, _ := db.Get("r1")
 	r1Snap := r1Before.Clone()
 
 	// Statement 1 applies, statement 2 errors: the transaction must undo
@@ -433,12 +491,12 @@ func TestFailedTableTransactionRollsBack(t *testing.T) {
 	if err := db.Exec(Insert("r1", value.Int(99), value.Int(99)), Delete("r1", Condition{Col: "nope", Op: datalog.OpEq, Val: value.Int(0)})); err == nil {
 		t.Fatal("expected unknown-column error")
 	}
-	r1After, _ := db.Rel("r1")
+	r1After, _ := db.Get("r1")
 	if !r1After.Equal(r1Snap) {
 		t.Fatalf("failed transaction left residue: %v, want %v", r1After, r1Snap)
 	}
 	for _, vn := range []string{"j", "lonely", "top"} {
-		got, err := db.Rel(vn)
+		got, err := db.Get(vn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +508,7 @@ func TestFailedTableTransactionRollsBack(t *testing.T) {
 	if err := db.Exec(Insert("r1", value.Int(2), value.Int(1))); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := db.Rel("j")
+	got, _ := db.Get("j")
 	if want := expectedView(t, db, "j"); !got.Equal(want) {
 		t.Fatalf("j after recovery = %v, want %v", got, want)
 	}
@@ -463,17 +521,17 @@ func TestFailedBulkLoadAppliesNothing(t *testing.T) {
 	if err := db.Exec(Insert("r1", value.Int(1), value.Int(1))); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := db.Rel("r1")
+	before, _ := db.Get("r1")
 	snap := before.Clone()
 	err := db.LoadTable("r1", []value.Tuple{tup(50, 50), tup(51)})
 	if err == nil {
 		t.Fatal("expected arity error")
 	}
-	after, _ := db.Rel("r1")
+	after, _ := db.Get("r1")
 	if !after.Equal(snap) {
 		t.Fatalf("failed bulk load left residue: %v, want %v", after, snap)
 	}
-	if got, want := expectedView(t, db, "j"), func() *value.Relation { r, _ := db.Rel("j"); return r }(); !want.Equal(got) {
+	if got, want := expectedView(t, db, "j"), func() *value.Relation { r, _ := db.Get("j"); return r }(); !want.Equal(got) {
 		t.Fatalf("view j diverged after failed load: %v, want %v", want, got)
 	}
 }
@@ -500,7 +558,7 @@ func TestGetSnapshotImmutable(t *testing.T) {
 	if !snapV.Equal(wantV) || !snapR1.Equal(wantR1) {
 		t.Fatalf("snapshots changed under a writer: v=%v r1=%v", snapV, snapR1)
 	}
-	cur, _ := db.Rel("v")
+	cur, _ := db.Get("v")
 	if !cur.Contains(tup(42)) {
 		t.Fatal("live relation missed the write")
 	}
@@ -512,7 +570,7 @@ func TestGetSnapshotImmutable(t *testing.T) {
 // and always observe a consistent set.
 func TestGetSnapshotRace(t *testing.T) {
 	db := setupUnion(t, false)
-	if _, err := db.Rel("v"); err != nil {
+	if _, err := db.Get("v"); err != nil {
 		t.Fatal(err)
 	}
 	var writers, readers sync.WaitGroup
@@ -570,7 +628,7 @@ func TestGetSnapshotRace(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	v, _ := db.Rel("v")
+	v, _ := db.Get("v")
 	if !v.Equal(value.RelationOf(1, tup(1), tup(2), tup(4))) {
 		t.Fatalf("v = %v after churn", v)
 	}

@@ -124,8 +124,8 @@ func TestExecSQLEndToEnd(t *testing.T) {
 	if err := db.ExecSQL("BEGIN; INSERT INTO v VALUES (3); DELETE FROM v WHERE a = 2; END;"); err != nil {
 		t.Fatal(err)
 	}
-	r1, _ := db.Rel("r1")
-	r2, _ := db.Rel("r2")
+	r1, _ := db.Get("r1")
+	r2, _ := db.Get("r2")
 	if !r1.Contains(value.Tuple{value.Int(3)}) {
 		t.Errorf("r1 = %v", r1)
 	}
@@ -146,7 +146,7 @@ func TestExecSQLUpdateThroughView(t *testing.T) {
 	if err := db.ExecSQL("UPDATE v SET a = 9 WHERE a = 4;"); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := db.Rel("v")
+	v, _ := db.Get("v")
 	if v.Contains(value.Tuple{value.Int(4)}) || !v.Contains(value.Tuple{value.Int(9)}) {
 		t.Errorf("v = %v", v)
 	}

@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"fmt"
-
 	"birds/internal/cdc"
-	"birds/internal/datalog"
 	"birds/internal/value"
 	"birds/internal/wal"
 )
@@ -42,20 +39,15 @@ import (
 func (db *DB) Subscribe(name string, opts cdc.SubOptions) (*cdc.Subscription, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	decl := db.relDecl(name)
-	if decl == nil {
-		return nil, fmt.Errorf("engine: unknown relation %q", name)
-	}
-	if db.dirty[name] {
-		if err := db.refresh(name); err != nil {
-			return nil, err
-		}
+	r, err := db.relLocked(name)
+	if err != nil {
+		return nil, err
 	}
 	if db.hub == nil {
 		db.hub = cdc.NewHub()
 	}
 	h := db.hub
-	snap := db.store.RelOrEmpty(datalog.Pred(name), decl.Arity()).Snapshot()
+	snap := r.Snapshot()
 	// The resync pull: invoked by the consumer (never the publisher) when
 	// the subscription was marked lost and its buffered prefix is drained.
 	// It re-acquires the engine lock, refreshes the relation if the loss
@@ -66,18 +58,12 @@ func (db *DB) Subscribe(name string, opts cdc.SubOptions) (*cdc.Subscription, er
 	resnap := func() (*value.Relation, uint64, error) {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		d := db.relDecl(name)
-		if d == nil {
-			return nil, 0, fmt.Errorf("engine: unknown relation %q", name)
+		r, err := db.relLocked(name)
+		if err != nil {
+			return nil, 0, err
 		}
-		if db.dirty[name] {
-			if err := db.refresh(name); err != nil {
-				return nil, 0, err
-			}
-		}
-		s := db.store.RelOrEmpty(datalog.Pred(name), d.Arity()).Snapshot()
 		sub.Rearm(db.seq)
-		return s, db.seq, nil
+		return r.Snapshot(), db.seq, nil
 	}
 	sub = h.Subscribe(name, db.seq, snap, opts, resnap)
 	return sub, nil
@@ -119,21 +105,17 @@ func (db *DB) CDCStats() cdc.HubStats {
 }
 
 // SnapshotAt returns an O(1) copy-on-write snapshot of a relation together
-// with the commit seq it corresponds to, taken under one write lock
-// acquisition (a stale view is refreshed first). The mirror harness uses
-// it to compare a subscriber's reconstruction against the live view at a
+// with the commit seq it corresponds to, taken under one lock acquisition
+// (see read; a stale view is refreshed first). The mirror harness uses it
+// to compare a subscriber's reconstruction against the live view at a
 // known sequence number.
-func (db *DB) SnapshotAt(name string) (*value.Relation, uint64, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	decl := db.relDecl(name)
-	if decl == nil {
-		return nil, 0, fmt.Errorf("engine: unknown relation %q", name)
-	}
-	if db.dirty[name] {
-		if err := db.refresh(name); err != nil {
-			return nil, 0, err
+func (db *DB) SnapshotAt(name string) (snap *value.Relation, seq uint64, err error) {
+	err = db.read(func(rel func(string) (*value.Relation, error)) error {
+		r, err := rel(name)
+		if err == nil {
+			snap, seq = r.Snapshot(), db.seq
 		}
-	}
-	return db.store.RelOrEmpty(datalog.Pred(name), decl.Arity()).Snapshot(), db.seq, nil
+		return err
+	})
+	return snap, seq, err
 }

@@ -744,14 +744,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if strings.EqualFold(r.URL.Query().Get("sessions"), "1") || strings.EqualFold(r.URL.Query().Get("sessions"), "true") {
 		resp.Server.SessionDetail = detail
 	}
-	for _, info := range s.db.Relations() {
-		rel, err := s.db.Get(info.Name)
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, err)
-			return
-		}
+	infos, err := s.db.Relations()
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	for _, info := range infos {
 		resp.Engine.Relations = append(resp.Engine.Relations, relationStat{
-			Name: info.Name, Kind: info.Kind, Rows: rel.Len(), Incremental: info.Incremental,
+			Name: info.Name, Kind: info.Kind, Rows: info.Rows, Incremental: info.Incremental,
 		})
 	}
 	s.writeJSON(w, http.StatusOK, resp)

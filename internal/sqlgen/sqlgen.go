@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"birds/internal/analysis"
+	"birds/internal/core"
 	"birds/internal/datalog"
 )
 
@@ -405,21 +406,14 @@ func (c *Compiler) CompileIncrementalTrigger(dput *datalog.Program) (string, err
 	fmt.Fprintf(&sb, "    INSERT INTO __del_%s SELECT OLD.*;\n", view)
 	sb.WriteString("  END IF;\n\n")
 
-	// Constraints are checked against the insertion delta (the view atom
-	// was substituted by +v when the strategy was incrementalized); the
-	// original program's constraints are compiled here with the same
-	// substitution the engine uses.
+	// Constraints are checked against the insertion delta, with the rules
+	// the engine checks (core.DeltaConstraintProgram); the exception names
+	// the original constraint.
 	if cons := c.prog.Constraints(); len(cons) > 0 {
 		sb.WriteString("  -- Checking constraints against the inserted tuples\n")
-		for _, r := range cons {
-			nr := r.Clone()
-			for i := range nr.Body {
-				l := &nr.Body[i]
-				if l.Atom != nil && !l.Neg && l.Atom.Pred == datalog.Pred(view) {
-					l.Atom.Pred = datalog.Ins(view)
-				}
-			}
-			probe, err := c.constraintSelect(nr)
+		delta := core.DeltaConstraintProgram(c.prog).Constraints()
+		for i, r := range cons {
+			probe, err := c.constraintSelect(delta[i])
 			if err != nil {
 				return "", err
 			}
