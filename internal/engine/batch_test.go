@@ -35,7 +35,7 @@ func batchStmt(rng *rand.Rand) Statement {
 // tableStmt builds a random statement against one fuzz table.
 func tableStmt(rng *rand.Rand, tb fuzzTable) Statement {
 	row := tup(rng.Intn(5), rng.Intn(5))
-	switch rng.Intn(4) {
+	switch rng.Intn(6) {
 	case 0:
 		return Insert(tb.name, row...)
 	case 1:
@@ -43,6 +43,13 @@ func tableStmt(rng *rand.Rand, tb fuzzTable) Statement {
 	case 2:
 		// Non-equality WHERE exercises the scan-based effective match.
 		return Delete(tb.name, Condition{Col: tb.cols[1], Op: datalog.OpLt, Val: row[1]})
+	// A WHERE fixing every column matches by membership, not an index.
+	case 3:
+		return Delete(tb.name, Eq(tb.cols[0], row[0]), Eq(tb.cols[1], row[1]))
+	case 4:
+		return Update(tb.name,
+			[]Assignment{{Col: tb.cols[1], Val: value.Int(int64(rng.Intn(5)))}},
+			Eq(tb.cols[1], row[1]), Eq(tb.cols[0], row[0]))
 	default:
 		return Update(tb.name,
 			[]Assignment{{Col: tb.cols[1], Val: row[1]}},

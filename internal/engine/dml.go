@@ -264,19 +264,26 @@ func (e *effective) has(t value.Tuple) bool {
 }
 
 // match returns the rows of the effective state matching where, each once.
-// Stored rows come from an existing store index on the equality columns — a
-// pure read, safe under the read lock — or from a scan, which reports the
-// index's positions as miss. Staged insertions probe the stage's own
-// indexes (the stage is private to its batcher, so building one there
-// mutates nothing shared); the transaction's own insertions are bounded by
-// its statements and scanned.
+// When the equalities fix every column, the stored and staged candidates
+// are the one row they name, found by membership in those relations
+// themselves: no index is probed or built. Otherwise stored rows come from
+// an existing store index on the equality columns — a pure read, safe under
+// the read lock — or from a scan, which reports the index's positions as
+// miss. Staged insertions probe the stage's own indexes (the stage is
+// private to its batcher, so building one there mutates nothing shared);
+// the transaction's own insertions are bounded by its statements and
+// scanned.
 func (e *effective) match(where []Condition) (rows []value.Tuple, miss []int, err error) {
 	positions, key, none, err := eqProbe(e.decl, where)
 	if err != nil || none {
 		return nil, nil, err
 	}
 	stored, staged := e.rel.All(), e.sIns.All()
-	if positions != nil {
+	switch {
+	case positions == nil:
+	case len(positions) == e.decl.Arity(): // eqProbe sorts: key is the row
+		stored, staged = found(e.rel, key), found(e.sIns, key)
+	default:
 		if tuples, ok := e.store.LookupExisting(e.p, positions, key); ok {
 			stored = slices.Values(tuples)
 		} else {
@@ -301,6 +308,15 @@ func (e *effective) match(where []Condition) (rows []value.Tuple, miss []int, er
 		}
 	}
 	return rows, miss, nil
+}
+
+// found yields rel's stored row equal to t, if it has one.
+func found(rel *value.Relation, t value.Tuple) iter.Seq[value.Tuple] {
+	r, ok := rel.Find(t)
+	if !ok {
+		return slices.Values([]value.Tuple(nil))
+	}
+	return slices.Values([]value.Tuple{r})
 }
 
 // shadowed reports whether candidate t of a layer (0 stored, 1 staged

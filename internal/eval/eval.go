@@ -328,7 +328,7 @@ type step struct {
 	args    []argSlot
 	keyPos  []int  // positions bound at entry (probe key); nil = full scan
 	mask    string // keyPos rendered once, for ephemeral-table cache keys
-	fullKey bool   // negation with every position bound: direct Contains
+	fullKey bool   // every position bound (scan or negation): direct Contains, no keyPos
 	old     bool   // delta plans only: read the pre-delta version of pred
 	// builtin:
 	neg    bool
@@ -353,9 +353,9 @@ type compiledRule struct {
 
 	// variants are alternative plans for the streaming executor, one per
 	// positive body atom forced first as the streamed outer scan (stream.go);
-	// pickVariant chooses among them per evaluation by build-side cost.
-	// Variants have their own variable numbering and environments and no
-	// variants of their own.
+	// pickVariant chooses among them per evaluation by the tuples each would
+	// scan and hash (streamCost). Variants have their own variable numbering
+	// and environments and no variants of their own.
 	variants []*compiledRule
 }
 
@@ -595,12 +595,18 @@ func compileBody(vi *varIndexer, bound map[string]bool, lits []datalog.Literal, 
 					hasBoundVar = true
 				}
 			}
+			switch {
+			// Every position bound: the probe is a membership test on the
+			// relation's own hash set, with no table or index to build.
+			case len(st.keyPos) == len(st.args):
+				st.fullKey = true
+				st.keyPos = nil
 			// A probe key made only of constants (e.g. the outer scan of
 			// tasks(T,N,U,0)) would build a maintained index on a
 			// low-selectivity column whose huge buckets make later
 			// Insert/Delete maintenance linear. Scan and filter instead —
 			// same asymptotic cost for the query itself.
-			if !hasBoundVar {
+			case !hasBoundVar:
 				st.keyPos = nil
 			}
 			for _, t := range l.Atom.Args {
@@ -637,16 +643,15 @@ func newEnvFor(steps []step, nvars int) *env {
 	}
 	for i := range steps {
 		st := &steps[i]
-		switch st.kind {
-		case stepNegAtom:
-			if st.fullKey {
-				en.scratch[i] = make(value.Tuple, len(st.args))
-			} else {
-				en.scratch[i] = make(value.Tuple, len(st.keyPos))
-			}
-		case stepScan:
+		switch {
+		case st.kind == stepBuiltin:
+		case st.fullKey:
+			en.scratch[i] = make(value.Tuple, len(st.args))
+		default:
 			en.scratch[i] = make(value.Tuple, len(st.keyPos))
-			en.newly[i] = make([]int, 0, len(st.args))
+			if st.kind == stepScan {
+				en.newly[i] = make([]int, 0, len(st.args))
+			}
 		}
 	}
 	return en
@@ -657,6 +662,16 @@ func (e *env) get(s argSlot) value.Value {
 		return e.vals[s.v]
 	}
 	return s.c
+}
+
+// fullTuple fills full-key step i's scratch with its bound arguments: the
+// tuple whose membership the step tests.
+func (e *env) fullTuple(i int, st *step) value.Tuple {
+	t := e.scratch[i]
+	for j, s := range st.args {
+		t[j] = e.get(s)
+	}
+	return t
 }
 
 // runCtx resolves a plan's relation reads and index probes. In lazy mode
@@ -785,11 +800,7 @@ func (cr *compiledRule) exec(rc *runCtx, en *env, i int, emit func(value.Tuple) 
 			return cr.exec(rc, en, i+1, emit)
 		}
 		if st.fullKey {
-			t := en.scratch[i]
-			for j, s := range st.args {
-				t[j] = en.get(s)
-			}
-			if rel.Contains(t) {
+			if rel.Contains(en.fullTuple(i, st)) {
 				return true, nil
 			}
 			return cr.exec(rc, en, i+1, emit)
@@ -807,6 +818,12 @@ func (cr *compiledRule) exec(rc *runCtx, en *env, i int, emit func(value.Tuple) 
 		rel := rc.relAt(i, st.pred)
 		if rel == nil {
 			return true, nil
+		}
+		if st.fullKey {
+			if !rel.Contains(en.fullTuple(i, st)) {
+				return true, nil
+			}
+			return cr.exec(rc, en, i+1, emit)
 		}
 		tryTuple := func(t value.Tuple) (bool, error) {
 			newly := en.newly[i][:0]

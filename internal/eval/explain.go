@@ -30,9 +30,12 @@ func writeRulePlan(b *strings.Builder, cr *compiledRule) {
 		st := &cr.steps[i]
 		switch st.kind {
 		case stepScan:
-			if len(st.keyPos) == 0 {
+			switch {
+			case st.fullKey:
+				fmt.Fprintf(b, "  %d. semi-join %s by direct membership\n", i+1, st.pred)
+			case len(st.keyPos) == 0:
 				fmt.Fprintf(b, "  %d. scan %s (full)\n", i+1, st.pred)
-			} else {
+			default:
 				fmt.Fprintf(b, "  %d. probe %s via index on positions %v\n", i+1, st.pred, st.keyPos)
 			}
 		case stepNegAtom:

@@ -423,6 +423,16 @@ func (dc *deltaCtx) oldContains(p datalog.PredSym, t value.Tuple) bool {
 	return rel != nil && rel.Contains(t) && !(d.Ins != nil && d.Ins.Contains(t))
 }
 
+// contains reports membership of t in the version (old or new) of full-key
+// step st's relation that the step reads.
+func (dc *deltaCtx) contains(st *step, t value.Tuple) bool {
+	if st.old {
+		return dc.oldContains(st.pred, t)
+	}
+	rel := dc.db.Rel(st.pred)
+	return rel != nil && rel.Contains(t)
+}
+
 // oldHasMatch reports whether the old version of p holds any tuple matching
 // key on positions.
 func (dc *deltaCtx) oldHasMatch(p datalog.PredSym, positions []int, key value.Tuple) bool {
@@ -655,18 +665,7 @@ func (dr *deltaRule) exec(dc *deltaCtx, en *env, i, sign int, emit func(value.Tu
 
 	case stepNegAtom:
 		if st.fullKey {
-			t := en.scratch[i]
-			for j, s := range st.args {
-				t[j] = en.get(s)
-			}
-			var present bool
-			if st.old {
-				present = dc.oldContains(st.pred, t)
-			} else {
-				rel := dc.db.Rel(st.pred)
-				present = rel != nil && rel.Contains(t)
-			}
-			if present {
+			if dc.contains(st, en.fullTuple(i, st)) {
 				return nil
 			}
 			return dr.exec(dc, en, i+1, sign, emit)
@@ -687,6 +686,12 @@ func (dr *deltaRule) exec(dc *deltaCtx, en *env, i, sign int, emit func(value.Tu
 		return dr.exec(dc, en, i+1, sign, emit)
 
 	default: // stepScan
+		if st.fullKey {
+			if !dc.contains(st, en.fullTuple(i, st)) {
+				return nil
+			}
+			return dr.exec(dc, en, i+1, sign, emit)
+		}
 		tryTuple := func(t value.Tuple) error {
 			newly := en.newly[i][:0]
 			ok := true

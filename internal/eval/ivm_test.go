@@ -65,6 +65,16 @@ j(X,Z) :- r(X,Y), r(Y,Z).
 t(X) :- j(X,X).
 u(X) :- r(X,_), not j(X,_).
 `,
+	// Fully bound positive atoms, read in old and new mode: membership
+	// tests with bound variables, constants and a repeated variable.
+	`
+source r(a:int, b:int, c:int).
+source s(a:int, b:int).
+view v(a:int, b:int, c:int).
+d(X,Y,Z) :- r(X,Y,Z), Z > 1, v(X,Y,Z).
+e(X) :- s(X,Y), r(X,Y,1), s(Y,X).
+f(X) :- s(X,X), r(X,X,X).
+`,
 )
 
 // applyRandomDML mutates one random EDB tuple in db, accumulating the net

@@ -335,6 +335,25 @@ func (g *genCtx) genRule(head genPred, avail []genPred) string {
 		v := bound[g.rng.Intn(len(bound))]
 		body = append(body, v+" "+ops[g.rng.Intn(len(ops))]+" "+g.constant())
 	}
+	// Maybe a fully bound positive atom: bound variables (one of them
+	// possibly repeated) and constants only, which a plan that reaches it
+	// with every variable bound tests by membership.
+	if len(bound) > 0 && g.rng.Intn(10) < 4 {
+		p := avail[g.rng.Intn(len(avail))]
+		rep := bound[g.rng.Intn(len(bound))]
+		args := make([]string, p.arity)
+		for i := range args {
+			switch r := g.rng.Intn(10); {
+			case r < 4:
+				args[i] = rep
+			case r < 8:
+				args[i] = bound[g.rng.Intn(len(bound))]
+			default:
+				args[i] = g.constant()
+			}
+		}
+		body = append(body, p.name+"("+strings.Join(args, ",")+")")
+	}
 	// Maybe a negated atom (vars bound, anonymous columns allowed).
 	if g.rng.Intn(10) < 4 {
 		p := avail[g.rng.Intn(len(avail))]

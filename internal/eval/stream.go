@@ -5,11 +5,15 @@
 //
 //   - Driver variants (compileRule): every rule is compiled once per
 //     positive body atom, with that atom forced first as the streamed outer
-//     scan. At evaluation time pickVariant scores each variant by the total
-//     size of the relations its keyed steps would have to hash (relations
-//     already covered by a maintained index cost nothing) and picks the
-//     cheapest — the symmetric-hash-join build-side choice: stream the big
-//     relation, hash the small ones.
+//     scan. At evaluation time pickVariant scores each variant by the tuples
+//     it would touch up front: the driver relation it scans plus the
+//     relations its keyed steps would have to hash. Relations already
+//     covered by a maintained index cost nothing, and so does a probe that
+//     binds every position: it tests membership in the relation's own hash
+//     set. Ties break on the hashed tuples alone — the
+//     symmetric-hash-join build-side choice: stream the big relation, hash
+//     the small ones. So a delta-driven ∂put rule whose base atom is fully
+//     bound by the delta reads the base through membership tests only.
 //
 //   - Ephemeral tables (joinTable, existTable): the probe structures built
 //     for one evaluation. A joinTable is a compact chained hash table —
@@ -333,47 +337,52 @@ func (ec *evalCtx) existTab(rel *value.Relation, st *step) *existTable {
 // index. Unreachable for in-memory relations in practice.
 const maxJoinTableLen = 1<<31 - 1
 
-// streamCost scores a plan for streaming execution: the total number of
-// tuples its keyed steps would have to hash into ephemeral tables. A keyed
+// streamCost scores a driver variant for streaming execution. hashed is
+// the number of tuples its keyed steps would have to hash into ephemeral
+// tables; total adds the tuples of the driver relation it scans. A keyed
 // step whose relation already has a maintained index on exactly its key
-// positions costs nothing (the index is reused as a pure read); a full-key
-// negation probes the relation directly and costs nothing. The score
-// deliberately ignores the evalCtx table cache so that variant choice
-// depends only on the database state, not on the order rules happened to
-// run in.
-func streamCost(ec *evalCtx, plan *compiledRule) int {
-	cost := 0
+// positions costs nothing (the index is reused as a pure read), and a
+// full-key step (positive or negated) tests membership in the relation
+// itself and costs nothing. The score deliberately ignores the evalCtx
+// table cache so that variant choice depends only on the database state,
+// not on the order rules happened to run in.
+func streamCost(ec *evalCtx, plan *compiledRule) (total, hashed int) {
 	for i := range plan.steps {
 		st := &plan.steps[i]
-		if st.kind == stepBuiltin || len(st.keyPos) == 0 {
-			continue
-		}
-		if st.kind == stepNegAtom && st.fullKey {
+		if st.kind == stepBuiltin || st.fullKey {
 			continue
 		}
 		rel := ec.rels[st.slot]
 		if rel == nil {
 			continue
 		}
-		if ec.existingIndex(st) != nil {
-			continue
+		switch {
+		case len(st.keyPos) == 0:
+			if i == 0 { // the driver scan
+				total += rel.Len()
+			}
+		case ec.existingIndex(st) == nil:
+			hashed += rel.Len()
 		}
-		cost += rel.Len()
 	}
-	return cost
+	return total + hashed, hashed
 }
 
 // pickVariant returns the cheapest driver variant of the rule for the
-// current database (ties break toward the earliest body atom, so the choice
-// is deterministic). Rules without positive atoms keep their compiled plan.
+// current database: least scanned plus hashed tuples, ties broken on the
+// hashed tuples alone (a 2-way join scores the same driven from either
+// side; hashing the smaller side keeps the ephemeral table small), then
+// toward the earliest body atom, so the choice is deterministic. Rules
+// without positive atoms keep their compiled plan.
 func (cr *compiledRule) pickVariant(ec *evalCtx) *compiledRule {
 	if len(cr.variants) == 0 {
 		return cr
 	}
-	best, bestCost := cr.variants[0], streamCost(ec, cr.variants[0])
+	best := cr.variants[0]
+	bestTotal, bestHashed := streamCost(ec, best)
 	for _, v := range cr.variants[1:] {
-		if c := streamCost(ec, v); c < bestCost {
-			best, bestCost = v, c
+		if t, h := streamCost(ec, v); t < bestTotal || (t == bestTotal && h < bestHashed) {
+			best, bestTotal, bestHashed = v, t, h
 		}
 	}
 	return best
@@ -396,10 +405,11 @@ func (cr *compiledRule) prepareStream(db *Database, ec *evalCtx) *runCtx {
 		r := &rc.res[i]
 		rel := ec.rels[st.slot]
 		r.rel = rel
-		// A negation over anonymous arguments only (not r(_, _)) has no key
-		// positions but still probes, so it gets an exist table too rather
-		// than a maintained index built on demand.
-		if rel == nil || (len(st.keyPos) == 0 && (st.kind != stepNegAtom || st.fullKey)) {
+		// A full-key step tests membership in rel itself. A negation over
+		// anonymous arguments only (not r(_, _)) has no key positions but
+		// still probes, so it gets an exist table too rather than a
+		// maintained index built on demand.
+		if rel == nil || st.fullKey || (len(st.keyPos) == 0 && st.kind != stepNegAtom) {
 			continue
 		}
 		if ix := ec.existingIndex(st); ix != nil {

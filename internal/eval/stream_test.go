@@ -421,3 +421,109 @@ func assertReleased(t *testing.T, ev *Evaluator, label string) {
 		check(cr)
 	}
 }
+
+// luxuryDB builds the Figure 6 luxuryitems shape at base size n: items with
+// prices 1..2000 and a one-tuple view deletion -luxuryitems naming the
+// item with id 10 (price 1990).
+func luxuryDB(n int) *Database {
+	db := NewDatabase()
+	items := value.NewRelation(3)
+	for i := 0; i < n; i++ {
+		items.Add(value.Tuple{value.Int(int64(i)), value.Str(fmt.Sprintf("item%d", i)), value.Int(int64(2000 - i%2000))})
+	}
+	db.Set(datalog.Pred("items"), items)
+	del := value.NewRelation(3)
+	del.Add(value.Tuple{value.Int(10), value.Str("item10"), value.Int(1990)})
+	db.Set(datalog.Del("luxuryitems"), del)
+	return db
+}
+
+// TestStreamingFullKeyProbeBuildsNoTable pins the ∂put shape of Figure 6's
+// luxuryitems: driven by a one-tuple view delta, the rule binds every
+// position of items, so it tests membership in items itself. The chosen
+// variant scans the delta and its run builds no probe table, so a warm
+// Eval allocates the same at 1k and at 16k base tuples.
+func TestStreamingFullKeyProbeBuildsNoTable(t *testing.T) {
+	const src = `
+source items(iid:int, iname:string, price:int).
+view luxuryitems(iid:int, iname:string, price:int).
+-items(I,N,P) :- items(I,N,P), P > 1000, -luxuryitems(I,N,P).
+`
+	want := value.RelationOf(3, value.Tuple{value.Int(10), value.Str("item10"), value.Int(1990)})
+	allocs := map[int]float64{}
+	for _, n := range []int{1000, 16000} {
+		ev := mustEval(t, src)
+		db := luxuryDB(n)
+		rule := ev.rules[datalog.Del("items")][0]
+
+		ev.ec.bind(db)
+		v := rule.pickVariant(&ev.ec)
+		if got := v.steps[0].pred; got != datalog.Del("luxuryitems") {
+			t.Fatalf("n=%d: variant driven by %s, want -luxuryitems", n, got)
+		}
+		rc := v.prepareStream(db, &ev.ec)
+		if len(ev.ec.tables) != 0 || len(ev.ec.exists) != 0 {
+			t.Fatalf("n=%d: prepared run built %d join and %d exist tables", n, len(ev.ec.tables), len(ev.ec.exists))
+		}
+		for i, r := range rc.res {
+			if r.tab != nil || r.ext != nil || r.ix != nil {
+				t.Fatalf("n=%d: step %d of %q probes a table or index: %+v", n, i, v.rule, r)
+			}
+		}
+		rc.release()
+		ev.ec.reset()
+
+		if err := ev.Eval(db); err != nil { // warm plans, envs and caches
+			t.Fatal(err)
+		}
+		if got := db.Rel(datalog.Del("items")); !got.Equal(want) {
+			t.Fatalf("n=%d: -items = %v, want %v", n, got, want)
+		}
+		if len(db.Indexes()) != 0 {
+			t.Fatalf("n=%d: Eval built maintained indexes %+v", n, db.Indexes())
+		}
+		allocs[n] = testing.AllocsPerRun(50, func() {
+			if err := ev.Eval(db); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[1000] != allocs[16000] {
+		t.Errorf("warm Eval allocates %v objects at 1k base and %v at 16k, want the same", allocs[1000], allocs[16000])
+	}
+}
+
+// TestStreamingJoinHashesSmallerSide pins pickVariant's tie-break: both
+// drivers of a 2-way join touch |R|+|S| tuples, so the variant that hashes
+// fewer wins — R (1000 tuples) is streamed and S (10 tuples) hashed, even
+// though S is the earlier body atom.
+func TestStreamingJoinHashesSmallerSide(t *testing.T) {
+	ev := mustEval(t, `
+source r(a:int, b:int).
+source s(b:int, c:int).
+view v(a:int).
+j(X,Z) :- s(Y,Z), r(X,Y).
+`)
+	db := NewDatabase()
+	r, s := value.NewRelation(2), value.NewRelation(2)
+	for i := 0; i < 1000; i++ {
+		r.Add(value.Tuple{value.Int(int64(i)), value.Int(int64(i % 10))})
+	}
+	for i := 0; i < 10; i++ {
+		s.Add(value.Tuple{value.Int(int64(i)), value.Int(int64(i * 7))})
+	}
+	db.Set(datalog.Pred("r"), r)
+	db.Set(datalog.Pred("s"), s)
+
+	ev.ec.bind(db)
+	defer ev.ec.reset()
+	v := ev.rules[datalog.Pred("j")][0].pickVariant(&ev.ec)
+	if got := v.steps[0].pred; got != datalog.Pred("r") {
+		t.Fatalf("variant driven by %s, want r", got)
+	}
+	rc := v.prepareStream(db, &ev.ec)
+	defer rc.release()
+	if jt := rc.res[1].tab; jt == nil || len(jt.tuples) != s.Len() {
+		t.Fatalf("s step probes %+v, want an ephemeral table over s's %d tuples", rc.res[1], s.Len())
+	}
+}

@@ -253,6 +253,15 @@ func (r *Relation) Contains(t Tuple) bool {
 	return r.containsHashed(t.Hash(), t)
 }
 
+// Find returns the stored tuple equal to t, reporting whether there is one.
+// It differs from t only where Equal widens (Int 1 against Float 1).
+func (r *Relation) Find(t Tuple) (Tuple, bool) {
+	if i := r.find(t.Hash(), t); i >= 0 {
+		return r.tuples[i], true
+	}
+	return nil, false
+}
+
 // Each calls fn for every tuple; fn must not mutate the relation.
 func (r *Relation) Each(fn func(Tuple)) {
 	for _, t := range r.tuples {

@@ -209,6 +209,24 @@ func TestRelationBasics(t *testing.T) {
 	r.Add(Tuple{Int(1)})
 }
 
+// Find returns the stored tuple, whose values may be of another numeric
+// kind than the probe's, both below and above the hash-index threshold.
+func TestRelationFindReturnsStored(t *testing.T) {
+	for _, n := range []int{1, indexMinLen + 1} {
+		r := NewRelation(2)
+		for i := 0; i < n; i++ {
+			r.Add(Tuple{Int(int64(i)), Str("a")})
+		}
+		got, ok := r.Find(Tuple{Float(0), Str("a")})
+		if !ok || got[0].Kind() != KindInt {
+			t.Errorf("n=%d: Find = %v, %v; want the stored Int tuple", n, got, ok)
+		}
+		if got, ok := r.Find(Tuple{Int(0), Str("b")}); ok {
+			t.Errorf("n=%d: Find of an absent tuple = %v", n, got)
+		}
+	}
+}
+
 func TestRelationSetOps(t *testing.T) {
 	mk := func(vals ...int64) *Relation {
 		r := NewRelation(1)
