@@ -168,7 +168,7 @@ commands:
   \show REL          print a relation
   \tables            list relations
   \sql VIEW          print the compiled SQL program
-  \explain VIEW      print the strategy's query plans
+  \explain VIEW      print the plans a write to VIEW runs (∂put or putdelta)
   \flush             flush the pending group-commit batch (see -batch-size)
   \checkpoint        write a snapshot checkpoint and truncate the WAL (see -durable)
   \quit`)
@@ -264,11 +264,11 @@ commands:
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: \\explain VIEW")
 		}
-		v := db.View(fields[1])
-		if v == nil {
-			return fmt.Errorf("unknown view %q", fields[1])
+		plan, err := db.Explain(fields[1])
+		if err != nil {
+			return err
 		}
-		fmt.Print(v.Strategy.Evaluator().Explain())
+		fmt.Print(plan)
 		return nil
 	case `\tables`:
 		infos, err := db.Relations()

@@ -2,11 +2,7 @@
 
 package bench
 
-import (
-	"testing"
-
-	"birds/internal/eval"
-)
+import "testing"
 
 // TestStreamingPeakAtTopSize pins the streaming executor's headline memory
 // figure: a full streaming evaluation of the join-heavy program over 1.6M
@@ -22,7 +18,7 @@ func TestStreamingPeakAtTopSize(t *testing.T) {
 		n     = 1_600_000
 		bound = 23.4e6
 	)
-	st := measureEval(t, memShapes[0], n, eval.ExecStreaming, false)
+	st := measureEval(t, memShapes[0], n, false)
 	peak := st.PeakOverhead()
 	t.Logf("n=%d: streaming peak overhead %.2f MB (bound %.1f MB)", n, float64(peak)/1e6, bound/1e6)
 	if float64(peak) > bound {

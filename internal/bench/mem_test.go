@@ -12,18 +12,17 @@ import (
 	"birds/internal/value"
 )
 
-// Peak-memory benchmarks for the execution core: the same evaluation run in
-// streaming and materialized mode, measured with MeasureHeapPeak. The
-// reported peak-MB is the evaluation's working overhead — peak heap above
-// the resident base EDB — which is what the streaming executor reduces: the
-// materialized path registers maintained hash indexes on the probed (large)
-// relations, the streaming path hashes only the small build sides into
-// ephemeral tables. TestStreamingPeakAtTopSize bounds the streaming peak at
-// the sweep's top size.
+// Peak-memory benchmarks for the execution core: full evaluations measured
+// with MeasureHeapPeak. The reported peak-MB is the evaluation's working
+// overhead — peak heap above the resident base EDB. The executor keeps it
+// small by hashing only the small build sides into ephemeral tables
+// instead of registering maintained hash indexes on the probed (large)
+// relations. TestStreamingPeakAtTopSize bounds the peak at the sweep's top
+// size.
 
 // joinHeavyProgram probes the fact table two ways: a fan-out join keyed on
-// the non-unique column (the materialized path indexes all of fact by b)
-// and a point-lookup join keyed on the unique column (an index with one
+// the non-unique column (an index would hold all of fact by b) and a
+// point-lookup join keyed on the unique column (an index with one
 // group per fact tuple — the worst case for index heap). Outputs are kept
 // small by selective filters/small drivers, so what the measurement
 // compares is execution overhead, not output size.
@@ -37,9 +36,9 @@ point(Y) :- keys(X), fact(X,Y).
 `
 
 // negationHeavyProgram guards a scan of dim with an anti-join against fact
-// on its non-unique column: materialized execution builds a full index on
-// fact to answer the existence probes; streaming builds an existTable with
-// one representative tuple per distinct key.
+// on its non-unique column: the executor answers the existence probes
+// from an existTable with one representative tuple per distinct key, not
+// from a full index on fact.
 const negationHeavyProgram = `
 source fact(a:int, b:int).
 source dim(b:int, c:int).
@@ -118,17 +117,15 @@ func memProgOf(t testing.TB, src string) *datalog.Program {
 	return prog
 }
 
-// measureEval runs one full evaluation of shape at size n in the given
-// mode over a fresh database and returns the heap measurement. init
-// selects the counted-IVM initialization (EvalDelta's first call) instead
-// of a plain Eval.
-func measureEval(t testing.TB, shape memShape, n int, mode eval.ExecMode, init bool) HeapStats {
+// measureEval runs one full evaluation of shape at size n over a fresh
+// database and returns the heap measurement. init selects the counted-IVM
+// initialization (EvalDelta's first call) instead of a plain Eval.
+func measureEval(t testing.TB, shape memShape, n int, init bool) HeapStats {
 	prog := memProgOf(t, shape.prog(n))
 	ev, err := eval.New(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev.SetExecMode(mode)
 	db := shape.edb(n)
 	return MeasureHeapPeak(func() {
 		if init {
@@ -143,33 +140,29 @@ func measureEval(t testing.TB, shape memShape, n int, mode eval.ExecMode, init b
 	})
 }
 
-// BenchmarkEvalMemory sweeps (shape × size × mode) for full evaluation and
-// (join × size × mode) for the counted init, reporting the peak working
-// overhead and the durable live overhead in MB alongside wall time.
+// BenchmarkEvalMemory sweeps (shape × size) for full evaluation and
+// (join × size) for the counted init, reporting the peak working overhead
+// and the durable live overhead in MB alongside wall time.
 func BenchmarkEvalMemory(b *testing.B) {
 	for _, shape := range memShapes {
 		for _, n := range memSizes {
-			for _, mode := range []eval.ExecMode{eval.ExecStreaming, eval.ExecMaterialized} {
-				b.Run(fmt.Sprintf("%s/n=%d/%s", shape.name, n, mode), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						st := measureEval(b, shape, n, mode, false)
-						b.ReportMetric(float64(st.PeakOverhead())/1e6, "peak-MB")
-						b.ReportMetric(float64(st.LiveOverhead())/1e6, "live-MB")
-					}
-				})
-			}
-		}
-	}
-	for _, n := range memSizes {
-		for _, mode := range []eval.ExecMode{eval.ExecStreaming, eval.ExecMaterialized} {
-			b.Run(fmt.Sprintf("init/n=%d/%s", n, mode), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					st := measureEval(b, memShapes[0], n, mode, true)
+					st := measureEval(b, shape, n, false)
 					b.ReportMetric(float64(st.PeakOverhead())/1e6, "peak-MB")
 					b.ReportMetric(float64(st.LiveOverhead())/1e6, "live-MB")
 				}
 			})
 		}
+	}
+	for _, n := range memSizes {
+		b.Run(fmt.Sprintf("init/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				st := measureEval(b, memShapes[0], n, true)
+				b.ReportMetric(float64(st.PeakOverhead())/1e6, "peak-MB")
+				b.ReportMetric(float64(st.LiveOverhead())/1e6, "live-MB")
+			}
+		})
 	}
 }
 
@@ -190,27 +183,6 @@ func TestMeasureHeapPeakObservesAllocation(t *testing.T) {
 	}
 	if got := st.LiveOverhead(); got > 8<<20 {
 		t.Errorf("live overhead %d bytes after dropping the slice, want < 8MB", got)
-	}
-}
-
-// TestStreamingPeakReduction enforces the headline claim at a mid-size
-// base: streaming full evaluation of the join-heavy program must peak at
-// least 40% below materialized evaluation.
-func TestStreamingPeakReduction(t *testing.T) {
-	if testing.Short() {
-		t.Skip("memory measurement sweep")
-	}
-	const n = 400_000
-	mat := measureEval(t, memShapes[0], n, eval.ExecMaterialized, false)
-	stream := measureEval(t, memShapes[0], n, eval.ExecStreaming, false)
-	mp, sp := mat.PeakOverhead(), stream.PeakOverhead()
-	t.Logf("n=%d: materialized peak overhead %.1f MB, streaming %.1f MB", n, float64(mp)/1e6, float64(sp)/1e6)
-	if mp == 0 {
-		t.Fatal("materialized measurement collapsed to zero")
-	}
-	if float64(sp) > 0.6*float64(mp) {
-		t.Errorf("streaming peak overhead %.1f MB is not >=40%% below materialized %.1f MB",
-			float64(sp)/1e6, float64(mp)/1e6)
 	}
 }
 

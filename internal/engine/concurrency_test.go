@@ -7,8 +7,9 @@ import (
 	"birds/internal/value"
 )
 
-// Concurrent readers and writers must serialize without races or lost
-// updates (run under -race in CI).
+// Concurrent readers, writers and Explain (which uses the view's ∂put
+// evaluator) must serialize without races or lost updates (run under -race
+// in CI).
 func TestConcurrentExecAndRead(t *testing.T) {
 	db := setupUnion(t, true)
 	var wg sync.WaitGroup
@@ -25,6 +26,10 @@ func TestConcurrentExecAndRead(t *testing.T) {
 					return
 				}
 				if _, err := db.Get("v"); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := db.Explain("v"); err != nil {
 					errs <- err
 					return
 				}

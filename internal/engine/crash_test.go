@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"birds/internal/datalog"
-	"birds/internal/eval"
 	"birds/internal/value"
 	"birds/internal/wal"
 )
@@ -548,46 +547,6 @@ func TestFlushAppendErrorDegradesToReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameDurableState(t, rec, ref, "recovered after reopen continuation")
-}
-
-// TestReopenKeepsEvaluatorSettings pins that Reopen keeps the engine's own
-// evaluator setting: every recovered view runs with the execution mode in
-// force on db at Reopen time — not the default, and not whatever was in
-// force when the last checkpoint was cut.
-func TestReopenKeepsEvaluatorSettings(t *testing.T) {
-	ffs := wal.NewFaultFS(nil, 1)
-	db := maintainDB(t)
-	if err := db.EnableDurability(DurabilityOptions{Dir: t.TempDir(), CheckpointEvery: -1, FS: ffs}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	db.SetExecMode(eval.ExecMaterialized)
-
-	ffs.Inject(&wal.Rule{Op: wal.OpWrite, Err: errors.New("injected: append failure"), Once: true})
-	if err := db.Exec(Insert("r1", value.Int(1), value.Int(1))); err == nil {
-		t.Fatal("write with a failing append succeeded")
-	}
-	ffs.Clear()
-	if err := db.Reopen(); err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-
-	if db.execMode != eval.ExecMaterialized {
-		t.Fatalf("after reopen: exec mode %v; want materialized", db.execMode)
-	}
-	for name, v := range db.views {
-		evs := map[string]*eval.Evaluator{"get": v.getEval, "strategy": v.Strategy.Evaluator(), "dput": v.incEval, "constraints": v.consEval}
-		for kind, e := range evs {
-			if e == nil {
-				continue
-			}
-			if e.ExecModeOf() != eval.ExecMaterialized {
-				t.Errorf("view %s %s evaluator: exec mode %v; want materialized", name, kind, e.ExecModeOf())
-			}
-		}
-	}
 }
 
 // effectiveStmt is the kill-and-restart op stream: every op has a non-empty

@@ -47,11 +47,11 @@ func (db *DB) readOnlyErrLocked() error {
 // log, re-runs recovery from disk (checkpoint + WAL tail — the
 // acknowledged writes, plus a write reported as wal.ErrOutcomeUnknown,
 // whose complete record replays), and swaps the recovered state in, re-arming
-// durability and clearing degraded mode. The engine's evaluator setting
-// (SetExecMode) carries over to the recovered views. Group-commit handles
-// are not the engine's: their owner discards them before Reopen (nothing
-// they staged was logged) and creates fresh ones after. On failure the
-// engine stays degraded (reads keep working) and Reopen can be retried.
+// durability and clearing degraded mode. The recovered views carry fresh
+// evaluators, compiled from the durable catalog. Group-commit handles are
+// not the engine's: their owner discards them before Reopen (nothing they
+// staged was logged) and creates fresh ones after. On failure the engine
+// stays degraded (reads keep working) and Reopen can be retried.
 func (db *DB) Reopen() error {
 	db.mu.Lock()
 	if db.dur == nil {
@@ -94,9 +94,6 @@ func (db *DB) Reopen() error {
 	db.views = db2.views
 	db.dirty = db2.dirty
 	db.viewOrder = db2.viewOrder
-	for _, v := range db.views {
-		v.setExecMode(db.execMode)
-	}
 	db.dur = db2.dur
 	db.seq = db2.seq
 	db.ro = nil

@@ -43,7 +43,6 @@ type DB struct {
 	views     map[string]*View
 	dirty     map[string]bool // views whose materialization is stale
 	viewOrder []string        // views in dependency order (sources first); rebuilt on CreateView
-	execMode  eval.ExecMode   // execution strategy for view evaluators (zero = streaming)
 
 	// dur, when non-nil, is the crash-durability state (durable.go): the
 	// attached write-ahead log and checkpoint policy. Guarded by mu — every
@@ -122,33 +121,6 @@ func NewDB() *DB {
 		tables: make(map[string]*datalog.RelDecl),
 		views:  make(map[string]*View),
 		dirty:  make(map[string]bool),
-	}
-}
-
-// SetExecMode selects the execution strategy for full evaluations behind
-// view operations, for existing and future views: eval.ExecStreaming (the
-// default) pipelines joins through ephemeral hash tables built on the small
-// side; eval.ExecMaterialized restores the index-everything executor. The
-// two produce identical results — materialized mode exists as the
-// differential oracle and as an escape hatch. Incremental delta propagation
-// is unaffected either way.
-func (db *DB) SetExecMode(m eval.ExecMode) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.execMode = m
-	for _, v := range db.views {
-		v.setExecMode(m)
-	}
-}
-
-// setExecMode applies the execution strategy to every evaluator of the
-// view, and to the strategy's own evaluator, whose plans the shell's
-// \explain renders.
-func (v *View) setExecMode(m eval.ExecMode) {
-	for _, e := range []*eval.Evaluator{v.getEval, v.putEval, v.incEval, v.consEval, v.Strategy.Evaluator()} {
-		if e != nil {
-			e.SetExecMode(m)
-		}
 	}
 }
 
@@ -271,8 +243,6 @@ func (db *DB) CreateViewFromProgram(prog *datalog.Program, opts ViewOptions) (*V
 	} else if v.putEval, err = eval.New(namespaced(prog, putNS(name))); err != nil {
 		return nil, fmt.Errorf("engine: strategy for %q: %w", name, err)
 	}
-	v.setExecMode(db.execMode)
-
 	db.views[name] = v
 	db.dirty[name] = true
 	if err := db.refresh(name); err != nil {
@@ -325,6 +295,22 @@ func (db *DB) View(name string) *View {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.views[name]
+}
+
+// Explain renders the plans a write to the named view runs (its ∂put, or
+// its putdelta when not incremental) as picked against the store now. It
+// takes the write lock: explaining uses the evaluator's scratch state.
+func (db *DB) Explain(view string) (string, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	v, ok := db.views[view]
+	if !ok {
+		return "", fmt.Errorf("engine: unknown view %q", view)
+	}
+	if v.Incremental {
+		return v.incEval.Explain(db.store), nil
+	}
+	return v.putEval.Explain(db.store), nil
 }
 
 // Stale reports whether a view's materialization is currently stale — the

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"birds/internal/datalog"
-	"birds/internal/eval"
 	"birds/internal/sat"
 	"birds/internal/value"
 )
@@ -429,50 +428,5 @@ func TestRelationsListing(t *testing.T) {
 	// The bulk load left v stale; counting it refreshes it.
 	if infos[0].Rows != 1 || infos[1].Rows != 3 || infos[2].Rows != 4 || db.Stale("v") {
 		t.Errorf("rows wrong or v still stale: %+v", infos)
-	}
-}
-
-// TestExecModeMatchesOnRandomWorkload drives the same workload through a
-// streaming-mode engine (the default) and one switched to materialized
-// execution, including a view created after the switch, and requires
-// identical state at every step — SetExecMode must change only how full
-// evaluations run, never what they compute.
-func TestExecModeMatchesOnRandomWorkload(t *testing.T) {
-	mk := func(mode eval.ExecMode) *DB {
-		db := NewDB()
-		if err := db.CreateTable(mustDecl(t, "r1(a:int).")); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.CreateTable(mustDecl(t, "r2(a:int).")); err != nil {
-			t.Fatal(err)
-		}
-		db.SetExecMode(mode) // before the view: applies to future views too
-		if _, err := db.CreateView(unionView, ViewOptions{Oracle: testOracle()}); err != nil {
-			t.Fatal(err)
-		}
-		db.SetExecMode(mode) // after the view: applies to existing views
-		return db
-	}
-	stream, mat := mk(eval.ExecStreaming), mk(eval.ExecMaterialized)
-	rng := rand.New(rand.NewSource(31))
-	for step := 0; step < 80; step++ {
-		x := value.Int(int64(rng.Intn(12)))
-		var stmt Statement
-		if rng.Intn(2) == 0 {
-			stmt = Insert("v", x)
-		} else {
-			stmt = Delete("v", Eq("a", x))
-		}
-		e1, e2 := stream.Exec(stmt), mat.Exec(stmt)
-		if (e1 == nil) != (e2 == nil) {
-			t.Fatalf("step %d: modes disagree on error: streaming=%v materialized=%v", step, e1, e2)
-		}
-		for _, rel := range []string{"r1", "r2", "v"} {
-			a, _ := stream.Get(rel)
-			b, _ := mat.Get(rel)
-			if !a.Equal(b) {
-				t.Fatalf("step %d: %s diverged:\nstreaming=%v\nmaterialized=%v", step, rel, a, b)
-			}
-		}
 	}
 }

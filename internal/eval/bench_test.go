@@ -155,7 +155,10 @@ view v(a:int, b:int).
 	// Warm the indexes with one throwaway round.
 	db.Set(datalog.Ins("v"), value.RelationOf(2, value.Tuple{value.Int(-1), value.Int(0)}))
 	db.Set(datalog.Del("v"), value.NewRelation(2))
-	if err := Put(ev, db, prog.Sources); err != nil {
+	if err := ev.Eval(db); err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := ApplyDeltas(db, prog.Sources); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -164,7 +167,10 @@ view v(a:int, b:int).
 		id := int64(200000 + i)
 		db.Update(datalog.Ins("v"), value.RelationOf(2, value.Tuple{value.Int(id), value.Int(1)}))
 		db.Update(datalog.Del("v"), value.RelationOf(2, value.Tuple{value.Int(id - 1), value.Int(1)}))
-		if err := Put(ev, db, prog.Sources); err != nil {
+		if err := ev.Eval(db); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := ApplyDeltas(db, prog.Sources); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -132,27 +132,3 @@ func SourcesEqual(db *Database, sources []*datalog.RelDecl, snap map[string]*val
 	}
 	return true
 }
-
-// ClearDeltas resets the delta relations of every source to empty, to be
-// called between successive putback evaluations. Indexes on the delta
-// predicates (if any rule probes them by key) are kept and emptied rather
-// than dropped.
-func ClearDeltas(db *Database, sources []*datalog.RelDecl) {
-	for _, s := range sources {
-		db.Update(datalog.Ins(s.Name), value.NewRelation(s.Arity()))
-		db.Update(datalog.Del(s.Name), value.NewRelation(s.Arity()))
-	}
-}
-
-// Put runs one full putback step over db: evaluate the compiled putdelta
-// program, check non-contradiction, and apply the deltas to the sources.
-// db must contain the source relations and the (updated) view relation.
-func Put(e *Evaluator, db *Database, sources []*datalog.RelDecl) error {
-	if err := e.Eval(db); err != nil {
-		return err
-	}
-	if _, _, err := ApplyDeltas(db, sources); err != nil {
-		return err
-	}
-	return nil
-}

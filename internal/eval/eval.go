@@ -18,10 +18,9 @@ type Evaluator struct {
 	order       []datalog.PredSym
 	plan        []predPlan // order resolved to rules and arities
 	deps        map[datalog.PredSym][]datalog.PredSym
-	rules       map[datalog.PredSym][]*compiledRule
+	rules       map[datalog.PredSym][]*rulePlans
 	constraints []*compiledRule
 	arities     map[datalog.PredSym]int
-	mode        ExecMode // full-eval execution mode; zero value = ExecStreaming
 
 	// Full-evaluation scratch, owned so that a warm Eval allocates only
 	// what it derives: the streaming probe-table cache (emptied when each
@@ -53,25 +52,29 @@ func New(prog *datalog.Program) (*Evaluator, error) {
 	e := &Evaluator{
 		prog:    prog,
 		order:   order,
-		rules:   make(map[datalog.PredSym][]*compiledRule),
+		rules:   make(map[datalog.PredSym][]*rulePlans),
 		arities: make(map[datalog.PredSym]int),
 	}
 	e.emitOut = e.out.add
 	for _, r := range prog.Rules {
-		cr, err := compileRule(r)
-		if err != nil {
-			return nil, err
-		}
 		if r.IsConstraint() {
+			cr, err := compilePlan(r, -1)
+			if err != nil {
+				return nil, err
+			}
 			e.constraints = append(e.constraints, cr)
 			continue
+		}
+		rp, err := compileRule(r)
+		if err != nil {
+			return nil, err
 		}
 		h := r.Head.Pred
 		if a, ok := e.arities[h]; ok && a != r.Head.Arity() {
 			return nil, fmt.Errorf("eval: predicate %s defined with arities %d and %d", h, a, r.Head.Arity())
 		}
 		e.arities[h] = r.Head.Arity()
-		e.rules[h] = append(e.rules[h], cr)
+		e.rules[h] = append(e.rules[h], rp)
 	}
 
 	e.plan = make([]predPlan, len(order))
@@ -111,7 +114,7 @@ func (e *Evaluator) Eval(db *Database) error {
 type predPlan struct {
 	sym   datalog.PredSym
 	arity int
-	rules []*compiledRule
+	rules []*rulePlans
 }
 
 // assignSlots numbers every predicate the rule plans read with a
@@ -144,9 +147,8 @@ func (e *Evaluator) assignSlots() {
 		}
 	}
 	for _, p := range e.plan {
-		for _, cr := range p.rules {
-			number(cr)
-			for _, v := range cr.variants {
+		for _, rp := range p.rules {
+			for _, v := range rp.variants {
 				number(v)
 			}
 		}
@@ -171,40 +173,32 @@ func (s *sink) add(t value.Tuple) bool {
 }
 
 // evalPreds evaluates the IDB predicates for which include returns true (a
-// nil include evaluates all), in topological order. In streaming mode (the
-// default) each rule runs its cheapest driver variant over ephemeral probe
-// tables shared through the evaluator's context, which is emptied when the
-// evaluation returns; materialized mode keeps the compile-time join order
-// and maintained indexes.
+// nil include evaluates all), in topological order. Each rule runs its
+// cheapest driver variant over probe tables shared through the evaluator's
+// context, which is emptied when the evaluation returns (stream.go).
 func (e *Evaluator) evalPreds(db *Database, include map[datalog.PredSym]bool) error {
-	var ec *evalCtx
-	if e.mode == ExecStreaming {
-		ec = &e.ec
-		ec.bind(db)
-		defer ec.reset()
-	}
+	e.ec.bind(db)
+	defer e.ec.reset()
 	for i := range e.plan {
 		p := &e.plan[i]
 		if include != nil && !include[p.sym] {
 			continue
 		}
-		if err := e.evalPred(db, ec, p); err != nil {
+		if err := e.evalPred(db, p); err != nil {
 			return err
 		}
-		if ec != nil {
-			ec.refresh(db, i)
-		}
+		e.ec.refresh(db, i)
 	}
 	return nil
 }
 
-// evalPred evaluates one IDB predicate's rules (streaming when ec is
-// non-nil, materialized otherwise) and installs the result. A predicate
-// that derives nothing keeps an installed relation that is already empty.
-func (e *Evaluator) evalPred(db *Database, ec *evalCtx, p *predPlan) error {
+// evalPred evaluates one IDB predicate's rules and installs the result. A
+// predicate that derives nothing keeps an installed relation that is
+// already empty.
+func (e *Evaluator) evalPred(db *Database, p *predPlan) error {
 	e.out = sink{arity: p.arity}
-	for _, cr := range p.rules {
-		if err := runFull(db, ec, cr, e.emitOut); err != nil {
+	for _, rp := range p.rules {
+		if err := rp.run(db, &e.ec, e.emitOut); err != nil {
 			e.out.rel = nil
 			return err
 		}
@@ -282,12 +276,16 @@ func (e *Evaluator) EvalQuery(db *Database, goal datalog.PredSym) (*value.Relati
 
 // Violations evaluates the integrity constraints over db (IDB relations
 // must already be evaluated if constraints mention them) and returns the
-// violated constraint rules.
+// violated constraint rules. Constraints run their greedy plans with lazy
+// resolution (runCtx), whose keyed probes build maintained indexes on db:
+// the engine's delta-constraint check reuses them on its long-lived store,
+// and the validation oracle across the instances it refills.
 func (e *Evaluator) Violations(db *Database) ([]*datalog.Rule, error) {
 	var out []*datalog.Rule
 	for _, cr := range e.constraints {
 		found := false
-		if err := cr.run(db, func(value.Tuple) bool {
+		cr.rc.db = db
+		if err := cr.run(&cr.rc, func(value.Tuple) bool {
 			found = true
 			return false // one witness is enough
 		}); err != nil {
@@ -350,12 +348,13 @@ type compiledRule struct {
 	head  []argSlot // nil for constraints
 	en    *env
 	rc    runCtx
+}
 
-	// variants are alternative plans for the streaming executor, one per
-	// positive body atom forced first as the streamed outer scan (stream.go);
-	// pickVariant chooses among them per evaluation by the tuples each would
-	// scan and hash (streamCost). Variants have their own variable numbering
-	// and environments and no variants of their own.
+// rulePlans is one rule's driver variants (compileRule), each with its own
+// variable numbering and environment. pickVariant chooses among them per
+// evaluation by the tuples each would scan and hash (streamCost).
+type rulePlans struct {
+	rule     *datalog.Rule
 	variants []*compiledRule
 }
 
@@ -384,25 +383,30 @@ func termSlot(vi *varIndexer, t datalog.Term) argSlot {
 	}
 }
 
-// compileRule compiles the rule's primary plan (greedy literal order) and
-// its streaming driver variants: one extra plan per positive body atom,
-// with that atom forced to run first as a full outer scan. A variant whose
-// forced order is unevaluable is skipped; the primary plan's order is the
-// correctness baseline.
-func compileRule(r *datalog.Rule) (*compiledRule, error) {
-	cr, err := compilePlan(r, -1)
-	if err != nil {
-		return nil, err
-	}
+// compileRule compiles the rule's driver variants: one plan per positive
+// body atom, forced to run first as the streamed outer scan, or the greedy
+// plan alone for a body without one. Whether a body can be ordered does not
+// depend on which atom runs first, so a variant that fails rejects the rule.
+func compileRule(r *datalog.Rule) (*rulePlans, error) {
+	rp := &rulePlans{rule: r}
 	for di, l := range r.Body {
 		if l.Atom == nil || l.Neg {
 			continue
 		}
-		if v, err := compilePlan(r, di); err == nil {
-			cr.variants = append(cr.variants, v)
+		v, err := compilePlan(r, di)
+		if err != nil {
+			return nil, err
 		}
+		rp.variants = append(rp.variants, v)
 	}
-	return cr, nil
+	if len(rp.variants) == 0 {
+		cr, err := compilePlan(r, -1)
+		if err != nil {
+			return nil, err
+		}
+		rp.variants = []*compiledRule{cr}
+	}
+	return rp, nil
 }
 
 // compilePlan orders the body literals greedily so every step's inputs are
@@ -675,13 +679,13 @@ func (e *env) fullTuple(i int, st *step) value.Tuple {
 }
 
 // runCtx resolves a plan's relation reads and index probes. In lazy mode
-// (prepared false) it goes through the Database, building maintained
-// indexes on demand — the materialized path. In prepared mode
-// (prepareStream, the streaming path) every step's relation and probe
-// structure was resolved up front into res. A keyed step probes, in order
-// of preference, its ephemeral join/exist table, its resolved maintained
-// index, or the Database lazily. Each plan owns one runCtx; a run leaves
-// it holding no database, relation or table.
+// (prepared false; constraint plans, run by Violations) it goes through the
+// Database, building maintained indexes on demand. In prepared mode
+// (prepareStream, every Eval and counted-IVM initialization) each step's
+// relation and probe structure was resolved up front into res. A keyed
+// step probes, in order of preference, its ephemeral join/exist table, its
+// resolved maintained index, or the Database lazily. Each plan owns one
+// runCtx; a run leaves it holding no database, relation or table.
 type runCtx struct {
 	db       *Database
 	prepared bool
@@ -713,19 +717,14 @@ func (rc *runCtx) relAt(i int, p datalog.PredSym) *value.Relation {
 }
 
 // lookupAt probes the resolved index (or, lazily, the database) of keyed
-// step i, returning the matching tuples. The streaming path's ephemeral
-// tables are probed through tabAt/cursor instead — a value-type cursor, so
-// the per-outer-tuple probe stays allocation-free.
+// step i, returning the matching tuples. Ephemeral join tables are probed
+// through a value-type cursor instead, so the per-outer-tuple probe stays
+// allocation-free.
 func (rc *runCtx) lookupAt(i int, st *step, key value.Tuple) []value.Tuple {
 	if ix := rc.res[i].ix; ix != nil {
 		return ix.lookup(key)
 	}
 	return rc.db.Lookup(st.pred, st.keyPos, key)
-}
-
-// tabAt returns the ephemeral join table of keyed step i, or nil.
-func (rc *runCtx) tabAt(i int) *joinTable {
-	return rc.res[i].tab
 }
 
 // hasMatchAt reports whether keyed step i has any tuple matching key — the
@@ -734,24 +733,21 @@ func (rc *runCtx) hasMatchAt(i int, st *step, key value.Tuple) bool {
 	if et := rc.res[i].ext; et != nil {
 		return et.has(key)
 	}
-	if jt := rc.tabAt(i); jt != nil {
-		return jt.hasMatch(key)
-	}
 	return len(rc.lookupAt(i, st, key)) > 0
 }
 
-// run executes the plan over db, calling emit for every derived head tuple.
-// emit returning false stops the evaluation early.
-func (cr *compiledRule) run(db *Database, emit func(value.Tuple) bool) error {
+// run executes the plan through rc, its own run context, calling emit for
+// every derived head tuple; emit returning false stops the evaluation
+// early. rc is released on return.
+func (cr *compiledRule) run(rc *runCtx, emit func(value.Tuple) bool) error {
 	en := cr.en
 	// exec unsets every binding on the way out, but re-zero defensively so
 	// one run can never leak bindings into the next.
 	for i := range en.set {
 		en.set[i] = false
 	}
-	cr.rc.db = db
-	_, err := cr.exec(&cr.rc, en, 0, emit)
-	cr.rc.release()
+	_, err := cr.exec(rc, en, 0, emit)
+	rc.release()
 	return err
 }
 
@@ -874,7 +870,7 @@ func (cr *compiledRule) exec(rc *runCtx, en *env, i int, emit func(value.Tuple) 
 		for j, p := range st.keyPos {
 			key[j] = en.get(st.args[p])
 		}
-		if jt := rc.tabAt(i); jt != nil {
+		if jt := rc.res[i].tab; jt != nil {
 			for c := jt.cursor(key); ; {
 				t, ok := c.next()
 				if !ok {

@@ -433,10 +433,6 @@ view v(a:int).
 	if SourcesEqual(db, prog.Sources, snap) {
 		t.Error("snapshot should detect change")
 	}
-	ClearDeltas(db, prog.Sources)
-	if !db.Rel(datalog.Ins("r")).Empty() || !db.Rel(datalog.Del("r")).Empty() {
-		t.Error("ClearDeltas should reset delta relations")
-	}
 }
 
 func TestPutHelper(t *testing.T) {
@@ -453,7 +449,10 @@ view v(a:int).
 	db := NewDatabase()
 	db.Set(datalog.Pred("r"), ints(1, 2))
 	db.Set(datalog.Pred("v"), ints(2, 3))
-	if err := Put(e, db, prog.Sources); err != nil {
+	if err := e.Eval(db); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ApplyDeltas(db, prog.Sources); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Rel(datalog.Pred("r")); !got.Equal(ints(2, 3)) {
@@ -488,7 +487,10 @@ view v(a:int).
 		db := NewDatabase()
 		db.Set(datalog.Pred("r"), src.Clone())
 		db.Set(datalog.Pred("v"), src.Clone())
-		if err := Put(e, db, prog.Sources); err != nil {
+		if err := e.Eval(db); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ApplyDeltas(db, prog.Sources); err != nil {
 			t.Fatal(err)
 		}
 		if !db.Rel(datalog.Pred("r")).Equal(src) {
@@ -496,7 +498,10 @@ view v(a:int).
 		}
 		v := randomRel()
 		db.Set(datalog.Pred("v"), v.Clone())
-		if err := Put(e, db, prog.Sources); err != nil {
+		if err := e.Eval(db); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ApplyDeltas(db, prog.Sources); err != nil {
 			t.Fatal(err)
 		}
 		if !db.Rel(datalog.Pred("r")).Equal(v) {
@@ -536,11 +541,11 @@ ot2(T,N,U) :- tasks(T,N,U,0), users(U,_).
 		}
 	}
 	// The plan confirms: tasks is scanned, users is probed by the bound U.
-	plan := e.Explain()
+	plan := e.Explain(db)
 	if !strings.Contains(plan, "scan tasks (full)") {
 		t.Errorf("tasks should be a full scan:\n%s", plan)
 	}
-	if !strings.Contains(plan, "probe users via index on positions [0]") {
+	if !strings.Contains(plan, "probe users via ephemeral table on positions [0]") {
 		t.Errorf("users should be probed:\n%s", plan)
 	}
 }

@@ -190,18 +190,14 @@ func (e *Evaluator) InitIVM(db *Database) error { return e.initIVM(db, nil) }
 // so an error leaves none.
 func (e *Evaluator) initIVM(db *Database, out map[datalog.PredSym]Delta) error {
 	e.ivm = nil
-	var ec *evalCtx
-	if e.mode == ExecStreaming {
-		ec = &e.ec
-		ec.bind(db)
-		defer ec.reset()
-	}
+	e.ec.bind(db)
+	defer e.ec.reset()
 	counts := make(map[datalog.PredSym]*value.CountedRelation, len(e.order))
 	for i := range e.plan {
 		p := &e.plan[i]
 		cnt := value.NewCounted(p.arity)
-		for _, cr := range p.rules {
-			if err := runFull(db, ec, cr, func(t value.Tuple) bool {
+		for _, rp := range p.rules {
+			if err := rp.run(db, &e.ec, func(t value.Tuple) bool {
 				cnt.Adjust(t, 1)
 				return true
 			}); err != nil {
@@ -209,9 +205,7 @@ func (e *Evaluator) initIVM(db *Database, out map[datalog.PredSym]Delta) error {
 			}
 		}
 		e.installCounted(db, p.sym, cnt.Relation(), out)
-		if ec != nil {
-			ec.refresh(db, i)
-		}
+		e.ec.refresh(db, i)
 		counts[p.sym] = cnt
 	}
 	e.ivm = &ivmState{db: db, counts: counts}
@@ -280,8 +274,8 @@ type deltaRule struct {
 func (e *Evaluator) compileDeltaRules() error {
 	e.deltaRules = make(map[datalog.PredSym][]*deltaRule)
 	for _, sym := range e.order {
-		for _, cr := range e.rules[sym] {
-			r := cr.rule
+		for _, rp := range e.rules[sym] {
+			r := rp.rule
 			for di, l := range r.Body {
 				if l.Atom == nil {
 					continue

@@ -1,7 +1,7 @@
-// Streaming execution for full evaluation: rule plans run as lazy pipelines
-// that stream their largest input and build only small, ephemeral probe
-// tables, instead of registering maintained hash indexes on every probed
-// relation. Three pieces cooperate:
+// Full evaluation: every Eval, EvalQuery and counted-IVM initialization
+// runs each rule as a lazy pipeline that streams its largest input and
+// builds only small, ephemeral probe tables, instead of registering
+// maintained hash indexes on every probed relation. Three pieces cooperate:
 //
 //   - Driver variants (compileRule): every rule is compiled once per
 //     positive body atom, with that atom forced first as the streamed outer
@@ -35,48 +35,19 @@
 //     only the tables it builds and the tuples and relations it derives.
 //
 // Maintained indexes that already exist are still used — as pure reads,
-// without marking them hot, so the streaming path never causes the Database
+// without marking them hot, so a full evaluation never causes the Database
 // to build or keep an index. Only stratum outputs (the IDB relations
 // installed after each predicate's fixpoint, and the counted-IVM support
 // state) are materialized; everything between a scan and a head emit is a
-// tuple at a time. The steady-state EvalDelta path is untouched: it keeps
-// its lazy Database probes and its allocation profile.
+// tuple at a time. Two paths resolve lazily through the Database instead:
+// the steady-state EvalDelta plans and the constraint plans Violations
+// runs.
 package eval
 
 import (
 	"birds/internal/datalog"
 	"birds/internal/value"
 )
-
-// ExecMode selects how Eval (and the counted-IVM initialization) executes
-// compiled plans. The zero value is ExecStreaming.
-type ExecMode uint8
-
-const (
-	// ExecStreaming (the default) streams each rule's chosen driver
-	// relation and probes ephemeral per-evaluation tables built on the
-	// smaller inputs.
-	ExecStreaming ExecMode = iota
-	// ExecMaterialized is the pre-streaming behavior: plans keep their
-	// compile-time join order and probe maintained hash indexes built (and
-	// registered) on the Database. Kept as the differential-test oracle and
-	// as an escape hatch.
-	ExecMaterialized
-)
-
-func (m ExecMode) String() string {
-	if m == ExecMaterialized {
-		return "materialized"
-	}
-	return "streaming"
-}
-
-// SetExecMode selects the execution mode for full evaluations. It must not
-// be called concurrently with Eval.
-func (e *Evaluator) SetExecMode(m ExecMode) { e.mode = m }
-
-// ExecModeOf reports the configured execution mode.
-func (e *Evaluator) ExecModeOf() ExecMode { return e.mode }
 
 // --- ephemeral probe tables -------------------------------------------
 
@@ -171,13 +142,6 @@ func (c *tabCursor) next() (value.Tuple, bool) {
 		}
 	}
 	return nil, false
-}
-
-// hasMatch reports whether any tuple matches the probe key.
-func (jt *joinTable) hasMatch(key value.Tuple) bool {
-	c := jt.cursor(key)
-	_, ok := c.next()
-	return ok
 }
 
 // existTable answers existence probes (negated atoms) with one
@@ -372,15 +336,11 @@ func streamCost(ec *evalCtx, plan *compiledRule) (total, hashed int) {
 // current database: least scanned plus hashed tuples, ties broken on the
 // hashed tuples alone (a 2-way join scores the same driven from either
 // side; hashing the smaller side keeps the ephemeral table small), then
-// toward the earliest body atom, so the choice is deterministic. Rules
-// without positive atoms keep their compiled plan.
-func (cr *compiledRule) pickVariant(ec *evalCtx) *compiledRule {
-	if len(cr.variants) == 0 {
-		return cr
-	}
-	best := cr.variants[0]
+// toward the earliest body atom, so the choice is deterministic.
+func (rp *rulePlans) pickVariant(ec *evalCtx) *compiledRule {
+	best := rp.variants[0]
 	bestTotal, bestHashed := streamCost(ec, best)
-	for _, v := range cr.variants[1:] {
+	for _, v := range rp.variants[1:] {
 		if t, h := streamCost(ec, v); t < bestTotal || (t == bestTotal && h < bestHashed) {
 			best, bestTotal, bestHashed = v, t, h
 		}
@@ -429,26 +389,9 @@ func (cr *compiledRule) prepareStream(db *Database, ec *evalCtx) *runCtx {
 	return rc
 }
 
-// runStreaming executes the rule's cheapest variant over db with ephemeral
-// probe tables, emitting every derived head tuple — the streaming analogue
-// of compiledRule.run. The variant's run context is released on return.
-func runStreaming(db *Database, ec *evalCtx, cr *compiledRule, emit func(value.Tuple) bool) error {
-	v := cr.pickVariant(ec)
-	rc := v.prepareStream(db, ec)
-	en := v.en
-	for i := range en.set {
-		en.set[i] = false
-	}
-	_, err := v.exec(rc, en, 0, emit)
-	rc.release()
-	return err
-}
-
-// runFull executes one rule for a full evaluation in the mode selected by
-// ec: streaming (non-nil) or the lazy materialized path.
-func runFull(db *Database, ec *evalCtx, cr *compiledRule, emit func(value.Tuple) bool) error {
-	if ec != nil {
-		return runStreaming(db, ec, cr, emit)
-	}
-	return cr.run(db, emit)
+// run executes the rule's cheapest variant over db with ephemeral probe
+// tables, emitting every derived head tuple.
+func (rp *rulePlans) run(db *Database, ec *evalCtx, emit func(value.Tuple) bool) error {
+	v := rp.pickVariant(ec)
+	return v.run(v.prepareStream(db, ec), emit)
 }

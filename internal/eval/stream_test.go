@@ -9,54 +9,37 @@ import (
 	"birds/internal/value"
 )
 
-// Differential harness for the streaming executor (stream.go): streaming and
-// materialized execution must agree with each other and with the naive
-// reference evaluator over the random-program corpus; the counted-IVM
-// initialization must produce bit-identical support counts in both modes;
-// and the streaming path's per-output-tuple allocation budget is pinned so
-// lazy pipelines never regress into per-probe allocations.
-
-var execModes = []ExecMode{ExecStreaming, ExecMaterialized}
-
-// streamEvaluators compiles prog once per execution mode.
-func streamEvaluators(t *testing.T, prog *datalog.Program) map[string]*Evaluator {
-	t.Helper()
-	evs := make(map[string]*Evaluator)
-	for _, mode := range execModes {
-		ev, err := New(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev.SetExecMode(mode)
-		evs[mode.String()] = ev
-	}
-	return evs
-}
+// Differential harness for the full-evaluation executor (stream.go): it
+// must agree with the naive reference evaluator over the random-program
+// corpus; the counted-IVM initialization must produce the support counts
+// that the independent delta plans (EvalDelta) build up from an empty EDB;
+// and the per-output-tuple allocation budget is pinned so lazy pipelines
+// never regress into per-probe allocations.
 
 // TestStreamingModesMatchReferenceFuzz generates random well-formed
-// programs and EDBs and asserts streaming ≡ materialized ≡ reference for
-// execution mode.
+// programs and EDBs and asserts that Eval matches the reference.
 func TestStreamingModesMatchReferenceFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	const programs, trials = 15, 3
 	for pi := 0; pi < programs; pi++ {
 		src := genProgram(rng)
 		prog := mustProg(t, src)
-		evs := streamEvaluators(t, prog)
+		ev, err := New(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for trial := 0; trial < trials; trial++ {
 			db := genEDB(rng)
 			want := refEval(t, prog, db)
-			for label, ev := range evs {
-				got := db.Clone()
-				if err := ev.Eval(got); err != nil {
-					t.Fatalf("program %d trial %d %s: %v\n%s", pi, trial, label, err, src)
-				}
-				for sym := range prog.IDBPreds() {
-					w, g := want.Rel(sym), got.Rel(sym)
-					if (g == nil) != (w == nil) || (g != nil && !g.Equal(w)) {
-						t.Fatalf("program %d trial %d %s: %s differs from reference\ngot=%v\nref=%v\nprogram:\n%s\nEDB:\n%s",
-							pi, trial, label, sym, g, w, src, db)
-					}
+			got := db.Clone()
+			if err := ev.Eval(got); err != nil {
+				t.Fatalf("program %d trial %d: %v\n%s", pi, trial, err, src)
+			}
+			for sym := range prog.IDBPreds() {
+				w, g := want.Rel(sym), got.Rel(sym)
+				if (g == nil) != (w == nil) || (g != nil && !g.Equal(w)) {
+					t.Fatalf("program %d trial %d: %s differs from reference\ngot=%v\nref=%v\nprogram:\n%s\nEDB:\n%s",
+						pi, trial, sym, g, w, src, db)
 				}
 			}
 		}
@@ -64,13 +47,16 @@ func TestStreamingModesMatchReferenceFuzz(t *testing.T) {
 }
 
 // TestStreamingCorpusModesMatch runs the hand-shaped corpus (joins,
-// negation, constants, comparisons, equality binding, unions) through every
-// execution mode against the reference.
+// negation, constants, comparisons, equality binding, unions) through Eval
+// against the reference.
 func TestStreamingCorpusModesMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for pi, src := range referenceCorpus {
 		prog := mustProg(t, src)
-		evs := streamEvaluators(t, prog)
+		ev, err := New(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
 		edb := map[string]int{}
 		for _, s := range prog.Sources {
 			edb[s.Name] = s.Arity()
@@ -90,13 +76,11 @@ func TestStreamingCorpusModesMatch(t *testing.T) {
 				db.Set(datalog.Pred(name), rel)
 			}
 			want := refEval(t, prog, db)
-			for label, ev := range evs {
-				got := db.Clone()
-				if err := ev.Eval(got); err != nil {
-					t.Fatal(err)
-				}
-				assertSameIDB(t, prog, got, want, fmt.Sprintf("corpus %d trial %d %s", pi, trial, label))
+			got := db.Clone()
+			if err := ev.Eval(got); err != nil {
+				t.Fatal(err)
 			}
+			assertSameIDB(t, prog, got, want, fmt.Sprintf("corpus %d trial %d", pi, trial))
 		}
 	}
 }
@@ -131,9 +115,13 @@ func assertSameCounts(t *testing.T, prog *datalog.Program, a, b *Evaluator, labe
 }
 
 // TestStreamingCountedInitCountsIdentical pins the counted-IVM
-// initialization: streaming and materialized init must produce the same
-// IDB relations, the same reported deltas, and bit-identical support
-// counts.
+// initialization against the delta plans, an independent code path: one
+// evaluator initializes over the whole EDB; another initializes over the
+// same predicates left empty, then receives every EDB tuple as one
+// EvalDelta insertion. Both must hold the same IDB relations and
+// bit-identical support counts, and the initialization must report each
+// non-empty IDB relation as its insertion delta (the database held no IDB
+// relation before).
 func TestStreamingCountedInitCountsIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99177))
 	corpus := append([]string{}, referenceCorpus...)
@@ -162,39 +150,50 @@ func TestStreamingCountedInitCountsIdentical(t *testing.T) {
 				db.Set(datalog.Pred(prog.View.Name), value.NewRelation(prog.View.Arity()))
 			}
 			label := fmt.Sprintf("program %d trial %d", pi, trial)
-			evStream, err := New(prog)
+			evInit, err := New(prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			evStream.SetExecMode(ExecStreaming)
-			evMat, err := New(prog)
+			evDelta, err := New(prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			evMat.SetExecMode(ExecMaterialized)
 
-			dbS, dbM := db.Clone(), db.Clone()
-			outS, err := evStream.EvalDelta(dbS, nil)
+			dbInit := db.Clone()
+			outInit, err := evInit.EvalDelta(dbInit, nil)
 			if err != nil {
-				t.Fatalf("%s: streaming init: %v\n%s", label, err, src)
+				t.Fatalf("%s: init: %v\n%s", label, err, src)
 			}
-			outM, err := evMat.EvalDelta(dbM, nil)
-			if err != nil {
-				t.Fatalf("%s: materialized init: %v\n%s", label, err, src)
+
+			dbDelta := NewDatabase()
+			for sym, rel := range db.rels {
+				dbDelta.Set(sym, value.NewRelation(rel.Arity()))
 			}
-			assertSameIDB(t, prog, dbS, dbM, label)
-			assertSameCounts(t, prog, evStream, evMat, label)
-			if len(outS) != len(outM) {
-				t.Fatalf("%s: init deltas differ: %d vs %d predicates", label, len(outS), len(outM))
+			if _, err := evDelta.EvalDelta(dbDelta, nil); err != nil {
+				t.Fatalf("%s: init over the empty EDB: %v\n%s", label, err, src)
 			}
-			for sym, dS := range outS {
-				dM, ok := outM[sym]
-				if !ok {
-					t.Fatalf("%s: init delta for %s only in streaming", label, sym)
+			edb := make(map[datalog.PredSym]Delta, len(db.rels))
+			for sym, rel := range db.rels {
+				rel.Each(func(tu value.Tuple) { dbDelta.Insert(sym, tu) })
+				edb[sym] = Delta{Ins: rel.Clone(), Del: value.NewRelation(rel.Arity())}
+			}
+			if _, err := evDelta.EvalDelta(dbDelta, edb); err != nil {
+				t.Fatalf("%s: EvalDelta: %v\n%s", label, err, src)
+			}
+			if !evDelta.IVMReady(dbDelta) {
+				t.Fatalf("%s: EvalDelta re-initialized instead of propagating", label)
+			}
+
+			assertSameIDB(t, prog, dbInit, dbDelta, label)
+			assertSameCounts(t, prog, evInit, evDelta, label)
+			for sym := range prog.IDBPreds() {
+				want := dbDelta.RelOrEmpty(sym, evInit.arities[sym])
+				d, ok := outInit[sym]
+				if ok != !want.Empty() {
+					t.Fatalf("%s: init delta for %s present=%v, relation %v", label, sym, ok, want)
 				}
-				if !dS.Ins.Equal(dM.Ins) || !dS.Del.Equal(dM.Del) {
-					t.Fatalf("%s: init delta for %s differs\nstream=+%v -%v\nmat=+%v -%v",
-						label, sym, dS.Ins, dS.Del, dM.Ins, dM.Del)
+				if ok && (!d.Ins.Equal(want) || !d.Del.Empty()) {
+					t.Fatalf("%s: init delta for %s = +%v -%v, want +%v", label, sym, d.Ins, d.Del, want)
 				}
 			}
 		}
@@ -410,9 +409,8 @@ func assertReleased(t *testing.T, ev *Evaluator, label string) {
 		}
 	}
 	for _, p := range ev.plan {
-		for _, cr := range p.rules {
-			check(cr)
-			for _, v := range cr.variants {
+		for _, rp := range p.rules {
+			for _, v := range rp.variants {
 				check(v)
 			}
 		}
