@@ -248,7 +248,8 @@ func (s *Strategy) Class() Class { return s.pb.Class }
 
 // Validate runs Algorithm 1 of the paper: well-definedness, existence of a
 // view definition satisfying GetPut (confirming expectedGet or deriving
-// one), and PutGet. A nil expectedGet asks for derivation.
+// one), and PutGet. A nil expectedGet asks for derivation. Concurrent
+// calls on one Strategy are safe.
 func (s *Strategy) Validate(expectedGet []*Rule) (*ValidationResult, error) {
 	return core.Validate(s.pb, expectedGet, core.DefaultOptions())
 }

@@ -3,6 +3,18 @@
 // derivation of the view definition get from the update strategy via the
 // φ1/φ2/φ3 decomposition of Lemma 4.2 — and the incrementalization
 // algorithm of Section 5 (Lemma 5.2 and the rewrite system of Appendix C).
+//
+// Validate runs Algorithm 1's oracle searches concurrently when an expected
+// get is given: the well-definedness search on the calling goroutine, and
+// GetPut and PutGet over the expected get speculatively, on one goroutine
+// each. It keeps the algorithm's precedence (a well-definedness failure,
+// then a GetPut failure, then a PutGet failure), cancels the searches
+// whose outcome it no longer needs, and returns the Result, verdict and
+// witness included, that running the passes one after another returns.
+// Each search compiles its own evaluators, so concurrent Validate calls on
+// one Putback are safe. At GOMAXPROCS=1 the verdict is the same; the
+// searches then take turns on the single processor, so a well-definedness
+// rejection shares it with the speculative searches until it cancels them.
 package core
 
 import (

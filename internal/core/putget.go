@@ -50,19 +50,17 @@ func withPutback(putdelta, cone *datalog.Program) *datalog.Program {
 // program, without deriving ΔS again. Constraints are left out; they
 // restrict admissible updates and are checked separately.
 func PutGetCone(putdelta *datalog.Program, getRules []*datalog.Rule) (*datalog.Program, error) {
-	used := make(map[string]bool)
-	for _, r := range putdelta.Rules {
-		if !r.IsConstraint() {
-			used[r.Head.Pred.Name] = true
-		}
+	newGet, err := renamedGet(putdelta, getRules)
+	if err != nil {
+		return nil, err
 	}
-	out := &datalog.Program{Sources: putdelta.Sources, View: putdelta.View}
+	return coneOf(putdelta, newGet), nil
+}
 
-	// Updated-source rules.
+// coneOf returns the PutGetCone whose renamed get rules are newGet.
+func coneOf(putdelta *datalog.Program, newGet []*datalog.Rule) *datalog.Program {
+	out := &datalog.Program{Sources: putdelta.Sources, View: putdelta.View}
 	for _, s := range putdelta.Sources {
-		if used["new_"+s.Name] {
-			return nil, fmt.Errorf("core: predicate name new_%s collides with a program predicate", s.Name)
-		}
 		args := make([]datalog.Term, s.Arity())
 		for i := range args {
 			args[i] = datalog.V(fmt.Sprintf("X%d", i+1))
@@ -76,10 +74,21 @@ func PutGetCone(putdelta *datalog.Program, getRules []*datalog.Rule) (*datalog.P
 				datalog.Pos(datalog.NewAtom(datalog.Ins(s.Name), args...))),
 		)
 	}
+	out.Rules = append(out.Rules, newGet...)
+	return out
+}
 
-	// Get rules over the updated sources: rename the view head and every
-	// source or auxiliary predicate into the new_ namespace; builtin
-	// literals and constants pass through.
+// renamedGet returns the get rules over the updated sources: the view
+// head and every source or auxiliary predicate move into the new_
+// namespace; builtin literals and constants pass through. A renamed
+// predicate, new_ri included, must not collide with one of putdelta's.
+func renamedGet(putdelta *datalog.Program, getRules []*datalog.Rule) ([]*datalog.Rule, error) {
+	used := make(map[string]bool)
+	for _, r := range putdelta.Rules {
+		if !r.IsConstraint() {
+			used[r.Head.Pred.Name] = true
+		}
+	}
 	renames := make(map[string]string)
 	renames[putdelta.View.Name] = NewViewSym(putdelta.View.Name).Name
 	for _, s := range putdelta.Sources {
@@ -105,6 +114,7 @@ func PutGetCone(putdelta *datalog.Program, getRules []*datalog.Rule) (*datalog.P
 		}
 		return c
 	}
+	var out []*datalog.Rule
 	for _, r := range getRules {
 		if r.Head.Pred.IsDelta() {
 			return nil, fmt.Errorf("core: get rule %q must not define a delta relation", r)
@@ -117,7 +127,7 @@ func PutGetCone(putdelta *datalog.Program, getRules []*datalog.Rule) (*datalog.P
 			}
 			nr.Body = append(nr.Body, nl)
 		}
-		out.Rules = append(out.Rules, nr)
+		out = append(out, nr)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"time"
@@ -61,17 +62,48 @@ type Result struct {
 // if provided, otherwise deriving get from the φ2 of Lemma 4.2 — and
 // (3) the PutGet property. expectedGet, when non-nil, is a set of rules
 // defining the view predicate from the sources.
+//
+// With an expected get the three oracle searches read nothing from one
+// another, so they run concurrently: well-definedness on the calling
+// goroutine, GetPut and PutGet over the expected get on one goroutine each.
+// The verdict keeps Algorithm 1's precedence: a well-definedness failure
+// wins and cancels both other searches; a GetPut failure cancels the
+// speculative PutGet search, and derivation then runs as without an
+// expected get. Every search is deterministic and independent of the
+// others, so the Result is the one running the passes one after another
+// gives. Validate waits for every goroutine it starts before it returns,
+// and re-raises a search's panic on the calling goroutine.
 func Validate(pb *Putback, expectedGet []*datalog.Rule, opts Options) (*Result, error) {
 	start := time.Now()
 	res := &Result{Class: pb.Class, Bounded: true}
-	oracle := sat.New(opts.Oracle)
-	v := newValidator(pb, oracle)
+	v := newValidator(pb, sat.New(opts.Oracle))
 
 	fail := func(f *Failure) (*Result, error) {
 		res.Failure = f
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var getPut, putGet *search
+	if expectedGet != nil {
+		putGetCtx, cancelPutGet := context.WithCancel(ctx)
+		putGet = spawn(putGetCtx, func(ctx context.Context) (*Failure, error) {
+			return v.checkPutGet(ctx, expectedGet)
+		})
+		getPut = spawn(ctx, func(ctx context.Context) (*Failure, error) {
+			f, err := v.checkGetPut(ctx, expectedGet)
+			if f != nil {
+				cancelPutGet() // derivation replaces the expected get
+			}
+			return f, err
+		})
+	}
+	defer func() {
+		cancel()
+		getPut.wait()
+		putGet.wait()
+	}()
 
 	// Pass 1: well-definedness (§4.2).
 	if f := v.checkWellDefined(); f != nil {
@@ -80,8 +112,12 @@ func Validate(pb *Putback, expectedGet []*datalog.Rule, opts Options) (*Result, 
 
 	// Pass 2: a view definition satisfying GetPut (§4.3).
 	var expectedFailure *Failure
-	if expectedGet != nil {
-		if f := v.checkGetPut(expectedGet); f == nil {
+	if getPut != nil {
+		f, err := getPut.wait()
+		if err != nil {
+			return nil, err
+		}
+		if f == nil {
 			res.Get = expectedGet
 			res.UsedExpected = true
 		} else {
@@ -107,14 +143,28 @@ func Validate(pb *Putback, expectedGet []*datalog.Rule, opts Options) (*Result, 
 		res.Decomp = decomp
 		// The derived get satisfies GetPut by construction; replay the
 		// check as a safeguard against oracle blind spots.
-		if f := v.checkGetPut(get); f != nil {
+		f, err := v.checkGetPut(ctx, get)
+		if err != nil {
+			return nil, err
+		}
+		if f != nil {
 			f.Detail = "derived get does not satisfy GetPut: " + f.Detail
 			return fail(f)
 		}
 	}
 
 	// Pass 3: PutGet (§4.4).
-	if f := v.checkPutGet(res.Get); f != nil {
+	var f *Failure
+	var err error
+	if res.UsedExpected {
+		f, err = putGet.wait()
+	} else {
+		f, err = v.checkPutGet(ctx, res.Get)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if f != nil {
 		return fail(f)
 	}
 
@@ -123,7 +173,43 @@ func Validate(pb *Putback, expectedGet []*datalog.Rule, opts Options) (*Result, 
 	return res, nil
 }
 
-// validator carries the shared state of one validation run.
+// search is a check running on a goroutine of its own.
+type search struct {
+	done     chan struct{}
+	f        *Failure
+	err      error
+	panicked any
+}
+
+// spawn starts check(ctx) on a new goroutine.
+func spawn(ctx context.Context, check func(context.Context) (*Failure, error)) *search {
+	s := &search{done: make(chan struct{})}
+	go func() {
+		defer close(s.done)
+		defer func() { s.panicked = recover() }()
+		s.f, s.err = check(ctx)
+	}()
+	return s
+}
+
+// wait returns the check's outcome once it has finished, re-raising its
+// panic on the calling goroutine. A nil search has nothing to wait for.
+func (s *search) wait() (*Failure, error) {
+	if s == nil {
+		return nil, nil
+	}
+	<-s.done
+	if s.panicked != nil {
+		panic(s.panicked)
+	}
+	return s.f, s.err
+}
+
+// validator carries the state of one validation run that its checks only
+// read, so that they can run concurrently. Each check compiles its own
+// evaluators, precondition evaluators included. The unfolder is the
+// exception: it numbers fresh variables as it goes, so only the
+// well-definedness check and the get derivation use it, in that order.
 type validator struct {
 	pb       *Putback
 	oracle   *sat.Oracle
@@ -131,10 +217,6 @@ type validator struct {
 	consts   []value.Value
 	srcSpecs []sat.RelSpec
 	allSpecs []sat.RelSpec // sources + view
-	// srcPre and allPre are the constraints over srcSpecs and allSpecs as
-	// oracle preconditions.
-	srcPre []sat.Precondition
-	allPre []sat.Precondition
 }
 
 func newValidator(pb *Putback, oracle *sat.Oracle) *validator {
@@ -146,8 +228,6 @@ func newValidator(pb *Putback, oracle *sat.Oracle) *validator {
 	}
 	v.allSpecs = append(append([]sat.RelSpec{}, v.srcSpecs...),
 		sat.SpecsFromDecls(pb.Prog.View)...)
-	v.srcPre = constraintPreconditions(pb.Prog, v.srcSpecs)
-	v.allPre = constraintPreconditions(pb.Prog, v.allSpecs)
 	v.consts = programConstants(pb.Prog)
 	return v
 }
@@ -256,7 +336,10 @@ func (v *validator) checkWellDefined() *Failure {
 		}
 		return !insRel.Intersect(delRel).Empty()
 	}
-	ev := v.pb.eval
+	ev, err := eval.New(v.pb.Prog)
+	if err != nil {
+		return &Failure{Pass: PassWellDefined, Detail: fmt.Sprintf("putback program does not compile: %v", err)}
+	}
 	test := func(db *eval.Database) bool {
 		if err := ev.Eval(db); err != nil {
 			return false
@@ -266,12 +349,13 @@ func (v *validator) checkWellDefined() *Failure {
 		}
 		return slices.ContainsFunc(names, func(name string) bool { return contradictory(db, name) })
 	}
-	witness := v.oracle.Find(sat.Problem{
+	// Nothing cancels this search, so Find reports no error.
+	witness, _ := v.oracle.Find(context.Background(), sat.Problem{
 		Rels:        v.allSpecs,
 		ExtraConsts: v.consts,
 		Guide:       fol.NewOr(guides...),
 		Test:        test,
-		Pre:         v.allPre,
+		Pre:         constraintPreconditions(v.pb.Prog, v.allSpecs),
 	})
 	if witness == nil {
 		return nil
@@ -287,14 +371,14 @@ func (v *validator) checkWellDefined() *Failure {
 // checkGetPut verifies that with the view defined by getRules, the putback
 // program produces an empty ΔS on every source database satisfying Σ —
 // i.e. put(S, get(S)) = S. It returns a Failure with a witness if GetPut
-// does not hold.
-func (v *validator) checkGetPut(getRules []*datalog.Rule) *Failure {
+// does not hold, and the context's error if ctx is cancelled first.
+func (v *validator) checkGetPut(ctx context.Context, getRules []*datalog.Rule) (*Failure, error) {
 	combined := &datalog.Program{Sources: v.pb.Prog.Sources, View: v.pb.Prog.View}
 	combined.Rules = append(combined.Rules, getRules...)
 	combined.Rules = append(combined.Rules, v.pb.Prog.Rules...)
 	ev, err := eval.New(combined)
 	if err != nil {
-		return &Failure{Pass: PassGetPut, Detail: fmt.Sprintf("cannot compose get with putdelta: %v", err)}
+		return &Failure{Pass: PassGetPut, Detail: fmt.Sprintf("cannot compose get with putdelta: %v", err)}, nil
 	}
 
 	u := fol.NewUnfolder(combined)
@@ -310,7 +394,7 @@ func (v *validator) checkGetPut(getRules []*datalog.Rule) *Failure {
 		}
 	}
 	if len(deltaSyms) == 0 {
-		return nil // no delta rules at all: put is the identity
+		return nil, nil // no delta rules at all: put is the identity
 	}
 	test := func(db *eval.Database) bool {
 		if err := ev.Eval(db); err != nil {
@@ -326,21 +410,22 @@ func (v *validator) checkGetPut(getRules []*datalog.Rule) *Failure {
 		}
 		return false
 	}
-	witness := v.oracle.Find(sat.Problem{
+	witness, err := v.oracle.Find(ctx, sat.Problem{
 		Rels:        v.srcSpecs,
 		ExtraConsts: programConstants(v.pb.Prog, &datalog.Program{Rules: getRules}),
 		Guide:       fol.NewOr(disjuncts...),
 		Test:        test,
-		Pre:         v.srcPre, // the view is derived here, so view constraints stay in test
+		// The view is derived here, so view constraints stay in test.
+		Pre: constraintPreconditions(v.pb.Prog, v.srcSpecs),
 	})
-	if witness != nil {
-		return &Failure{
-			Pass:    PassGetPut,
-			Detail:  "put(S, get(S)) changes the source for some S (GetPut violated)",
-			Witness: witness,
-		}
+	if witness == nil {
+		return nil, err
 	}
-	return nil
+	return &Failure{
+		Pass:    PassGetPut,
+		Detail:  "put(S, get(S)) changes the source for some S (GetPut violated)",
+		Witness: witness,
+	}, nil
 }
 
 // deriveGet constructs a view definition satisfying GetPut per §4.3: build
@@ -423,13 +508,15 @@ func (v *validator) findSourceModel(sentence fol.Formula) *eval.Database {
 		}
 		return m.Sat(sentence)
 	}
-	return v.oracle.Find(sat.Problem{
+	// Nothing cancels this search, so Find reports no error.
+	w, _ := v.oracle.Find(context.Background(), sat.Problem{
 		Rels:        v.srcSpecs,
 		ExtraConsts: consts,
 		Guide:       sentence,
 		Test:        test,
-		Pre:         v.srcPre, // test checks these constraints as sentences
+		Pre:         constraintPreconditions(v.pb.Prog, v.srcSpecs), // test checks these constraints as sentences
 	})
+	return w
 }
 
 func (v *validator) sourceOnlyConstraintSentences() []fol.Formula {
@@ -456,20 +543,27 @@ func constraintMentionsView(c *datalog.Rule, view string) bool {
 // new_v differs from v (the sentences Φ1 and Φ2 of (9) and (10)). The
 // whole putget program guides the search and seeds its constants; Test
 // derives ΔS once with the putback program, which it needs for the
-// constraint check anyway, and then evaluates only the PutGetCone over it.
-func (v *validator) checkPutGet(getRules []*datalog.Rule) *Failure {
-	cone, err := PutGetCone(v.pb.Prog, getRules)
+// constraint check anyway, builds each new_ri = ri ⊕ ΔS directly and then
+// evaluates only the renamed get rules of the PutGetCone over them. It
+// returns the context's error if ctx is cancelled before the search ends.
+func (v *validator) checkPutGet(ctx context.Context, getRules []*datalog.Rule) (*Failure, error) {
+	prog := v.pb.Prog
+	newGet, err := renamedGet(prog, getRules)
 	if err != nil {
-		return &Failure{Pass: PassPutGet, Detail: err.Error()}
+		return &Failure{Pass: PassPutGet, Detail: err.Error()}, nil
 	}
-	coneEv, err := eval.New(cone)
+	pbEv, err := eval.New(prog)
 	if err != nil {
-		return &Failure{Pass: PassPutGet, Detail: fmt.Sprintf("putget program does not compile: %v", err)}
+		return &Failure{Pass: PassPutGet, Detail: fmt.Sprintf("putback program does not compile: %v", err)}, nil
 	}
-	putget := withPutback(v.pb.Prog, cone)
-	viewSym := datalog.Pred(v.pb.Prog.View.Name)
-	newView := NewViewSym(v.pb.Prog.View.Name)
-	arity := v.pb.Prog.View.Arity()
+	getEv, err := eval.New(&datalog.Program{Sources: prog.Sources, View: prog.View, Rules: newGet})
+	if err != nil {
+		return &Failure{Pass: PassPutGet, Detail: fmt.Sprintf("putget program does not compile: %v", err)}, nil
+	}
+	putget := withPutback(prog, coneOf(prog, newGet))
+	viewSym := datalog.Pred(prog.View.Name)
+	newView := NewViewSym(prog.View.Name)
+	arity := prog.View.Arity()
 
 	u := fol.NewUnfolder(putget)
 	y := fol.QueryVars(arity)
@@ -480,7 +574,6 @@ func (v *validator) checkPutGet(getRules []*datalog.Rule) *Failure {
 		fol.NewAnd(vAtom, fol.NewNot(newF)), // Φ2
 	)
 
-	pbEv := v.pb.eval
 	test := func(db *eval.Database) bool {
 		// The updated view must satisfy Σ to be an admissible update.
 		if err := pbEv.Eval(db); err != nil {
@@ -489,26 +582,49 @@ func (v *validator) checkPutGet(getRules []*datalog.Rule) *Failure {
 		if violated, err := pbEv.Violations(db); err != nil || len(violated) > 0 {
 			return false
 		}
-		if err := coneEv.Eval(db); err != nil {
+		for _, s := range prog.Sources {
+			db.Update(NewSourceSym(s.Name), updatedSource(db, s))
+		}
+		if err := getEv.Eval(db); err != nil {
 			return false
 		}
 		got := db.RelOrEmpty(newView, arity)
 		want := db.RelOrEmpty(viewSym, arity)
 		return !got.Equal(want)
 	}
-	witness := v.oracle.Find(sat.Problem{
+	witness, err := v.oracle.Find(ctx, sat.Problem{
 		Rels:        v.allSpecs,
 		ExtraConsts: programConstants(putget),
 		Guide:       guide,
 		Test:        test,
-		Pre:         v.allPre,
+		Pre:         constraintPreconditions(prog, v.allSpecs),
 	})
-	if witness != nil {
-		return &Failure{
-			Pass:    PassPutGet,
-			Detail:  "get(put(S, V)) ≠ V for some admissible (S, V) (PutGet violated)",
-			Witness: witness,
-		}
+	if witness == nil {
+		return nil, err
 	}
-	return nil
+	return &Failure{
+		Pass:    PassPutGet,
+		Detail:  "get(put(S, V)) ≠ V for some admissible (S, V) (PutGet violated)",
+		Witness: witness,
+	}, nil
+}
+
+// updatedSource returns new_s = s ⊕ ΔS on db, the relation the cone's
+// updated-source rules derive: (s \ -s) ∪ +s. It is a snapshot of s when
+// ΔS leaves s unchanged, and otherwise a copy with the deltas applied.
+func updatedSource(db *eval.Database, s *datalog.RelDecl) *value.Relation {
+	rel := db.RelOrEmpty(datalog.Pred(s.Name), s.Arity())
+	ins, del := db.Rel(datalog.Ins(s.Name)), db.Rel(datalog.Del(s.Name))
+	insEmpty, delEmpty := ins == nil || ins.Empty(), del == nil || del.Empty()
+	if insEmpty && delEmpty {
+		return rel.Snapshot()
+	}
+	out := rel.Clone()
+	if !delEmpty {
+		out.SubtractAll(del)
+	}
+	if !insEmpty {
+		out.UnionWith(ins)
+	}
+	return out
 }

@@ -536,6 +536,88 @@ view v(a:int).
 	}
 }
 
+// outcomeCase is one program TestValidateOutcomes pins the verdict of.
+type outcomeCase struct {
+	name     string
+	src      string
+	expected []string // expected get rules, nil to derive
+	valid    bool
+	pass     Pass   // failing pass when invalid
+	detail   string // Failure.Detail when invalid
+	witness  string // Failure.Witness.String() when invalid
+}
+
+var outcomeCases = []outcomeCase{
+	{
+		name:     "union-valid",
+		src:      unionSrc,
+		expected: []string{"v(X) :- r1(X).", "v(X) :- r2(X)."},
+		valid:    true,
+	},
+	{
+		name:    "ill-defined",
+		src:     illDefinedSrc,
+		pass:    PassWellDefined,
+		detail:  contradictoryDetail,
+		witness: illDefinedWitness,
+	},
+	{
+		name: "ill-defined-both-sources",
+		src: `
+source r1(a:int).
+source r2(a:int).
+view v(a:int).
++r1(X) :- v(X).
+-r1(X) :- v(X), r2(X).
++r2(X) :- v(X).
+-r2(X) :- v(X), r2(X).
+`,
+		pass:    PassWellDefined,
+		detail:  "the program derives both +r1(t) and -r1(t) for the same tuple (contradictory ΔS)",
+		witness: "r1 = {}\n+r1 = {(0)}\n-r1 = {(0)}\nr2 = {(0)}\n+r2 = {(0)}\n-r2 = {(0)}\nv = {(0)}\n",
+	},
+	{
+		name: "ill-defined-second-source",
+		src: `
+source r1(a:int).
+source r2(a:int).
+view v(a:int).
+-r1(X) :- r1(X), not v(X).
++r1(X) :- v(X), not r1(X).
++r2(X) :- v(X).
+-r2(X) :- v(X), r2(X).
+`,
+		pass:    PassWellDefined,
+		detail:  "the program derives both +r2(t) and -r2(t) for the same tuple (contradictory ΔS)",
+		witness: "r1 = {}\n+r1 = {(0)}\n-r1 = {}\nr2 = {(0)}\n+r2 = {(0)}\n-r2 = {(0)}\nv = {(0)}\n",
+	},
+	{
+		name: "putget-violation",
+		src: `
+source r(a:int).
+view v(a:int).
+-r(X) :- r(X), v(X).
++r(X) :- v(X), not r(X).
+`,
+		pass:    PassPutGet,
+		detail:  putGetDetail,
+		witness: "new_r = {(0)}\nr = {}\n+r = {(0)}\n-r = {}\nv = {(0)}\n",
+	},
+	{
+		name: "keyed-putget-violation",
+		src: `
+source r(k:int, a:int).
+view v(k:int, a:int).
+_|_ :- r(K, A), r(K, B), not A = B.
+-r(K, A) :- r(K, A), v(K, A).
++r(K, A) :- v(K, A), not r(K, A).
+`,
+		pass:    PassPutGet,
+		detail:  putGetDetail,
+		witness: "new_r = {(0, 0)}\nr = {}\n+r = {(0, 0)}\n-r = {}\nv = {(0, 0)}\n",
+	},
+}
+
 // TestValidateOutcomes pins the validator's verdict on six programs: a
 // valid union strategy; three ill-defined ones, rejected by the
 // well-definedness pass — one with a single source, and two with two
@@ -547,85 +629,7 @@ view v(a:int).
 // oracle's search order is fixed, and pruning never changes which instance
 // it finds first.
 func TestValidateOutcomes(t *testing.T) {
-	cases := []struct {
-		name     string
-		src      string
-		expected []string // expected get rules, nil to derive
-		valid    bool
-		pass     Pass   // failing pass when invalid
-		detail   string // Failure.Detail when invalid
-		witness  string // Failure.Witness.String() when invalid
-	}{
-		{
-			name:     "union-valid",
-			src:      unionSrc,
-			expected: []string{"v(X) :- r1(X).", "v(X) :- r2(X)."},
-			valid:    true,
-		},
-		{
-			name:    "ill-defined",
-			src:     illDefinedSrc,
-			pass:    PassWellDefined,
-			detail:  contradictoryDetail,
-			witness: illDefinedWitness,
-		},
-		{
-			name: "ill-defined-both-sources",
-			src: `
-source r1(a:int).
-source r2(a:int).
-view v(a:int).
-+r1(X) :- v(X).
--r1(X) :- v(X), r2(X).
-+r2(X) :- v(X).
--r2(X) :- v(X), r2(X).
-`,
-			pass:    PassWellDefined,
-			detail:  "the program derives both +r1(t) and -r1(t) for the same tuple (contradictory ΔS)",
-			witness: "r1 = {}\n+r1 = {(0)}\n-r1 = {(0)}\nr2 = {(0)}\n+r2 = {(0)}\n-r2 = {(0)}\nv = {(0)}\n",
-		},
-		{
-			name: "ill-defined-second-source",
-			src: `
-source r1(a:int).
-source r2(a:int).
-view v(a:int).
--r1(X) :- r1(X), not v(X).
-+r1(X) :- v(X), not r1(X).
-+r2(X) :- v(X).
--r2(X) :- v(X), r2(X).
-`,
-			pass:    PassWellDefined,
-			detail:  "the program derives both +r2(t) and -r2(t) for the same tuple (contradictory ΔS)",
-			witness: "r1 = {}\n+r1 = {(0)}\n-r1 = {}\nr2 = {(0)}\n+r2 = {(0)}\n-r2 = {(0)}\nv = {(0)}\n",
-		},
-		{
-			name: "putget-violation",
-			src: `
-source r(a:int).
-view v(a:int).
--r(X) :- r(X), v(X).
-+r(X) :- v(X), not r(X).
-`,
-			pass:    PassPutGet,
-			detail:  putGetDetail,
-			witness: "new_r = {(0)}\nr = {}\n+r = {(0)}\n-r = {}\nv = {(0)}\n",
-		},
-		{
-			name: "keyed-putget-violation",
-			src: `
-source r(k:int, a:int).
-view v(k:int, a:int).
-_|_ :- r(K, A), r(K, B), not A = B.
--r(K, A) :- r(K, A), v(K, A).
-+r(K, A) :- v(K, A), not r(K, A).
-`,
-			pass:    PassPutGet,
-			detail:  putGetDetail,
-			witness: "new_r = {(0, 0)}\nr = {}\n+r = {(0, 0)}\n-r = {}\nv = {(0, 0)}\n",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range outcomeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			var expected []*datalog.Rule
 			if tc.expected != nil {

@@ -513,7 +513,7 @@ view v(a:int).
 // Regression: a probe key consisting only of constants must not create a
 // maintained index — such indexes key on low-selectivity columns (e.g. the
 // done flag of tasks(T,N,U,0)) and make every later Insert/Delete scan a
-// huge bucket. See EXPERIMENTS.md (Figure 6c investigation).
+// huge bucket. Figure 6c's outstanding_task view probes tasks this way.
 func TestNoConstantOnlyIndexes(t *testing.T) {
 	e := mustEval(t, `
 source tasks(tid:int, tname:string, uid:int, done:int).

@@ -204,8 +204,23 @@ a4(X) :- a3(X), X < 3, X >= 0, X <> 1.
 `,
 }
 
+// TestCompiledEvaluatorMatchesReference runs the hand-shaped corpus (joins,
+// negation, constants, comparisons, equality binding, unions) through Eval
+// against the reference, on random EDBs.
 func TestCompiledEvaluatorMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
+	checkCorpusMatchesReference(t, 99, 40)
+}
+
+// TestStreamingCorpusModesMatch is the corpus comparison on a second seed.
+func TestStreamingCorpusModesMatch(t *testing.T) {
+	checkCorpusMatchesReference(t, 55, 10)
+}
+
+// checkCorpusMatchesReference evaluates every referenceCorpus program on
+// trials random EDBs drawn from seed and asserts Eval agrees with refEval.
+func checkCorpusMatchesReference(t *testing.T, seed int64, trials int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	for pi, src := range referenceCorpus {
 		prog := mustProg(t, src)
 		ev, err := New(prog)
@@ -219,7 +234,7 @@ func TestCompiledEvaluatorMatchesReference(t *testing.T) {
 		}
 		edb[prog.View.Name] = prog.View.Arity()
 
-		for trial := 0; trial < 40; trial++ {
+		for trial := 0; trial < trials; trial++ {
 			db := NewDatabase()
 			for name, arity := range edb {
 				rel := value.NewRelation(arity)
@@ -237,14 +252,7 @@ func TestCompiledEvaluatorMatchesReference(t *testing.T) {
 			if err := ev.Eval(got); err != nil {
 				t.Fatal(err)
 			}
-			for sym := range prog.IDBPreds() {
-				a := got.Rel(sym)
-				b := want.Rel(sym)
-				if (a == nil) != (b == nil) || (a != nil && !a.Equal(b)) {
-					t.Fatalf("program %d trial %d: %s differs\ncompiled=%v\nreference=%v\ninput:\n%s",
-						pi, trial, sym, a, b, db)
-				}
-			}
+			assertSameIDB(t, prog, got, want, fmt.Sprintf("seed %d program %d trial %d\ninput:\n%s", seed, pi, trial, db))
 		}
 	}
 }
@@ -422,27 +430,40 @@ func genEDB(rng *rand.Rand) *Database {
 // nonrecursive programs and random EDBs and asserts that the compiled
 // evaluator agrees with the naive reference evaluator.
 func TestRandomProgramsMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
-	const programs, trials = 25, 4
+	checkRandomProgramsMatchReference(t, 1234, 25, 4)
+}
+
+// TestStreamingModesMatchReferenceFuzz is the random-program comparison on
+// a second seed.
+func TestStreamingModesMatchReferenceFuzz(t *testing.T) {
+	checkRandomProgramsMatchReference(t, 4321, 15, 3)
+}
+
+// checkRandomProgramsMatchReference draws programs random programs from
+// seed, evaluates each on trials random EDBs and asserts Eval agrees with
+// refEval on every IDB relation.
+func checkRandomProgramsMatchReference(t *testing.T, seed int64, programs, trials int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	for pi := 0; pi < programs; pi++ {
 		src := genProgram(rng)
 		prog := mustProg(t, src)
 		ev, err := New(prog)
 		if err != nil {
-			t.Fatalf("program %d does not compile (generator bug):\n%s\n%v", pi, src, err)
+			t.Fatalf("seed %d program %d does not compile (generator bug):\n%s\n%v", seed, pi, src, err)
 		}
 		for trial := 0; trial < trials; trial++ {
 			db := genEDB(rng)
 			want := refEval(t, prog, db)
 			got := db.Clone()
 			if err := ev.Eval(got); err != nil {
-				t.Fatalf("program %d trial %d: %v\n%s", pi, trial, err, src)
+				t.Fatalf("seed %d program %d trial %d: %v\n%s", seed, pi, trial, err, src)
 			}
 			for sym := range prog.IDBPreds() {
 				w, g := want.Rel(sym), got.Rel(sym)
 				if (g == nil) != (w == nil) || (g != nil && !g.Equal(w)) {
-					t.Fatalf("program %d trial %d: %s differs from reference\ngot=%v\nref=%v\nprogram:\n%s\nEDB:\n%s",
-						pi, trial, sym, g, w, src, db)
+					t.Fatalf("seed %d program %d trial %d: %s differs from reference\ngot=%v\nref=%v\nprogram:\n%s\nEDB:\n%s",
+						seed, pi, trial, sym, g, w, src, db)
 				}
 			}
 		}

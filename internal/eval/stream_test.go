@@ -9,81 +9,12 @@ import (
 	"birds/internal/value"
 )
 
-// Differential harness for the full-evaluation executor (stream.go): it
-// must agree with the naive reference evaluator over the random-program
-// corpus; the counted-IVM initialization must produce the support counts
+// Differential harness for the full-evaluation executor (stream.go),
+// beside reference_test.go's comparisons with the naive reference
+// evaluator: the counted-IVM initialization must produce the support counts
 // that the independent delta plans (EvalDelta) build up from an empty EDB;
 // and the per-output-tuple allocation budget is pinned so lazy pipelines
 // never regress into per-probe allocations.
-
-// TestStreamingModesMatchReferenceFuzz generates random well-formed
-// programs and EDBs and asserts that Eval matches the reference.
-func TestStreamingModesMatchReferenceFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(4321))
-	const programs, trials = 15, 3
-	for pi := 0; pi < programs; pi++ {
-		src := genProgram(rng)
-		prog := mustProg(t, src)
-		ev, err := New(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < trials; trial++ {
-			db := genEDB(rng)
-			want := refEval(t, prog, db)
-			got := db.Clone()
-			if err := ev.Eval(got); err != nil {
-				t.Fatalf("program %d trial %d: %v\n%s", pi, trial, err, src)
-			}
-			for sym := range prog.IDBPreds() {
-				w, g := want.Rel(sym), got.Rel(sym)
-				if (g == nil) != (w == nil) || (g != nil && !g.Equal(w)) {
-					t.Fatalf("program %d trial %d: %s differs from reference\ngot=%v\nref=%v\nprogram:\n%s\nEDB:\n%s",
-						pi, trial, sym, g, w, src, db)
-				}
-			}
-		}
-	}
-}
-
-// TestStreamingCorpusModesMatch runs the hand-shaped corpus (joins,
-// negation, constants, comparisons, equality binding, unions) through Eval
-// against the reference.
-func TestStreamingCorpusModesMatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for pi, src := range referenceCorpus {
-		prog := mustProg(t, src)
-		ev, err := New(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edb := map[string]int{}
-		for _, s := range prog.Sources {
-			edb[s.Name] = s.Arity()
-		}
-		edb[prog.View.Name] = prog.View.Arity()
-		for trial := 0; trial < 10; trial++ {
-			db := NewDatabase()
-			for name, arity := range edb {
-				rel := value.NewRelation(arity)
-				for i := 0; i < rng.Intn(6); i++ {
-					tu := make(value.Tuple, arity)
-					for j := range tu {
-						tu[j] = value.Int(int64(rng.Intn(4)))
-					}
-					rel.Add(tu)
-				}
-				db.Set(datalog.Pred(name), rel)
-			}
-			want := refEval(t, prog, db)
-			got := db.Clone()
-			if err := ev.Eval(got); err != nil {
-				t.Fatal(err)
-			}
-			assertSameIDB(t, prog, got, want, fmt.Sprintf("corpus %d trial %d", pi, trial))
-		}
-	}
-}
 
 // assertSameCounts fails unless the two evaluators hold bit-identical
 // support counts: the same tuples with the same counts for every IDB

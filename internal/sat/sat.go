@@ -27,6 +27,9 @@
 // search is deterministic: the same problem yields the same witness. A found
 // witness is definitive (the property is satisfiable); exhausting the
 // budget without a witness is reported as unsatisfiable-within-bounds.
+// Find checks its context before each candidate it tests: a cancelled
+// search stops within one candidate and returns the context's error, never
+// a "no witness" verdict it did not reach.
 // GNFO satisfiability is finitely controllable (Lemma 3.1 relies on this),
 // so small-scope search is the right shape of decision procedure.
 //
@@ -44,6 +47,7 @@
 package sat
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"sort"
@@ -137,19 +141,23 @@ type Oracle struct {
 // New returns an oracle with the given configuration.
 func New(cfg Config) *Oracle { return &Oracle{cfg: cfg} }
 
-// Find searches for a witness instance; it returns nil if none was found
-// within the budget.
-func (o *Oracle) Find(p Problem) *eval.Database {
+// Find searches for a witness instance. It returns nil and a nil error if
+// none was found within the budget, and nil and ctx.Err() if ctx was
+// cancelled before the search found a witness or exhausted its budget.
+func (o *Oracle) Find(ctx context.Context, p Problem) (*eval.Database, error) {
 	pools := buildPools(p.ExtraConsts)
 	if p.Guide != nil {
-		if db := o.guided(p, pools); db != nil {
-			return db
+		if db := o.guided(ctx, p, pools); db != nil {
+			return db, nil
 		}
 	}
-	if db := o.exhaustive(p, pools); db != nil {
-		return db
+	if db := o.exhaustive(ctx, p, pools); db != nil {
+		return db, nil
 	}
-	return o.random(p, pools)
+	if db := o.random(ctx, p, pools); db != nil {
+		return db, nil
+	}
+	return nil, ctx.Err()
 }
 
 // --- domain pools -------------------------------------------------------
@@ -339,7 +347,7 @@ func planDisjunct(dj fol.Conjunct, specByName map[string]RelSpec, pl *pools) (pl
 // guided instantiates each disjunct of the guide sentence as a minimal
 // candidate model: exactly the positive atoms of the disjunct, with
 // variables enumerated over typed pools.
-func (o *Oracle) guided(p Problem, pl *pools) *eval.Database {
+func (o *Oracle) guided(ctx context.Context, p Problem, pl *pools) *eval.Database {
 	specByName := make(map[string]RelSpec, len(p.Rels))
 	for _, r := range p.Rels {
 		specByName[r.Name] = r
@@ -353,7 +361,7 @@ func (o *Oracle) guided(p Problem, pl *pools) *eval.Database {
 			continue
 		}
 		env := make(map[string]value.Value, len(plan.vars))
-		if w := o.assignDFS(p, db, &plan, env, 0, &budget); w != nil {
+		if w := o.assignDFS(ctx, p, db, &plan, env, 0, &budget); w != nil {
 			return w
 		}
 		if budget <= 0 {
@@ -365,13 +373,18 @@ func (o *Oracle) guided(p Problem, pl *pools) *eval.Database {
 
 // assignDFS enumerates assignments for plan.vars[i:], pruning on ground
 // comparisons, and tests the minimal model of each full assignment, refilled
-// into db in place.
-func (o *Oracle) assignDFS(p Problem, db *eval.Database, plan *disjunctPlan,
+// into db in place. A cancelled ctx empties the budget, which stops the
+// whole guided search.
+func (o *Oracle) assignDFS(ctx context.Context, p Problem, db *eval.Database, plan *disjunctPlan,
 	env map[string]value.Value, i int, budget *int) *eval.Database {
 	if *budget <= 0 {
 		return nil
 	}
 	if i == len(plan.vars) {
+		if ctx.Err() != nil {
+			*budget = 0
+			return nil
+		}
 		*budget--
 		clearInstance(db, p.Rels)
 		for _, a := range plan.atoms {
@@ -396,7 +409,7 @@ func (o *Oracle) assignDFS(p Problem, db *eval.Database, plan *disjunctPlan,
 		if !cmpsConsistent(plan.cmps, env) {
 			continue
 		}
-		if w := o.assignDFS(p, db, plan, env, i+1, budget); w != nil {
+		if w := o.assignDFS(ctx, p, db, plan, env, i+1, budget); w != nil {
 			return w
 		}
 		if *budget <= 0 {
@@ -431,8 +444,9 @@ func cmpsConsistent(cmps []*fol.Cmp, env map[string]value.Value) bool {
 // exhaustive enumerates every instance whose relations each hold at most
 // two tuples drawn from reduced pools, provided the state space fits the
 // budget. A precondition is checked when the last relation it reads has
-// been filled; if it fails, no instance of the subtree is tested.
-func (o *Oracle) exhaustive(p Problem, pl *pools) *eval.Database {
+// been filled; if it fails, no instance of the subtree is tested. A
+// cancelled ctx stops the enumeration at the next node of the walk.
+func (o *Oracle) exhaustive(ctx context.Context, p Problem, pl *pools) *eval.Database {
 	const maxPerRel = 2
 	// Reduced pools keep the search tractable while retaining the
 	// constants (which come first in pool construction order).
@@ -473,8 +487,13 @@ func (o *Oracle) exhaustive(p Problem, pl *pools) *eval.Database {
 	}
 
 	db := emptyInstance(p.Rels)
+	stopped := false
 	var rec func(i int) *eval.Database
 	rec = func(i int) *eval.Database {
+		if ctx.Err() != nil {
+			stopped = true
+			return nil
+		}
 		if !holdAll(preAt[i], db) {
 			return nil
 		}
@@ -486,18 +505,18 @@ func (o *Oracle) exhaustive(p Problem, pl *pools) *eval.Database {
 		}
 		sym := predSym(p.Rels[i].Name)
 		// Subsets of size 0, 1, 2.
-		if w := rec(i + 1); w != nil {
+		if w := rec(i + 1); w != nil || stopped {
 			return w
 		}
 		tp := tuplePools[i]
 		for a := 0; a < len(tp); a++ {
 			db.Insert(sym, tp[a])
-			if w := rec(i + 1); w != nil {
+			if w := rec(i + 1); w != nil || stopped {
 				return w
 			}
 			for b := a + 1; b < len(tp); b++ {
 				db.Insert(sym, tp[b])
-				if w := rec(i + 1); w != nil {
+				if w := rec(i + 1); w != nil || stopped {
 					return w
 				}
 				db.Delete(sym, tp[b])
@@ -544,10 +563,13 @@ func tuplesOf(r RelSpec, pl *pools) []value.Tuple {
 
 // --- randomized search ----------------------------------------------------
 
-func (o *Oracle) random(p Problem, pl *pools) *eval.Database {
+func (o *Oracle) random(ctx context.Context, p Problem, pl *pools) *eval.Database {
 	rng := rand.New(rand.NewSource(o.cfg.Seed))
 	db := emptyInstance(p.Rels)
 	for trial := 0; trial < o.cfg.RandomTrials; trial++ {
+		if ctx.Err() != nil {
+			return nil
+		}
 		clearInstance(db, p.Rels)
 		for _, r := range p.Rels {
 			n := rng.Intn(o.cfg.MaxTuples + 1)

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"context"
 	"testing"
 
 	"birds/internal/datalog"
@@ -17,6 +18,17 @@ func atom(pred string, vars ...string) *fol.Atom {
 	return &fol.Atom{Pred: pred, Args: args}
 }
 
+// mustFind runs an uncancelled search; Find reports an error only when its
+// context is cancelled.
+func mustFind(t *testing.T, o *Oracle, p Problem) *eval.Database {
+	t.Helper()
+	w, err := o.Find(context.Background(), p)
+	if err != nil {
+		t.Fatalf("uncancelled search failed: %v", err)
+	}
+	return w
+}
+
 func testFO(sentence fol.Formula, consts ...value.Value) func(*eval.Database) bool {
 	return func(db *eval.Database) bool {
 		m := fol.NewModel(db, consts...)
@@ -27,7 +39,7 @@ func testFO(sentence fol.Formula, consts ...value.Value) func(*eval.Database) bo
 func TestFindSatisfiableAtom(t *testing.T) {
 	o := New(DefaultConfig())
 	s := atom("r", "X")
-	db := o.Find(Problem{
+	db := mustFind(t, o, Problem{
 		Rels:  []RelSpec{{Name: "r", Types: []string{"int"}}},
 		Guide: s,
 		Test:  testFO(s),
@@ -43,7 +55,7 @@ func TestFindSatisfiableAtom(t *testing.T) {
 func TestFindUnsatisfiableContradiction(t *testing.T) {
 	o := New(DefaultConfig())
 	s := fol.NewAnd(atom("r", "X"), fol.NewNot(atom("r", "X")))
-	db := o.Find(Problem{
+	db := mustFind(t, o, Problem{
 		Rels:  []RelSpec{{Name: "r", Types: []string{"int"}}},
 		Guide: s,
 		Test:  testFO(s),
@@ -63,7 +75,7 @@ func TestComparisonWitnessNeedsGapValues(t *testing.T) {
 		&fol.Cmp{Op: datalog.OpLt, L: datalog.V("X"), R: datalog.CInt(7)},
 	)
 	consts := []value.Value{value.Int(5), value.Int(7)}
-	db := o.Find(Problem{
+	db := mustFind(t, o, Problem{
 		Rels:        []RelSpec{{Name: "r", Types: []string{"int"}}},
 		ExtraConsts: consts,
 		Guide:       s,
@@ -85,7 +97,7 @@ func TestStringGapValues(t *testing.T) {
 		&fol.Cmp{Op: datalog.OpGt, L: datalog.V("X"), R: datalog.CStr("1962-12-31")},
 	)
 	consts := []value.Value{value.Str("1962-12-31")}
-	db := o.Find(Problem{
+	db := mustFind(t, o, Problem{
 		Rels:        []RelSpec{{Name: "r", Types: []string{"date"}}},
 		ExtraConsts: consts,
 		Guide:       s,
@@ -104,7 +116,7 @@ func TestUnsatNegationAcrossRelations(t *testing.T) {
 		fol.NewAnd(atom("r", "X"), fol.NewNot(atom("s", "X")))))
 	notSub := fol.NewNot(sub)
 	s := fol.NewAnd(sub, notSub)
-	db := o.Find(Problem{
+	db := mustFind(t, o, Problem{
 		Rels: []RelSpec{{Name: "r", Types: []string{"int"}}, {Name: "s", Types: []string{"int"}}},
 		Test: testFO(s),
 	})
@@ -117,7 +129,7 @@ func TestExhaustiveFindsSmallWitness(t *testing.T) {
 	// Without a guide, the exhaustive phase must find: ∃X r(X) ∧ ¬s(X).
 	o := New(DefaultConfig())
 	s := fol.NewAnd(atom("r", "X"), fol.NewNot(atom("s", "X")))
-	db := o.Find(Problem{
+	db := mustFind(t, o, Problem{
 		Rels: []RelSpec{{Name: "r", Types: []string{"int"}}, {Name: "s", Types: []string{"int"}}},
 		Test: testFO(s),
 	})
@@ -133,7 +145,7 @@ func TestRandomSearchFallback(t *testing.T) {
 	cfg.ExhaustiveBudget = 1
 	o := New(cfg)
 	s := atom("wide", "A", "B", "C", "D")
-	db := o.Find(Problem{
+	db := mustFind(t, o, Problem{
 		Rels: []RelSpec{{Name: "wide", Types: []string{"int", "int", "string", "bool"}}},
 		Test: testFO(s),
 	})
@@ -147,7 +159,7 @@ func TestGuidedSearchSkipsUnknownAtoms(t *testing.T) {
 	// crash and must fall through to the other phases.
 	o := New(DefaultConfig())
 	s := fol.NewAnd(atom("computed", "X"), atom("r", "X"))
-	db := o.Find(Problem{
+	db := mustFind(t, o, Problem{
 		Rels:  []RelSpec{{Name: "r", Types: []string{"int"}}},
 		Guide: s,
 		Test: func(db *eval.Database) bool {
@@ -164,7 +176,7 @@ func TestDeltaPredicatesInSpecs(t *testing.T) {
 	// +v / -v appear as EDB relations in incrementalized programs.
 	o := New(DefaultConfig())
 	s := atom("+v", "X")
-	db := o.Find(Problem{
+	db := mustFind(t, o, Problem{
 		Rels:  []RelSpec{{Name: "+v", Types: []string{"int"}}},
 		Guide: s,
 		Test:  testFO(s),
@@ -231,7 +243,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() string {
 		o := New(DefaultConfig())
 		s := fol.NewAnd(atom("r", "X", "Y"), fol.NewNot(atom("s", "Y")))
-		db := o.Find(Problem{
+		db := mustFind(t, o, Problem{
 			Rels: []RelSpec{
 				{Name: "r", Types: []string{"int", "string"}},
 				{Name: "s", Types: []string{"string"}},
@@ -347,7 +359,7 @@ func TestPreconditionsKeepWitness(t *testing.T) {
 					if ph.guided {
 						p.Guide = s
 					}
-					if w := New(ph.cfg).Find(p); w != nil {
+					if w := mustFind(t, New(ph.cfg), p); w != nil {
 						return w.String(), n
 					}
 					return "<nil>", n
@@ -385,7 +397,7 @@ func TestExhaustivePrunesSubtrees(t *testing.T) {
 	}}
 	// Without a guide and random trials, Find runs the exhaustive phase
 	// only.
-	w := New(Config{ExhaustiveBudget: 150000}).Find(Problem{
+	w := mustFind(t, New(Config{ExhaustiveBudget: 150000}), Problem{
 		Rels:        keyedRels,
 		ExtraConsts: []value.Value{value.Int(5)},
 		Test:        keyedTest(fol.Truth{B: false}, &n),
@@ -403,5 +415,86 @@ func TestExhaustivePrunesSubtrees(t *testing.T) {
 	}
 	if n.broken != 0 {
 		t.Errorf("Test called on %d instances that break the precondition", n.broken)
+	}
+}
+
+// cancelPhases runs one phase of the search each: the configurations give
+// the other phases no budget.
+var cancelPhases = []struct {
+	name   string
+	cfg    Config
+	guided bool
+}{
+	{"guided", Config{GuideBudget: 1000}, true},
+	{"exhaustive", Config{ExhaustiveBudget: 150000}, false},
+	{"random", Config{MaxTuples: 3, RandomTrials: 1000, Seed: 7}, false},
+}
+
+// cancelProblem is a search without a witness over keyedRels whose Test
+// counts its calls and cancels the search at call cancelAt (never, if 0).
+func cancelProblem(guided bool, calls *int, cancelAt int, cancel context.CancelFunc) Problem {
+	p := Problem{
+		Rels:        keyedRels,
+		ExtraConsts: []value.Value{value.Int(5)},
+		Test: func(*eval.Database) bool {
+			*calls++
+			if *calls == cancelAt {
+				cancel()
+			}
+			return false
+		},
+	}
+	if guided {
+		p.Guide = fol.NewAnd(atom("r", "X", "Y"), atom("s", "Y"))
+	}
+	return p
+}
+
+// TestFindCancelledBeforeStart checks that a search whose context is
+// already cancelled tests no candidate and reports the cancellation rather
+// than "no witness".
+func TestFindCancelledBeforeStart(t *testing.T) {
+	for _, ph := range cancelPhases {
+		t.Run(ph.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			calls := 0
+			w, err := New(ph.cfg).Find(ctx, cancelProblem(ph.guided, &calls, 0, cancel))
+			if w != nil || err != context.Canceled {
+				t.Fatalf("Find = %v, %v; want nil, context.Canceled", w, err)
+			}
+			if calls != 0 {
+				t.Errorf("Test called %d times after cancellation", calls)
+			}
+		})
+	}
+}
+
+// TestFindCancelledMidSearch cancels each phase from inside its third Test
+// call: the search stops within that candidate and reports the
+// cancellation, while the same search uncancelled tests many more
+// candidates and reports no witness.
+func TestFindCancelledMidSearch(t *testing.T) {
+	const cancelAt = 3
+	for _, ph := range cancelPhases {
+		t.Run(ph.name, func(t *testing.T) {
+			all := 0
+			if w := mustFind(t, New(ph.cfg), cancelProblem(ph.guided, &all, 0, nil)); w != nil {
+				t.Fatalf("no instance is a witness, got\n%s", w)
+			}
+			if all <= cancelAt {
+				t.Fatalf("the uncancelled search tests %d candidates; need more than %d", all, cancelAt)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			calls := 0
+			w, err := New(ph.cfg).Find(ctx, cancelProblem(ph.guided, &calls, cancelAt, cancel))
+			if w != nil || err != context.Canceled {
+				t.Fatalf("Find = %v, %v; want nil, context.Canceled", w, err)
+			}
+			if calls != cancelAt {
+				t.Errorf("Test called %d times, want %d: the search must stop at the candidate that cancelled it", calls, cancelAt)
+			}
+		})
 	}
 }
