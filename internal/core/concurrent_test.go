@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -191,20 +192,42 @@ func TestConcurrentValidateOnOnePutback(t *testing.T) {
 	}
 }
 
-// TestValidateLeavesNoGoroutines checks that the goroutine count returns to
-// its baseline after a well-definedness rejection (both speculative
-// searches cancelled), a fallback to derivation (the speculative PutGet
-// cancelled) and a valid program (both searches read).
+// TestValidateLeavesNoGoroutines checks that Validate waits for every
+// search it spawned before it returns: after a well-definedness rejection
+// (both speculative searches cancelled), a fallback to derivation (the
+// speculative PutGet cancelled, a second one started over the derived
+// get), a derived get failing PutGet, and a valid program with and
+// without an expected get. Each spawned search has finished the moment
+// validate returns, with no grace period; a cleanup that only cancelled
+// the searches would return while cancelled ones are still running. The
+// goroutine count then returns to its baseline.
 func TestValidateLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	runs := []outcomeCase{
 		speculationCases[0],
 		speculationCases[1],
+		outcomeCases[slices.IndexFunc(outcomeCases, func(c outcomeCase) bool { return c.name == "putget-violation" })],
 		{name: "valid", src: unionSrc, expected: []string{"v(X) :- r1(X).", "v(X) :- r2(X)."}},
+		{name: "valid-derived", src: unionSrc},
 	}
 	for _, tc := range runs {
-		if _, err := Validate(mustPutback(t, tc.src), mustRules(t, tc.expected...), testOptions()); err != nil {
+		var expected []*datalog.Rule
+		if tc.expected != nil {
+			expected = mustRules(t, tc.expected...)
+		}
+		v := newValidator(mustPutback(t, tc.src), sat.New(testOptions().Oracle))
+		if _, err := v.validate(expected); err != nil {
 			t.Fatal(err)
+		}
+		if len(v.searches) == 0 {
+			t.Fatalf("%s: validate spawned no search", tc.name)
+		}
+		for i, s := range v.searches {
+			select {
+			case <-s.done:
+			default:
+				t.Fatalf("%s: search %d of %d still running after validate returned", tc.name, i+1, len(v.searches))
+			}
 		}
 		// A search goroutine signals completion just before it exits, so
 		// allow it a moment to finish exiting.
@@ -221,7 +244,7 @@ func TestValidateLeavesNoGoroutines(t *testing.T) {
 // TestSearchWaitReraisesPanic checks that a check's panic on its own
 // goroutine is re-raised, with its value, by wait on the caller's.
 func TestSearchWaitReraisesPanic(t *testing.T) {
-	s := spawn(context.Background(), func(context.Context) (*Failure, error) {
+	s := (&validator{}).spawn(context.Background(), func(context.Context) (*Failure, error) {
 		panic("boom")
 	})
 	defer func() {

@@ -69,14 +69,21 @@ type Result struct {
 // The verdict keeps Algorithm 1's precedence: a well-definedness failure
 // wins and cancels both other searches; a GetPut failure cancels the
 // speculative PutGet search, and derivation then runs as without an
-// expected get. Every search is deterministic and independent of the
+// expected get. Over a derived get, PutGet likewise runs on a goroutine of
+// its own beside the GetPut replay on the calling goroutine, and a GetPut
+// failure cancels it. Every search is deterministic and independent of the
 // others, so the Result is the one running the passes one after another
 // gives. Validate waits for every goroutine it starts before it returns,
 // and re-raises a search's panic on the calling goroutine.
 func Validate(pb *Putback, expectedGet []*datalog.Rule, opts Options) (*Result, error) {
+	return newValidator(pb, sat.New(opts.Oracle)).validate(expectedGet)
+}
+
+// validate is Validate on v. The searches it spawns are left in
+// v.searches, each finished by the time it returns.
+func (v *validator) validate(expectedGet []*datalog.Rule) (*Result, error) {
 	start := time.Now()
-	res := &Result{Class: pb.Class, Bounded: true}
-	v := newValidator(pb, sat.New(opts.Oracle))
+	res := &Result{Class: v.pb.Class, Bounded: true}
 
 	fail := func(f *Failure) (*Result, error) {
 		res.Failure = f
@@ -85,13 +92,26 @@ func Validate(pb *Putback, expectedGet []*datalog.Rule, opts Options) (*Result, 
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
+	defer func() {
+		cancel()
+		for _, s := range v.searches {
+			s.wait()
+		}
+	}()
+	// speculate starts PutGet over get on a goroutine of its own; the
+	// returned func cancels it.
+	speculate := func(get []*datalog.Rule) (*search, context.CancelFunc) {
+		putGetCtx, cancelPutGet := context.WithCancel(ctx)
+		return v.spawn(putGetCtx, func(ctx context.Context) (*Failure, error) {
+			return v.checkPutGet(ctx, get)
+		}), cancelPutGet
+	}
+
 	var getPut, putGet *search
 	if expectedGet != nil {
-		putGetCtx, cancelPutGet := context.WithCancel(ctx)
-		putGet = spawn(putGetCtx, func(ctx context.Context) (*Failure, error) {
-			return v.checkPutGet(ctx, expectedGet)
-		})
-		getPut = spawn(ctx, func(ctx context.Context) (*Failure, error) {
+		var cancelPutGet context.CancelFunc
+		putGet, cancelPutGet = speculate(expectedGet)
+		getPut = v.spawn(ctx, func(ctx context.Context) (*Failure, error) {
 			f, err := v.checkGetPut(ctx, expectedGet)
 			if f != nil {
 				cancelPutGet() // derivation replaces the expected get
@@ -99,11 +119,6 @@ func Validate(pb *Putback, expectedGet []*datalog.Rule, opts Options) (*Result, 
 			return f, err
 		})
 	}
-	defer func() {
-		cancel()
-		getPut.wait()
-		putGet.wait()
-	}()
 
 	// Pass 1: well-definedness (§4.2).
 	if f := v.checkWellDefined(); f != nil {
@@ -141,6 +156,8 @@ func Validate(pb *Putback, expectedGet []*datalog.Rule, opts Options) (*Result, 
 		}
 		res.Get = get
 		res.Decomp = decomp
+		var cancelPutGet context.CancelFunc
+		putGet, cancelPutGet = speculate(get)
 		// The derived get satisfies GetPut by construction; replay the
 		// check as a safeguard against oracle blind spots.
 		f, err := v.checkGetPut(ctx, get)
@@ -148,19 +165,14 @@ func Validate(pb *Putback, expectedGet []*datalog.Rule, opts Options) (*Result, 
 			return nil, err
 		}
 		if f != nil {
+			cancelPutGet()
 			f.Detail = "derived get does not satisfy GetPut: " + f.Detail
 			return fail(f)
 		}
 	}
 
 	// Pass 3: PutGet (§4.4).
-	var f *Failure
-	var err error
-	if res.UsedExpected {
-		f, err = putGet.wait()
-	} else {
-		f, err = v.checkPutGet(ctx, res.Get)
-	}
+	f, err := putGet.wait()
 	if err != nil {
 		return nil, err
 	}
@@ -181,14 +193,15 @@ type search struct {
 	panicked any
 }
 
-// spawn starts check(ctx) on a new goroutine.
-func spawn(ctx context.Context, check func(context.Context) (*Failure, error)) *search {
+// spawn starts check(ctx) on a new goroutine and records it in v.searches.
+func (v *validator) spawn(ctx context.Context, check func(context.Context) (*Failure, error)) *search {
 	s := &search{done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
 		defer func() { s.panicked = recover() }()
 		s.f, s.err = check(ctx)
 	}()
+	v.searches = append(v.searches, s)
 	return s
 }
 
@@ -210,6 +223,7 @@ func (s *search) wait() (*Failure, error) {
 // evaluators, precondition evaluators included. The unfolder is the
 // exception: it numbers fresh variables as it goes, so only the
 // well-definedness check and the get derivation use it, in that order.
+// searches is written by validate's goroutine only.
 type validator struct {
 	pb       *Putback
 	oracle   *sat.Oracle
@@ -217,6 +231,7 @@ type validator struct {
 	consts   []value.Value
 	srcSpecs []sat.RelSpec
 	allSpecs []sat.RelSpec // sources + view
+	searches []*search     // every search validate spawned
 }
 
 func newValidator(pb *Putback, oracle *sat.Oracle) *validator {

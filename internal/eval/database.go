@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"birds/internal/datalog"
 	"birds/internal/value"
@@ -26,10 +27,24 @@ import (
 // Delete maintain only the affected indexes. Indexes are maintained
 // incrementally across updates and rebuilt in place by Update; Set drops
 // them.
+//
+// Relations and indexes live in dense slots: slots maps a predicate to its
+// slot once, and a slot is never removed, so an evaluator that resolved a
+// predicate's slot (evalCtx) reads it as a slice element for as long as it
+// evaluates over the same database, which id identifies. Only methods that
+// write the database create a slot (Set, Update, Ensure, Insert, Index);
+// the read methods (Rel, RelOrEmpty, LookupExisting, Preds, Equal, String)
+// never do, so they are safe for concurrent readers.
 type Database struct {
-	rels    map[datalog.PredSym]*value.Relation
-	indexes map[datalog.PredSym][]*hashIndex
+	id      uint64
+	slots   map[datalog.PredSym]int
+	preds   []datalog.PredSym // slot → predicate
+	rels    []*value.Relation // slot → relation
+	indexes [][]*hashIndex    // slot → maintained indexes
 }
+
+// lastDatabaseID numbers databases; a fresh database takes the next id.
+var lastDatabaseID atomic.Uint64
 
 // hashIndex maps the hash of a tuple's projection onto key positions to the
 // tuples having that projection. Buckets are keyed by the 64-bit projection
@@ -167,19 +182,43 @@ func (ix *hashIndex) rebuild(rel *value.Relation) {
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
-	return &Database{
-		rels:    make(map[datalog.PredSym]*value.Relation),
-		indexes: make(map[datalog.PredSym][]*hashIndex),
+	return &Database{id: lastDatabaseID.Add(1), slots: make(map[datalog.PredSym]int)}
+}
+
+// slotOf returns p's slot, or -1 when p has none. It is a pure read.
+func (db *Database) slotOf(p datalog.PredSym) int {
+	if s, ok := db.slots[p]; ok {
+		return s
 	}
+	return -1
+}
+
+// slot returns p's slot, creating an empty one when p has none. The
+// caller must have exclusive use of the database.
+func (db *Database) slot(p datalog.PredSym) int {
+	if s, ok := db.slots[p]; ok {
+		return s
+	}
+	s := len(db.preds)
+	db.slots[p] = s
+	db.preds = append(db.preds, p)
+	db.rels = append(db.rels, nil)
+	db.indexes = append(db.indexes, nil)
+	return s
 }
 
 // Rel returns the relation for p, or nil if absent.
-func (db *Database) Rel(p datalog.PredSym) *value.Relation { return db.rels[p] }
+func (db *Database) Rel(p datalog.PredSym) *value.Relation {
+	if s := db.slotOf(p); s >= 0 {
+		return db.rels[s]
+	}
+	return nil
+}
 
 // RelOrEmpty returns the relation for p, or an empty relation of the given
 // arity if absent (without storing it).
 func (db *Database) RelOrEmpty(p datalog.PredSym, arity int) *value.Relation {
-	if r := db.rels[p]; r != nil {
+	if r := db.Rel(p); r != nil {
 		return r
 	}
 	return value.NewRelation(arity)
@@ -187,8 +226,9 @@ func (db *Database) RelOrEmpty(p datalog.PredSym, arity int) *value.Relation {
 
 // Set installs rel as the relation for p, dropping any indexes on p.
 func (db *Database) Set(p datalog.PredSym, rel *value.Relation) {
-	db.rels[p] = rel
-	delete(db.indexes, p)
+	s := db.slot(p)
+	db.rels[s] = rel
+	db.indexes[s] = nil
 }
 
 // Update installs rel as the relation for p like Set, but keeps the
@@ -198,8 +238,13 @@ func (db *Database) Set(p datalog.PredSym, rel *value.Relation) {
 // replacing IDB relations so that join indexes built in one evaluation
 // survive to the next, without paying forever for one-off ad-hoc probes.
 func (db *Database) Update(p datalog.PredSym, rel *value.Relation) {
-	db.rels[p] = rel
-	ixs := db.indexes[p]
+	db.updateAt(db.slot(p), rel)
+}
+
+// updateAt is Update on slot s.
+func (db *Database) updateAt(s int, rel *value.Relation) {
+	db.rels[s] = rel
+	ixs := db.indexes[s]
 	kept := ixs[:0]
 	for _, ix := range ixs {
 		if !ix.hot {
@@ -210,35 +255,34 @@ func (db *Database) Update(p datalog.PredSym, rel *value.Relation) {
 		kept = append(kept, ix)
 	}
 	if len(kept) == 0 {
-		delete(db.indexes, p)
-	} else {
-		db.indexes[p] = kept
+		kept = nil
 	}
+	db.indexes[s] = kept
 }
 
 // Ensure returns the relation for p, creating an empty one of the given
 // arity if absent.
 func (db *Database) Ensure(p datalog.PredSym, arity int) *value.Relation {
-	if r := db.rels[p]; r != nil {
-		return r
+	s := db.slot(p)
+	if db.rels[s] == nil {
+		db.rels[s] = value.NewRelation(arity)
 	}
-	r := value.NewRelation(arity)
-	db.rels[p] = r
-	return r
+	return db.rels[s]
 }
 
 // Insert adds t to p's relation, maintaining only p's indexes. It reports
 // whether the database changed. The relation takes ownership of t.
 func (db *Database) Insert(p datalog.PredSym, t value.Tuple) bool {
-	r := db.rels[p]
+	s := db.slot(p)
+	r := db.rels[s]
 	if r == nil {
 		r = value.NewRelation(len(t))
-		db.rels[p] = r
+		db.rels[s] = r
 	}
 	if !r.Add(t) {
 		return false
 	}
-	for _, ix := range db.indexes[p] {
+	for _, ix := range db.indexes[s] {
 		ix.add(t)
 	}
 	return true
@@ -247,11 +291,11 @@ func (db *Database) Insert(p datalog.PredSym, t value.Tuple) bool {
 // Delete removes t from p's relation, maintaining only p's indexes. It
 // reports whether the database changed.
 func (db *Database) Delete(p datalog.PredSym, t value.Tuple) bool {
-	r := db.rels[p]
-	if r == nil || !r.Remove(t) {
+	s := db.slotOf(p)
+	if s < 0 || db.rels[s] == nil || !db.rels[s].Remove(t) {
 		return false
 	}
-	for _, ix := range db.indexes[p] {
+	for _, ix := range db.indexes[s] {
 		ix.remove(t)
 	}
 	return true
@@ -260,22 +304,21 @@ func (db *Database) Delete(p datalog.PredSym, t value.Tuple) bool {
 // Index returns (building if needed) a maintained hash index on p keyed by
 // the given positions.
 func (db *Database) Index(p datalog.PredSym, positions []int) *hashIndex {
-	if ix := db.existingIndex(p, positions); ix != nil {
+	return db.indexAt(db.slot(p), positions)
+}
+
+// indexAt is Index on slot s.
+func (db *Database) indexAt(s int, positions []int) *hashIndex {
+	if ix := findIndex(db.indexes[s], positions); ix != nil {
 		ix.hot = true
 		return ix
 	}
 	ix := &hashIndex{positions: positions, buckets: make(map[uint64][]indexGroup), hot: true}
-	if r := db.rels[p]; r != nil {
+	if r := db.rels[s]; r != nil {
 		r.Each(ix.add)
 	}
-	db.indexes[p] = append(db.indexes[p], ix)
+	db.indexes[s] = append(db.indexes[s], ix)
 	return ix
-}
-
-// existingIndex returns the maintained index on p for exactly the given
-// positions, or nil, without building one and without marking it hot.
-func (db *Database) existingIndex(p datalog.PredSym, positions []int) *hashIndex {
-	return findIndex(db.indexes[p], positions)
 }
 
 // findIndex returns the index of ixs keyed on exactly positions, or nil.
@@ -305,8 +348,10 @@ func (db *Database) Lookup(p datalog.PredSym, positions []int, key value.Tuple) 
 // subsequent Update of the relation may drop it; base-table relations,
 // which are maintained by Insert/Delete rather than replaced, keep it.
 func (db *Database) LookupExisting(p datalog.PredSym, positions []int, key value.Tuple) (tuples []value.Tuple, ok bool) {
-	if ix := db.existingIndex(p, positions); ix != nil {
-		return ix.lookup(key), true
+	if s := db.slotOf(p); s >= 0 {
+		if ix := findIndex(db.indexes[s], positions); ix != nil {
+			return ix.lookup(key), true
+		}
 	}
 	return nil, false
 }
@@ -322,7 +367,8 @@ type IndexStats struct {
 // Indexes reports the live indexes and their bucket shapes (diagnostics).
 func (db *Database) Indexes() []IndexStats {
 	var out []IndexStats
-	for p, ixs := range db.indexes {
+	for s, ixs := range db.indexes {
+		p := db.preds[s]
 		for _, ix := range ixs {
 			groups, max := 0, 0
 			for _, bucket := range ix.buckets {
@@ -347,9 +393,11 @@ func (db *Database) Indexes() []IndexStats {
 
 // Preds returns the predicates present, sorted for determinism.
 func (db *Database) Preds() []datalog.PredSym {
-	out := make([]datalog.PredSym, 0, len(db.rels))
-	for p := range db.rels {
-		out = append(out, p)
+	out := make([]datalog.PredSym, 0, len(db.preds))
+	for s, p := range db.preds {
+		if db.rels[s] != nil {
+			out = append(out, p)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
@@ -360,12 +408,14 @@ func (db *Database) Preds() []datalog.PredSym {
 	return out
 }
 
-// Clone returns a deep copy of the database (indexes are not copied; they
-// rebuild lazily).
+// Clone returns a deep copy of the database under a new id (indexes are
+// not copied; they rebuild lazily).
 func (db *Database) Clone() *Database {
 	out := NewDatabase()
-	for p, r := range db.rels {
-		out.rels[p] = r.Clone()
+	for s, p := range db.preds {
+		if r := db.rels[s]; r != nil {
+			out.rels[out.slot(p)] = r.Clone()
+		}
 	}
 	return out
 }
@@ -374,7 +424,7 @@ func (db *Database) Clone() *Database {
 // predicates.
 func (db *Database) Equal(other *Database, preds []datalog.PredSym) bool {
 	for _, p := range preds {
-		a, b := db.rels[p], other.rels[p]
+		a, b := db.Rel(p), other.Rel(p)
 		switch {
 		case a == nil && b == nil:
 		case a == nil:
@@ -398,7 +448,7 @@ func (db *Database) Equal(other *Database, preds []datalog.PredSym) bool {
 func (db *Database) String() string {
 	var b strings.Builder
 	for _, p := range db.Preds() {
-		fmt.Fprintf(&b, "%s = %s\n", p, db.rels[p])
+		fmt.Fprintf(&b, "%s = %s\n", p, db.Rel(p))
 	}
 	return b.String()
 }

@@ -117,8 +117,8 @@ type predPlan struct {
 	rules []*rulePlans
 }
 
-// assignSlots numbers every predicate the rule plans read with a
-// program-local relation slot (step.slot), so that a streaming evaluation
+// assignSlots numbers every predicate the rule and constraint plans read
+// with a program-local relation slot (step.slot), so that an evaluation
 // resolves each relation once instead of hashing its symbol at every step
 // of every variant. IDB predicate i of the evaluation order has slot i,
 // resolved when the evaluation installs it; the EDB predicates follow,
@@ -153,6 +153,9 @@ func (e *Evaluator) assignSlots() {
 			}
 		}
 	}
+	for _, cr := range e.constraints {
+		number(cr)
+	}
 	e.ec = newEvalCtx(syms, len(e.order))
 }
 
@@ -184,7 +187,7 @@ func (e *Evaluator) evalPreds(db *Database, include map[datalog.PredSym]bool) er
 		if include != nil && !include[p.sym] {
 			continue
 		}
-		if err := e.evalPred(db, p); err != nil {
+		if err := e.evalPred(db, i); err != nil {
 			return err
 		}
 		e.ec.refresh(db, i)
@@ -192,10 +195,11 @@ func (e *Evaluator) evalPreds(db *Database, include map[datalog.PredSym]bool) er
 	return nil
 }
 
-// evalPred evaluates one IDB predicate's rules and installs the result. A
+// evalPred evaluates IDB predicate i's rules and installs the result. A
 // predicate that derives nothing keeps an installed relation that is
 // already empty.
-func (e *Evaluator) evalPred(db *Database, p *predPlan) error {
+func (e *Evaluator) evalPred(db *Database, i int) error {
+	p := &e.plan[i]
 	e.out = sink{arity: p.arity}
 	for _, rp := range p.rules {
 		if err := rp.run(db, &e.ec, e.emitOut); err != nil {
@@ -206,16 +210,16 @@ func (e *Evaluator) evalPred(db *Database, p *predPlan) error {
 	out := e.out.rel
 	e.out.rel = nil
 	if out == nil {
-		if old := db.Rel(p.sym); old != nil && old.Empty() {
+		if old := e.ec.rel(db, i); old != nil && old.Empty() {
 			return nil
 		}
 		out = value.NewRelation(p.arity)
 	}
-	e.installEval(db, p.sym, out)
+	e.installEval(db, i, out)
 	return nil
 }
 
-// installEval installs one predicate's freshly evaluated relation. A full
+// installEval installs IDB predicate i's freshly evaluated relation. A full
 // evaluation replacing IDB relations wholesale invalidates any support
 // counts EvalDelta keeps — except when the evaluation is a no-op for the
 // predicate (the new relation equals the installed one): then the
@@ -225,9 +229,9 @@ func (e *Evaluator) evalPred(db *Database, p *predPlan) error {
 // behind the evaluator's back; under EvalDelta's documented contract
 // (every EDB change flows through it) surviving counts already describe
 // the current EDB exactly.
-func (e *Evaluator) installEval(db *Database, sym datalog.PredSym, out *value.Relation) {
+func (e *Evaluator) installEval(db *Database, i int, out *value.Relation) {
 	if e.IVMReady(db) {
-		old := db.Rel(sym)
+		old := e.ec.rel(db, i)
 		if (old == nil && out.Empty()) || (old != nil && old.Equal(out)) {
 			return
 		}
@@ -236,7 +240,7 @@ func (e *Evaluator) installEval(db *Database, sym datalog.PredSym, out *value.Re
 	// Update, not Set: keep any join indexes on the IDB predicate alive,
 	// rebuilt from the fresh relation, instead of dropping them to be
 	// lazily reconstructed on the next evaluation.
-	db.Update(sym, out)
+	db.updateAt(e.ec.slotFor(db, i), out)
 }
 
 // cone returns the goal's dependency cone: the IDB predicates transitively
@@ -279,12 +283,13 @@ func (e *Evaluator) EvalQuery(db *Database, goal datalog.PredSym) (*value.Relati
 // violated constraint rules. Constraints run their greedy plans with lazy
 // resolution (runCtx), whose keyed probes build maintained indexes on db:
 // the engine's delta-constraint check reuses them on its long-lived store,
-// and the validation oracle across the instances it refills.
+// and the validation oracle across the instances it refills. Their steps
+// resolve relations through the evaluator's slots, like Eval's.
 func (e *Evaluator) Violations(db *Database) ([]*datalog.Rule, error) {
 	var out []*datalog.Rule
 	for _, cr := range e.constraints {
 		found := false
-		cr.rc.db = db
+		cr.rc.db, cr.rc.ec = db, &e.ec
 		if err := cr.run(&cr.rc, func(value.Tuple) bool {
 			found = true
 			return false // one witness is enough
@@ -322,7 +327,7 @@ type step struct {
 	kind stepKind
 	// scan / negated atom:
 	pred    datalog.PredSym
-	slot    int // full plans: program-local relation slot of pred (assignSlots)
+	slot    int // full and constraint plans: program-local relation slot of pred (assignSlots)
 	args    []argSlot
 	keyPos  []int  // positions bound at entry (probe key); nil = full scan
 	mask    string // keyPos rendered once, for ephemeral-table cache keys
@@ -680,7 +685,8 @@ func (e *env) fullTuple(i int, st *step) value.Tuple {
 
 // runCtx resolves a plan's relation reads and index probes. In lazy mode
 // (prepared false; constraint plans, run by Violations) it goes through the
-// Database, building maintained indexes on demand. In prepared mode
+// Database at the slots ec resolved, building maintained indexes on
+// demand. In prepared mode
 // (prepareStream, every Eval and counted-IVM initialization) each step's
 // relation and probe structure was resolved up front into res. A keyed
 // step probes, in order of preference, its ephemeral join/exist table, its
@@ -688,6 +694,7 @@ func (e *env) fullTuple(i int, st *step) value.Tuple {
 // runCtx; a run leaves it holding no database, relation or table.
 type runCtx struct {
 	db       *Database
+	ec       *evalCtx // the evaluator's context: step.slot → database slot
 	prepared bool
 	res      []stepRes // per step; all zero outside a prepared run
 }
@@ -703,17 +710,17 @@ type stepRes struct {
 // release drops everything a run resolved, so no relation or table
 // outlives it.
 func (rc *runCtx) release() {
-	rc.db = nil
+	rc.db, rc.ec = nil, nil
 	rc.prepared = false
 	clear(rc.res)
 }
 
 // relAt returns the relation read by step i.
-func (rc *runCtx) relAt(i int, p datalog.PredSym) *value.Relation {
+func (rc *runCtx) relAt(i int, st *step) *value.Relation {
 	if rc.prepared {
 		return rc.res[i].rel
 	}
-	return rc.db.Rel(p)
+	return rc.ec.rel(rc.db, st.slot)
 }
 
 // lookupAt probes the resolved index (or, lazily, the database) of keyed
@@ -724,7 +731,7 @@ func (rc *runCtx) lookupAt(i int, st *step, key value.Tuple) []value.Tuple {
 	if ix := rc.res[i].ix; ix != nil {
 		return ix.lookup(key)
 	}
-	return rc.db.Lookup(st.pred, st.keyPos, key)
+	return rc.db.indexAt(rc.ec.resolve(rc.db, st.slot), st.keyPos).lookup(key)
 }
 
 // hasMatchAt reports whether keyed step i has any tuple matching key — the
@@ -791,7 +798,7 @@ func (cr *compiledRule) exec(rc *runCtx, en *env, i int, emit func(value.Tuple) 
 		}
 
 	case stepNegAtom:
-		rel := rc.relAt(i, st.pred)
+		rel := rc.relAt(i, st)
 		if rel == nil {
 			return cr.exec(rc, en, i+1, emit)
 		}
@@ -811,7 +818,7 @@ func (cr *compiledRule) exec(rc *runCtx, en *env, i int, emit func(value.Tuple) 
 		return cr.exec(rc, en, i+1, emit)
 
 	default: // stepScan
-		rel := rc.relAt(i, st.pred)
+		rel := rc.relAt(i, st)
 		if rel == nil {
 			return true, nil
 		}

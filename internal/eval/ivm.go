@@ -204,7 +204,7 @@ func (e *Evaluator) initIVM(db *Database, out map[datalog.PredSym]Delta) error {
 				return err
 			}
 		}
-		e.installCounted(db, p.sym, cnt.Relation(), out)
+		e.installCounted(db, i, cnt.Relation(), out)
 		e.ec.refresh(db, i)
 		counts[p.sym] = cnt
 	}
@@ -212,12 +212,13 @@ func (e *Evaluator) initIVM(db *Database, out map[datalog.PredSym]Delta) error {
 	return nil
 }
 
-// installCounted replaces sym's relation with its freshly counted
-// materialization, recording in out, when non-nil, the net delta against
-// what db held before.
-func (e *Evaluator) installCounted(db *Database, sym datalog.PredSym, rel *value.Relation, out map[datalog.PredSym]Delta) {
-	old := db.Rel(sym)
-	db.Update(sym, rel)
+// installCounted replaces IDB predicate i's relation with its freshly
+// counted materialization, recording in out, when non-nil, the net delta
+// against what db held before.
+func (e *Evaluator) installCounted(db *Database, i int, rel *value.Relation, out map[datalog.PredSym]Delta) {
+	sym := e.plan[i].sym
+	old := e.ec.rel(db, i)
+	db.updateAt(e.ec.slotFor(db, i), rel)
 	if out == nil {
 		return
 	}

@@ -224,6 +224,12 @@ type tabKey struct {
 // resolves the EDB slots when the evaluation starts, and refresh resolves
 // an IDB slot once the evaluation has installed the predicate — always
 // before any rule reads it, since rules run in topological order.
+//
+// Across evaluations it keeps where each program-local slot lives in the
+// database it last ran over (dbID, at): a database never removes a slot,
+// so on a warm database resolving a predicate is a slice read, not a hash
+// of its symbol. The cache holds the database's id and ints only, never a
+// pointer, so no database or relation outlives an evaluation.
 type evalCtx struct {
 	tables map[tabKey]*joinTable
 	exists map[tabKey]*existTable
@@ -231,6 +237,16 @@ type evalCtx struct {
 	nidb   int               // slots [0, nidb) are the IDB predicates
 	rels   []*value.Relation
 	ixs    [][]*hashIndex
+	dbID   uint64   // id of the database that at describes; 0 before the first
+	at     []dbSlot // slot → its predicate's slot in that database
+}
+
+// dbSlot is where a program-local slot's predicate lives in the database
+// evalCtx.dbID names: slot is its database slot, or -1 if the database had
+// none when it held seen slots. A database only gains slots, so an absent
+// predicate is looked up again only once the database holds more.
+type dbSlot struct {
+	slot, seen int
 }
 
 func newEvalCtx(syms []datalog.PredSym, nidb int) evalCtx {
@@ -241,7 +257,43 @@ func newEvalCtx(syms []datalog.PredSym, nidb int) evalCtx {
 		nidb:   nidb,
 		rels:   make([]*value.Relation, len(syms)),
 		ixs:    make([][]*hashIndex, len(syms)),
+		at:     make([]dbSlot, len(syms)),
 	}
+}
+
+// resolve returns the database slot of program-local slot k in db, or -1
+// when db has no slot for its predicate. It never creates a slot.
+func (ec *evalCtx) resolve(db *Database, k int) int {
+	if ec.dbID != db.id {
+		ec.dbID = db.id
+		for i := range ec.at {
+			ec.at[i] = dbSlot{slot: -1, seen: -1}
+		}
+	}
+	a := &ec.at[k]
+	if a.slot < 0 && a.seen != len(db.preds) {
+		a.slot, a.seen = db.slotOf(ec.syms[k]), len(db.preds)
+	}
+	return a.slot
+}
+
+// slotFor is resolve, creating the slot when db has none; the evaluation
+// installing the predicate has exclusive use of db.
+func (ec *evalCtx) slotFor(db *Database, k int) int {
+	s := ec.resolve(db, k)
+	if s < 0 {
+		s = db.slot(ec.syms[k])
+		ec.at[k].slot = s
+	}
+	return s
+}
+
+// rel returns db's relation for program-local slot k, or nil.
+func (ec *evalCtx) rel(db *Database, k int) *value.Relation {
+	if s := ec.resolve(db, k); s >= 0 {
+		return db.rels[s]
+	}
+	return nil
 }
 
 // bind resolves the EDB slots against db.
@@ -254,8 +306,11 @@ func (ec *evalCtx) bind(db *Database) {
 // refresh re-resolves slot k after db installed its relation or changed
 // its indexes.
 func (ec *evalCtx) refresh(db *Database, k int) {
-	ec.rels[k] = db.rels[ec.syms[k]]
-	ec.ixs[k] = db.indexes[ec.syms[k]]
+	if s := ec.resolve(db, k); s >= 0 {
+		ec.rels[k], ec.ixs[k] = db.rels[s], db.indexes[s]
+	} else {
+		ec.rels[k], ec.ixs[k] = nil, nil
+	}
 }
 
 // existingIndex returns the maintained index on step st's relation keyed
@@ -266,7 +321,7 @@ func (ec *evalCtx) existingIndex(st *step) *hashIndex {
 }
 
 // reset empties the cache and the slots, releasing every table and
-// relation they hold.
+// relation they hold; the database slots it resolved stay cached.
 func (ec *evalCtx) reset() {
 	clear(ec.tables)
 	clear(ec.exists)
@@ -355,7 +410,7 @@ func (rp *rulePlans) pickVariant(ec *evalCtx) *compiledRule {
 // cache, so the run builds no maintained index.
 func (cr *compiledRule) prepareStream(db *Database, ec *evalCtx) *runCtx {
 	rc := &cr.rc
-	rc.db = db
+	rc.db, rc.ec = db, ec
 	rc.prepared = true
 	for i := range cr.steps {
 		st := &cr.steps[i]
@@ -380,7 +435,7 @@ func (cr *compiledRule) prepareStream(db *Database, ec *evalCtx) *runCtx {
 		case st.kind == stepNegAtom:
 			r.ext = ec.existTab(rel, st)
 		case rel.Len() > maxJoinTableLen:
-			r.ix = db.Index(st.pred, st.keyPos)
+			r.ix = db.indexAt(ec.resolve(db, st.slot), st.keyPos)
 			ec.refresh(db, st.slot)
 		default:
 			r.tab = ec.joinTab(rel, st)

@@ -97,14 +97,15 @@ func TestStreamingCountedInitCountsIdentical(t *testing.T) {
 			}
 
 			dbDelta := NewDatabase()
-			for sym, rel := range db.rels {
-				dbDelta.Set(sym, value.NewRelation(rel.Arity()))
+			for _, sym := range db.Preds() {
+				dbDelta.Set(sym, value.NewRelation(db.Rel(sym).Arity()))
 			}
 			if _, err := evDelta.EvalDelta(dbDelta, nil); err != nil {
 				t.Fatalf("%s: init over the empty EDB: %v\n%s", label, err, src)
 			}
-			edb := make(map[datalog.PredSym]Delta, len(db.rels))
-			for sym, rel := range db.rels {
+			edb := make(map[datalog.PredSym]Delta)
+			for _, sym := range db.Preds() {
+				rel := db.Rel(sym)
 				rel.Each(func(tu value.Tuple) { dbDelta.Insert(sym, tu) })
 				edb[sym] = Delta{Ins: rel.Clone(), Del: value.NewRelation(rel.Arity())}
 			}
@@ -205,7 +206,7 @@ h(X) :- r(X,_), not s(_,_).
 	if got := db.RelOrEmpty(datalog.Pred("h"), 1); !got.Equal(ints(1)) {
 		t.Fatalf("h = %v, want {(1)}", got)
 	}
-	if db.existingIndex(datalog.Pred("s"), nil) != nil {
+	if _, ok := db.LookupExisting(datalog.Pred("s"), nil, value.Tuple{}); ok {
 		t.Fatal("streaming evaluation built a maintained index for a keyless negation")
 	}
 }

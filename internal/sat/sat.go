@@ -21,7 +21,12 @@
 //     each later b — when the number of instances is at most
 //     ExhaustiveBudget;
 //  3. randomized search: RandomTrials instances of at most MaxTuples
-//     tuples per relation, drawn from a PRNG seeded with Seed.
+//     tuples per relation, drawn from a PRNG seeded with Seed. When the
+//     exhaustive phase covered its whole scope (it ran within budget, was
+//     not cancelled and found no witness), a trial inside that scope —
+//     every relation holding at most two distinct tuples, every value from
+//     the reduced pools — is already known to be no witness: it is drawn,
+//     so every later trial stays the same, but not tested.
 //
 // Every order above is fixed by the problem and the configuration, so the
 // search is deterministic: the same problem yields the same witness. A found
@@ -145,16 +150,18 @@ func New(cfg Config) *Oracle { return &Oracle{cfg: cfg} }
 // none was found within the budget, and nil and ctx.Err() if ctx was
 // cancelled before the search found a witness or exhausted its budget.
 func (o *Oracle) Find(ctx context.Context, p Problem) (*eval.Database, error) {
-	pools := buildPools(p.ExtraConsts)
+	full := buildPools(p.ExtraConsts)
 	if p.Guide != nil {
-		if db := o.guided(ctx, p, pools); db != nil {
+		if db := o.guided(ctx, p, full); db != nil {
 			return db, nil
 		}
 	}
-	if db := o.exhaustive(ctx, p, pools); db != nil {
+	scope := full.reduced()
+	db, covered := o.exhaustive(ctx, p, scope)
+	if db != nil {
 		return db, nil
 	}
-	if db := o.random(ctx, p, pools); db != nil {
+	if db := o.random(ctx, p, full, scope, covered); db != nil {
 		return db, nil
 	}
 	return nil, ctx.Err()
@@ -274,6 +281,24 @@ func (p *pools) forType(t string) []value.Value {
 		return p.bools
 	default: // string, text, date, timestamp
 		return p.strings
+	}
+}
+
+// scopeTuples is the most tuples a relation holds in the exhaustive
+// phase's scope.
+const scopeTuples = 2
+
+// reduced returns the exhaustive phase's pools: a prefix of each pool,
+// which keeps the search tractable.
+func (p *pools) reduced() *pools {
+	prefix := func(vals []value.Value, n int) []value.Value {
+		return vals[:min(n, len(vals))]
+	}
+	return &pools{
+		ints:    prefix(p.ints, 3),
+		floats:  prefix(p.floats, 2),
+		strings: prefix(p.strings, 3),
+		bools:   p.bools,
 	}
 }
 
@@ -442,39 +467,25 @@ func cmpsConsistent(cmps []*fol.Cmp, env map[string]value.Value) bool {
 // --- exhaustive small-scope search ---------------------------------------
 
 // exhaustive enumerates every instance whose relations each hold at most
-// two tuples drawn from reduced pools, provided the state space fits the
-// budget. A precondition is checked when the last relation it reads has
-// been filled; if it fails, no instance of the subtree is tested. A
-// cancelled ctx stops the enumeration at the next node of the walk.
-func (o *Oracle) exhaustive(ctx context.Context, p Problem, pl *pools) *eval.Database {
-	const maxPerRel = 2
-	// Reduced pools keep the search tractable while retaining the
-	// constants (which come first in pool construction order).
-	reduce := func(vals []value.Value, n int) []value.Value {
-		if len(vals) <= n {
-			return vals
-		}
-		return vals[:n]
-	}
-	reduced := &pools{
-		ints:    reduce(pl.ints, 3),
-		floats:  reduce(pl.floats, 2),
-		strings: reduce(pl.strings, 3),
-		bools:   pl.bools,
-	}
-
+// scopeTuples tuples drawn from the reduced pools scope, provided the state
+// space fits the budget. A precondition is checked when the last relation
+// it reads has been filled; if it fails, no instance of the subtree is
+// tested. A cancelled ctx stops the enumeration at the next node of the
+// walk. covered reports whether the walk rejected every instance of its
+// scope: it ran within budget, was not cancelled and found no witness.
+func (o *Oracle) exhaustive(ctx context.Context, p Problem, scope *pools) (witness *eval.Database, covered bool) {
 	// Tuple candidate pools per relation.
 	tuplePools := make([][]value.Tuple, len(p.Rels))
 	total := 1.0
 	for i, r := range p.Rels {
-		tp := tuplesOf(r, reduced)
+		tp := tuplesOf(r, scope)
 		tuplePools[i] = tp
-		// Number of subsets of size ≤ maxPerRel.
+		// Number of subsets of size ≤ scopeTuples (two).
 		n := float64(len(tp))
 		count := 1 + n + n*(n-1)/2
 		total *= count
 		if total > float64(o.cfg.ExhaustiveBudget) {
-			return nil // too large; fall back to random search
+			return nil, false // too large; fall back to random search
 		}
 	}
 
@@ -504,7 +515,7 @@ func (o *Oracle) exhaustive(ctx context.Context, p Problem, pl *pools) *eval.Dat
 			return nil
 		}
 		sym := predSym(p.Rels[i].Name)
-		// Subsets of size 0, 1, 2.
+		// Subsets of size 0, 1, 2 (scopeTuples).
 		if w := rec(i + 1); w != nil || stopped {
 			return w
 		}
@@ -525,7 +536,8 @@ func (o *Oracle) exhaustive(ctx context.Context, p Problem, pl *pools) *eval.Dat
 		}
 		return nil
 	}
-	return rec(0)
+	w := rec(0)
+	return w, w == nil && !stopped
 }
 
 // lastRead returns the highest index in rels of a relation c reads, or -1
@@ -563,22 +575,43 @@ func tuplesOf(r RelSpec, pl *pools) []value.Tuple {
 
 // --- randomized search ----------------------------------------------------
 
-func (o *Oracle) random(ctx context.Context, p Problem, pl *pools) *eval.Database {
+// random tests RandomTrials instances drawn over the full pools. When
+// covered, the exhaustive phase has rejected every instance of its scope
+// (at most scopeTuples distinct tuples per relation, values from the
+// reduced pools scope, a prefix of each full pool), so a trial inside it
+// is drawn but neither filled in nor tested: the draws, and so every later
+// trial, are those of a search without the skip.
+func (o *Oracle) random(ctx context.Context, p Problem, full, scope *pools, covered bool) *eval.Database {
 	rng := rand.New(rand.NewSource(o.cfg.Seed))
 	db := emptyInstance(p.Rels)
+	drawn := make([][]value.Tuple, len(p.Rels))
 	for trial := 0; trial < o.cfg.RandomTrials; trial++ {
 		if ctx.Err() != nil {
 			return nil
 		}
-		clearInstance(db, p.Rels)
-		for _, r := range p.Rels {
+		inScope := covered
+		for i, r := range p.Rels {
 			n := rng.Intn(o.cfg.MaxTuples + 1)
+			ts := drawn[i][:0]
 			for k := 0; k < n; k++ {
 				t := make(value.Tuple, r.Arity())
 				for j, ty := range r.Types {
-					pool := pl.forType(ty)
-					t[j] = pool[rng.Intn(len(pool))]
+					pool := full.forType(ty)
+					v := rng.Intn(len(pool))
+					t[j] = pool[v]
+					inScope = inScope && v < len(scope.forType(ty))
 				}
+				ts = append(ts, t)
+			}
+			drawn[i] = ts
+			inScope = inScope && distinct(ts) <= scopeTuples
+		}
+		if inScope {
+			continue
+		}
+		clearInstance(db, p.Rels)
+		for i, r := range p.Rels {
+			for _, t := range drawn[i] {
 				db.Insert(predSym(r.Name), t)
 			}
 		}
@@ -587,6 +620,17 @@ func (o *Oracle) random(ctx context.Context, p Problem, pl *pools) *eval.Databas
 		}
 	}
 	return nil
+}
+
+// distinct returns the number of distinct tuples of ts.
+func distinct(ts []value.Tuple) int {
+	n := 0
+	for i, t := range ts {
+		if !slices.ContainsFunc(ts[:i], t.Equal) {
+			n++
+		}
+	}
+	return n
 }
 
 // emptyInstance builds a database with an empty relation per spec.

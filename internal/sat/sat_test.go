@@ -2,6 +2,7 @@ package sat
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"birds/internal/datalog"
@@ -496,5 +497,134 @@ func TestFindCancelledMidSearch(t *testing.T) {
 				t.Errorf("Test called %d times, want %d: the search must stop at the candidate that cancelled it", calls, cancelAt)
 			}
 		})
+	}
+}
+
+// scopeRecorder is a Test that accepts nothing and records, per call,
+// whether the instance lies in the exhaustive phase's scope — at most two
+// tuples per relation, every value from the reduced pools — and its
+// rendering.
+type scopeRecorder struct {
+	scope    *pools
+	inScope  []bool
+	rendered []string
+}
+
+func (r *scopeRecorder) test(db *eval.Database) bool {
+	in := true
+	for _, spec := range keyedRels {
+		rel := db.RelOrEmpty(datalog.Pred(spec.Name), spec.Arity())
+		in = in && rel.Len() <= scopeTuples
+		rel.Each(func(t value.Tuple) {
+			for j, v := range t {
+				in = in && slices.ContainsFunc(r.scope.forType(spec.Types[j]), v.Equal)
+			}
+		})
+	}
+	r.inScope = append(r.inScope, in)
+	r.rendered = append(r.rendered, db.String())
+	return false
+}
+
+// TestRandomSkipsCoveredScope runs a search without a witness with and
+// without the exhaustive phase. When the exhaustive phase covered its
+// scope, the random phase tests no instance inside it, and tests every
+// other trial, the same instances in the same order as when the exhaustive
+// phase was skipped for its budget and every trial was tested.
+func TestRandomSkipsCoveredScope(t *testing.T) {
+	consts := []value.Value{value.Int(5)}
+	const trials = 600
+	// The reduced int pool is {4, 5, 6}: r has 1+9+36 = 46 subsets of at
+	// most two tuples and s has 1+3+3 = 7, so the exhaustive phase tests
+	// 322 instances.
+	const exhaustiveCalls = 46 * 7
+	find := func(budget int) *scopeRecorder {
+		rec := &scopeRecorder{scope: buildPools(consts).reduced()}
+		cfg := Config{MaxTuples: 3, RandomTrials: trials, ExhaustiveBudget: budget, Seed: 7}
+		if w := mustFind(t, New(cfg), Problem{Rels: keyedRels, ExtraConsts: consts, Test: rec.test}); w != nil {
+			t.Fatalf("nothing is a witness, got\n%s", w)
+		}
+		return rec
+	}
+
+	skipped := find(0)
+	if len(skipped.inScope) != trials {
+		t.Fatalf("exhaustive phase skipped: %d Test calls, want one per trial (%d)", len(skipped.inScope), trials)
+	}
+	var outside []string
+	for i, in := range skipped.inScope {
+		if !in {
+			outside = append(outside, skipped.rendered[i])
+		}
+	}
+	if len(outside) == trials || len(outside) == 0 {
+		t.Fatalf("%d of %d trials lie outside the scope; the check needs both kinds", len(outside), trials)
+	}
+
+	covered := find(150000)
+	if len(covered.inScope) < exhaustiveCalls {
+		t.Fatalf("%d Test calls, fewer than the exhaustive phase's %d", len(covered.inScope), exhaustiveCalls)
+	}
+	for i, in := range covered.inScope[:exhaustiveCalls] {
+		if !in {
+			t.Fatalf("exhaustive call %d outside the scope:\n%s", i, covered.rendered[i])
+		}
+	}
+	random := covered.rendered[exhaustiveCalls:]
+	for i, in := range covered.inScope[exhaustiveCalls:] {
+		if in {
+			t.Fatalf("random trial tested inside the covered scope:\n%s", random[i])
+		}
+	}
+	if !slices.Equal(random, outside) {
+		t.Fatalf("random phase tested %d instances, want the %d out-of-scope trials of the uncovered search, in order",
+			len(random), len(outside))
+	}
+}
+
+// TestRandomTestsAllWhenNotCovered checks that the random phase tests
+// every trial that passes the preconditions when the exhaustive phase did
+// not cover its scope: skipped for its budget, or ended by a witness.
+func TestRandomTestsAllWhenNotCovered(t *testing.T) {
+	consts := []value.Value{value.Int(5)}
+	full := buildPools(consts)
+	scope := full.reduced()
+	o := New(Config{MaxTuples: 3, RandomTrials: 400, ExhaustiveBudget: 150000, Seed: 7})
+	ctx := context.Background()
+
+	// A witness ends the exhaustive phase: s holds a tuple.
+	hasS := func(db *eval.Database) bool { return !db.RelOrEmpty(datalog.Pred("s"), 1).Empty() }
+	if w, covered := o.exhaustive(ctx, Problem{Rels: keyedRels, Test: hasS}, scope); w == nil || covered {
+		t.Fatalf("exhaustive = %v, covered %v; want a witness, not covered", w, covered)
+	}
+	if w, covered := New(Config{ExhaustiveBudget: 10}).exhaustive(ctx, Problem{Rels: keyedRels, Test: hasS}, scope); w != nil || covered {
+		t.Fatalf("over budget: exhaustive = %v, covered %v; want neither", w, covered)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if w, covered := o.exhaustive(cancelled, Problem{Rels: keyedRels, Test: hasS}, scope); w != nil || covered {
+		t.Fatalf("cancelled: exhaustive = %v, covered %v; want neither", w, covered)
+	}
+
+	holds, passed := 0, 0
+	pre := Precondition{Reads: keyOnR.Reads, Holds: func(db *eval.Database) bool {
+		holds++
+		ok := keyOnR.Holds(db)
+		if ok {
+			passed++
+		}
+		return ok
+	}}
+	rec := &scopeRecorder{scope: scope}
+	p := Problem{Rels: keyedRels, ExtraConsts: consts, Test: rec.test, Pre: []Precondition{pre}}
+	if w := o.random(ctx, p, full, scope, false); w != nil {
+		t.Fatalf("nothing is a witness, got\n%s", w)
+	}
+	if holds != 400 || len(rec.inScope) != passed {
+		t.Fatalf("precondition checked on %d trials, want 400; Test called %d times, want %d (every trial passing it)",
+			holds, len(rec.inScope), passed)
+	}
+	if !slices.Contains(rec.inScope, true) {
+		t.Fatal("no trial inside the scope was drawn; the check needs some")
 	}
 }
